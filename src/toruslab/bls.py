@@ -69,12 +69,6 @@ class FiniteBLSField:
             if np.linalg.norm(hp - hp.conj().T) > tol * max(np.linalg.norm(hp), 1.0):
                 raise ValueError("projector is not self-adjoint for the metric")
 
-    def rank(self, t: complex) -> int:
-        P = self.pi(t)
-        if P is None:
-            return self.ambient_dim
-        return int(round(np.trace(P).real))
-
 
 def _check_step(step: float) -> None:
     # second-order FD noise ~ eps/step^2 must stay below the step^2 accuracy

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import datetime
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -42,7 +41,7 @@ from .forms import (
     pair_l2,
 )
 from .geometry import catalog_family
-from .hodge import build_hodge, minimal_solution
+from .hodge import build_hodge, laplacian, minimal_solution
 from .oracle import exact_flat_spectrum, is_jump_point, rank_scan, write_rank_scan_csv
 from .curvature import wedge_pair
 
@@ -78,15 +77,6 @@ def _disc(cfg: ExperimentConfig, n: int):
     if n != 1:
         raise ConfigInvalid("the grid backend supports one-dimensional fibers only")
     return Grid(N=cfg.N, order=cfg.order)
-
-
-def _expected_h0(cfg: ExperimentConfig, fam) -> int:
-    torus = fam.torus_at()
-    bundle = fam.bundle_at()
-    if not bundle.is_flat:
-        return cfg.d ** torus.n
-    lam = exact_flat_spectrum(torus, bundle.chi, (torus.n, 0), M=2)
-    return int(np.count_nonzero(lam < 1e-9))
 
 
 def _band_limited(space, rng, nmodes: int = 6):
@@ -137,32 +127,49 @@ def _common(func):
     func = click.option("--out", type=click.Path(), default=None,
                         help="Report output path (stdout if omitted).")(func)
     func = click.option("--seed", type=int, default=None, help="Override config seed.")(func)
-    func = click.option("--threads", type=int, default=None,
-                        help="Worker threads for scans.")(func)
     func = click.option("--dump-spectrum", is_flag=True, default=False,
                         help="Also write Laplacian spectra as CSV next to --out.")(func)
     return func
 
 
-def _load(config_path, seed, threads, defaults: dict) -> ExperimentConfig:
+def _load(config_path, seed, defaults: dict) -> ExperimentConfig:
     if config_path is None:
         cfg = config_from_dict(defaults)
     else:
         cfg = load_config(config_path)
     if seed is not None:
         cfg.seed = seed
-    if threads is not None:
-        cfg.threads = threads
     return cfg
-
-
-def _finish(ctx, code: int):
-    ctx.exit(code)
 
 
 @click.group()
 def main():
     """Numerical laboratory for direct-image Hilbert fields over torus families."""
+
+
+def _command(name: str, defaults: dict):
+    """Register body(cfg, out, dump_spectrum) -> exit code as a config command.
+
+    The config is loaded with the given defaults (when --config is omitted);
+    ConfigInvalid exits 2 with "config error:", any other TorusLabError exits 3
+    with "numerical failure:".
+    """
+    def register(body):
+        @main.command(name, help=body.__doc__)
+        @_common
+        @click.pass_context
+        def command(ctx, config_path, out, seed, dump_spectrum):
+            try:
+                code = body(_load(config_path, seed, defaults), out, dump_spectrum)
+            except ConfigInvalid as exc:
+                click.echo(f"config error: {exc}", err=True)
+                code = 2
+            except TorusLabError as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                code = 3
+            ctx.exit(code)
+        return command
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def _identity_suite(cfg: ExperimentConfig) -> dict:
     pkg_n1 = build_hodge(space(n, 1), rank_tol=cfg.tol("rank_tol"),
                          expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 1)))
     u = _band_limited(space(n, 1), rng)
-    bk = (pkg_n1.laplacian.apply(u) - pkg_n1.laplacian10.apply(u)
+    bk = (pkg_n1.laplacian.apply(u) - laplacian(space(n, 1), "nabla").apply(u)
           - curvature_commutator(space(n, 1)).apply(u))
     res["bochner_kodaira"] = float(bk.norm())
 
@@ -254,21 +261,10 @@ def _expected_kernel_nq(cfg, torus, bundle, bidegree) -> int:
     return int(np.count_nonzero(lam < 1e-9))
 
 
-@main.command("hodge-check")
-@_common
-@click.pass_context
-def cmd_hodge_check(ctx, config_path, out, seed, threads, dump_spectrum):
+@_command("hodge-check", {"backend": "spectral", "d": 0})
+def cmd_hodge_check(cfg, out, dump_spectrum):
     """Run the operator-identity and Hodge-decomposition suite."""
-    try:
-        cfg = _load(config_path, seed, threads, {"backend": "spectral", "d": 0})
-        residuals, packages = _identity_suite(cfg)
-    except ConfigInvalid as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return _finish(ctx, 2)
-    except TorusLabError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        return _finish(ctx, 3)
-
+    residuals, packages = _identity_suite(cfg)
     tol_of = {
         "dbar_squared": "identity",
         "chern_anticommutator": "identity",
@@ -288,37 +284,27 @@ def cmd_hodge_check(ctx, config_path, out, seed, threads, dump_spectrum):
     _emit(report, out)
     if dump_spectrum and out:
         _dump_spectrum_csv(packages, out + ".spectrum.csv")
-    return _finish(ctx, 0 if not failures else 1)
+    return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
 # curvature
 
 
-@main.command("curvature")
-@_common
-@click.pass_context
-def cmd_curvature(ctx, config_path, out, seed, threads, dump_spectrum):
+@_command("curvature", {})
+def cmd_curvature(cfg, out, dump_spectrum):
     """Curvature of the direct-image field: both routes plus positivity verdict."""
-    try:
-        cfg = _load(config_path, seed, threads, {})
-        fam = _family(cfg)
-        torus, bundle = fam.torus_at(), fam.bundle_at()
-        n = torus.n
-        disc = _disc(cfg, n)
-        sp = make_space(torus, bundle, (n, 0), disc)
-        pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
-                           expected_kernel=_expected_h0(cfg, fam))
-        basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
-        lift = trivialization_lift(fam, sp)
-        rep = curvature_H(fam, lift, basis, pkg0,
-                          admissibility_tol=cfg.tol("admissibility"))
-    except ConfigInvalid as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return _finish(ctx, 2)
-    except TorusLabError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        return _finish(ctx, 3)
+    fam = _family(cfg)
+    torus, bundle = fam.torus_at(), fam.bundle_at()
+    n = torus.n
+    disc = _disc(cfg, n)
+    sp = make_space(torus, bundle, (n, 0), disc)
+    pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
+                       expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 0)))
+    basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
+    lift = trivialization_lift(fam, sp)
+    rep = curvature_H(fam, lift, basis, pkg0,
+                      admissibility_tol=cfg.tol("admissibility"))
 
     failures = []
     positive_bundle = not bundle.is_flat
@@ -353,78 +339,47 @@ def cmd_curvature(ctx, config_path, out, seed, threads, dump_spectrum):
     _emit(report, out)
     if dump_spectrum and out:
         _dump_spectrum_csv({(n, 0): pkg0}, out + ".spectrum.csv")
-    return _finish(ctx, 0 if not failures else 1)
+    return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
 # scan-rank
 
 
-@main.command("scan-rank")
-@_common
-@click.pass_context
-def cmd_scan_rank(ctx, config_path, out, seed, threads, dump_spectrum):
+@_command("scan-rank", {"family": "jumping", "t": [0.0, 1.0]})
+def cmd_scan_rank(cfg, out, dump_spectrum):
     """Scan fiberwise holomorphic-section counts along a base segment (CSV)."""
-    try:
-        cfg = _load(config_path, seed, threads, {"family": "jumping", "t": [0.0, 1.0]})
-        fam = _family(cfg)
-        samples = cfg.scan_samples()
-        if cfg.threads > 1:
-            chunks = np.array_split(np.asarray(samples, dtype=complex), cfg.threads)
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                parts = list(pool.map(lambda ch: rank_scan(fam, list(ch), M=cfg.M),
-                                      chunks))
-            rows = [row for part in parts for row in part]
-        else:
-            rows = rank_scan(fam, samples, M=cfg.M)
-    except ConfigInvalid as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return _finish(ctx, 2)
-    except TorusLabError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        return _finish(ctx, 3)
-
+    rows = rank_scan(_family(cfg), cfg.scan_samples(), M=cfg.M)
     path = out if out else "rank_scan.csv"
     write_rank_scan_csv(rows, path)
     click.echo(f"wrote {len(rows)} rows to {path}")
-    return _finish(ctx, 0)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # primitive-lift
 
 
-@main.command("primitive-lift")
-@_common
-@click.pass_context
-def cmd_primitive_lift(ctx, config_path, out, seed, threads, dump_spectrum):
+@_command("primitive-lift", {"family": "siegel-diagonal", "t": [0.2, 0.9],
+                              "backend": "spectral", "d": 0})
+def cmd_primitive_lift(cfg, out, dump_spectrum):
     """Construct the primitive horizontal lift and verify its two properties."""
-    try:
-        cfg = _load(config_path, seed, threads,
-                    {"family": "siegel-diagonal", "t": [0.2, 0.9],
-                     "backend": "spectral", "d": 0})
-        fam = _family(cfg)
-        torus, bundle = fam.torus_at(), fam.bundle_at()
-        n = torus.n
-        disc = _disc(cfg, n)
-        sp = make_space(torus, bundle, (n, 0), disc)
-        pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
-                           expected_kernel=_expected_h0(cfg, fam))
-        basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
-        base = trivialization_lift(fam, sp)
-        if n >= 2:
-            sp02 = make_space(torus, bundle, (0, 2), disc)
-            pkg02 = build_hodge(sp02, rank_tol=cfg.tol("rank_tol"),
-                                expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (0, 2)))
-            lifted = primitive_lift(fam, base, pkg02)
-        else:
-            lifted = primitive_lift(fam, base)
-    except ConfigInvalid as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return _finish(ctx, 2)
-    except TorusLabError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        return _finish(ctx, 3)
+    fam = _family(cfg)
+    torus, bundle = fam.torus_at(), fam.bundle_at()
+    n = torus.n
+    disc = _disc(cfg, n)
+    sp = make_space(torus, bundle, (n, 0), disc)
+    pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
+                       expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 0)))
+    basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
+    base = trivialization_lift(fam, sp)
+    if n >= 2:
+        sp02 = make_space(torus, bundle, (0, 2), disc)
+        pkg02 = build_hodge(sp02, rank_tol=cfg.tol("rank_tol"),
+                            expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (0, 2)))
+        lifted = primitive_lift(fam, base, pkg02)
+    else:
+        lifted = primitive_lift(fam, base)
 
     prim_res = max([0.0] + [primitivity_residual(lifted, f) for f in basis])
     hr_res = 0.0
@@ -449,7 +404,7 @@ def cmd_primitive_lift(ctx, config_path, out, seed, threads, dump_spectrum):
         "status": "pass" if not failures else "fail",
     }
     _emit(report, out)
-    return _finish(ctx, 0 if not failures else 1)
+    return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +512,10 @@ def bls_battery(cfg: ExperimentConfig) -> dict:
     return out
 
 
-@main.command("bls")
-@_common
-@click.pass_context
-def cmd_bls(ctx, config_path, out, seed, threads, dump_spectrum):
+@_command("bls", {})
+def cmd_bls(cfg, out, dump_spectrum):
     """Finite-dimensional matrix-field battery with a brute-force oracle."""
-    try:
-        cfg = _load(config_path, seed, threads, {})
-        battery = bls_battery(cfg)
-    except ConfigInvalid as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return _finish(ctx, 2)
-    except TorusLabError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        return _finish(ctx, 3)
-
+    battery = bls_battery(cfg)
     failures = []
     if battery["curvature_identity_residual"] > 10.0 * battery["step"] ** 2:
         failures.append("curvature_identity")
@@ -595,7 +539,7 @@ def cmd_bls(ctx, config_path, out, seed, threads, dump_spectrum):
         "status": "pass" if not failures else "fail",
     }
     _emit(report, out)
-    return _finish(ctx, 0 if not failures else 1)
+    return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +560,7 @@ def cmd_report(ctx, paths, out):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             click.echo(f"config error: cannot read {path}: {exc}", err=True)
-            return _finish(ctx, 2)
+            ctx.exit(2)
         status = data.get("status", "unknown")
         if status != "pass":
             worst = "fail"
@@ -632,7 +576,7 @@ def cmd_report(ctx, paths, out):
         "status": worst if entries else "pass",
     }
     _emit(summary, out)
-    return _finish(ctx, 0 if worst == "pass" else 1)
+    ctx.exit(0 if worst == "pass" else 1)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ _BLS_KEYS = {"instances", "step", "t"}
 
 _TOP_KEYS = {
     "family", "t", "tau", "d", "chi", "backend", "N", "M", "order",
-    "step", "seed", "threads", "tolerances", "scan", "bls",
+    "step", "seed", "tolerances", "scan", "bls",
 }
 
 
@@ -78,7 +78,6 @@ class ExperimentConfig:
     order: int = 10                  # grid stencil order
     step: float = 1e-3               # base finite-difference step
     seed: int = 0
-    threads: int = 1
     tolerances: Dict[str, float] = field(default_factory=dict)
     scan: Dict[str, object] = field(default_factory=dict)
     bls: Dict[str, object] = field(default_factory=dict)
@@ -107,7 +106,6 @@ class ExperimentConfig:
             "order": self.order,
             "step": self.step,
             "seed": self.seed,
-            "threads": self.threads,
             "tolerances": dict(sorted(self.tolerances.items())),
             "scan": {k: ([v.real, v.imag] if isinstance(v, complex) else v)
                      for k, v in sorted(self.scan.items())},
@@ -141,7 +139,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if raw["backend"] not in _BACKENDS:
             raise ConfigInvalid(f"backend must be one of {_BACKENDS}, got {raw['backend']!r}")
         cfg.backend = raw["backend"]
-    for key in ("N", "M", "order", "threads"):
+    for key in ("N", "M", "order"):
         if key in raw:
             setattr(cfg, key, _as_int(raw[key], key))
     if "seed" in raw:

@@ -49,7 +49,7 @@ from .forms import (
     multiply,
     pair_l2,
     zero_operator,
-    _insert,
+    _wedge11_block,
 )
 from .geometry import FamilySpec
 from .hodge import HodgePackage
@@ -293,7 +293,6 @@ class CurvatureReport:
     theta_H_bly: np.ndarray
     nakano_min_eig: float
     residual_routes: float
-    jump_proximity: Optional[float] = None
 
     @property
     def rank(self) -> int:
@@ -444,27 +443,6 @@ def hodge_riemann_check(alpha: FormSection, tol: float = 1e-8
     return complex(raw), rhs, float(abs(raw - rhs))
 
 
-def _lefschetz_block(space: FormSpace) -> np.ndarray:
-    """Constant component block of the omega-wedge on the given space."""
-    g = space.torus.kaehler
-    p, q = space.bidegree
-    n = space.n
-    target = space.sibling((p + 1, q + 1))
-    cidx = {c: i for i, c in enumerate(target.comps)}
-    block = np.zeros((target.ncomp, space.ncomp), dtype=complex)
-    for di, (J, K) in enumerate(space.comps):
-        for a in range(n):
-            sa, Jnew = _insert(J, a)
-            if sa == 0:
-                continue
-            for b in range(n):
-                sb, Knew = _insert(K, b)
-                if sb == 0:
-                    continue
-                block[cidx[(Jnew, Knew)], di] += ((-1) ** p) * sa * sb * 0.5j * g[a, b]
-    return block
-
-
 def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
     """alpha = sum_j omega^j ∧ alpha_j with alpha_j primitive; returns [(j, alpha_j)].
 
@@ -476,6 +454,7 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
     p, q = space.bidegree
     jmax = min(p, q)
     jmin = max(0, p + q - n)
+    omega = 0.5j * space.torus.kaehler
     pieces = []       # (j, source space, primitive component basis)
     cols = []
     for j in range(jmin, jmax + 1):
@@ -488,7 +467,7 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
             below = src.sibling((pj - 1, qj - 1))
             Lam_src = (
                 np.linalg.inv(below.comp_metric())
-                @ _lefschetz_block(below).conj().T
+                @ _wedge11_block(below, omega).conj().T
                 @ src.comp_metric()
             )
             prim_basis = _nullspace(Lam_src)
@@ -498,8 +477,7 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
         cur = prim_basis
         sp_cur = src
         for _ in range(j):
-            Lb = _lefschetz_block(sp_cur)
-            cur = Lb @ cur
+            cur = _wedge11_block(sp_cur, omega) @ cur
             sp_cur = sp_cur.sibling((sp_cur.bidegree[0] + 1, sp_cur.bidegree[1] + 1))
         pieces.append((j, src, prim_basis))
         cols.append(cur)

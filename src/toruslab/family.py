@@ -22,17 +22,18 @@ universal coordinates).  With u = S(x,y,t) hat-dz_1 ^ ... ^ hat-dz_n + dt ^ v:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ExtensionNotAdmissible, HodgeUnavailable
 from .forms import (
     FormSection,
     FormSpace,
-    Grid,
     Spectral,
+    VerticalVectorField,
     adjoint,
     assemble_dbar,
     assemble_nabla10,
@@ -41,8 +42,6 @@ from .forms import (
     lefschetz_L,
     lefschetz_Lambda,
     make_space,
-    multiply,
-    pair_l2,
 )
 from .geometry import FamilySpec, make_flat_bundle
 from .hodge import HodgePackage
@@ -89,8 +88,6 @@ class HorizontalLift:
         target = u.space.sibling((p - 1, q))
         if self.W is None:
             return target.zeros()
-        from .forms import VerticalVectorField
-
         v = VerticalVectorField(self.space.torus, self.space.disc, self.W)
         return contract(v, u)
 
@@ -106,21 +103,11 @@ def _dbar_of_field(space: FormSpace, W: np.ndarray) -> np.ndarray:
         mu = aux.calculus.mu_zbar  # (n, *mshape)
         return np.stack([np.stack([mu[c] * W[a] for c in range(n)]) for a in range(n)])
     calc = space.calculus
-    # plain periodic derivative of a periodic sample field (no automorphy):
-    # build dbar from the degree-0 stencils
+    # plain periodic derivative of a periodic sample field (no automorphy)
     N = calc.N
-    import scipy.sparse as sp
-
-    from .forms import _central_stencil, _shift_matrix
-
-    offsets, coeffs = _central_stencil(space.disc.order)
-    h = 1.0 / N
-    D1 = sp.csr_matrix((N, N), dtype=complex)
-    for off, c in zip(offsets, coeffs):
-        D1 = D1 + (c / h) * _shift_matrix(N, off)
     eye = sp.identity(N, format="csr", dtype=complex)
-    Dx = sp.kron(D1, eye, format="csr")
-    Dy = sp.kron(eye, D1, format="csr")
+    Dx = sp.kron(calc.D1, eye, format="csr")
+    Dy = sp.kron(eye, calc.D1, format="csr")
     t = calc.t
     Dzbar = (t * Dx - Dy) / (t - np.conj(t))
     out = (Dzbar @ W[0].ravel()).reshape(N, N)
@@ -231,7 +218,6 @@ class Extension:
     """Fiber data of the canonical extension of a harmonic (n,0)-section f.
 
     alpha0: dt-component of dbar u on the fiber (= kappa_triv f).
-    beta:   dt̄-component of dbar u on the fiber (zero for both kinds).
     phi0:   dt-component of nabla^{1,0} u on the fiber.
     psi:    fiberwise (n,1)-part of dbar u (dbar f; ~0 for harmonic f).
     v:      representative shift (n-1,0)-form (u -> u + dt ^ v), default zero.
@@ -240,7 +226,6 @@ class Extension:
     f: FormSection
     kind: str
     alpha0: FormSection
-    beta: FormSection
     phi0: FormSection
     psi: FormSection
     v: Optional[FormSection] = None
@@ -285,9 +270,7 @@ def make_extension(family: FamilySpec, f: FormSection,
             )
         trace = complex(np.trace(dom @ A))
         phi0 = trace * f
-        beta = space.zeros()
-        return Extension(f=f, kind="constant", alpha0=alpha0, beta=beta,
-                         phi0=phi0, psi=psi)
+        return Extension(f=f, kind="constant", alpha0=alpha0, phi0=phi0, psi=psi)
     # positive bundle (n=1): theta-flow extension, holomorphic in t; it is only
     # defined on holomorphic sections (the heat flow extends the theta frame)
     if psi.norm() > admissibility_tol * nf:
@@ -310,9 +293,7 @@ def make_extension(family: FamilySpec, f: FormSection,
     y = calc.y
     S_tot = y * nablaF + F / (t - np.conj(t)) + heat - 1j * np.pi * d * y**2 * F
     phi0 = space.section(S_tot[None])
-    beta = space.zeros()
-    return Extension(f=f, kind="theta", alpha0=alpha0, beta=beta,
-                     phi0=phi0, psi=psi)
+    return Extension(f=f, kind="theta", alpha0=alpha0, phi0=phi0, psi=psi)
 
 
 def _plain_gradient_norm(f: FormSection) -> float:
@@ -332,7 +313,7 @@ def _plain_gradient_norm(f: FormSection) -> float:
 
 
 # ---------------------------------------------------------------------------
-# restricted contractions and Lie derivatives
+# restricted contractions and the Lie derivative
 
 
 def xi_contract_u(lift: HorizontalLift, ext: Extension) -> FormSection:
@@ -364,36 +345,6 @@ def lie_derivative_10(lift: HorizontalLift, ext: Extension) -> FormSection:
     return nabla.apply(w) + lift.tau * ext.phi0
 
 
-def lie_derivative_01(lift: HorizontalLift, ext: Extension) -> FormSection:
-    """iota* L^{0,1}_{bar xi} u = iota*(bar xi ⌟ dbar u) = conj-contraction + tau̅ beta."""
-    space = ext.f.space
-    out = np.conj(lift.tau) * ext.beta
-    if lift.W is not None and ext.psi.norm() > 0:
-        # bar W ⌟ psi: contract the conjugate field into the dz̄-slots of psi;
-        # for an (n,1)-form psi this lands in (n,0).
-        psi = ext.psi
-        p, q = psi.space.bidegree
-        target = psi.space.sibling((p, q - 1))
-        res = target.zeros()
-        from .forms import _remove, _convolve_modes
-
-        for di, (J, K) in enumerate(psi.space.comps):
-            for c in K:
-                sgn, Knew = _remove(K, c)
-                ci = [i for i, comp in enumerate(target.comps) if comp == (J, Knew)][0]
-                fld = np.conj(lift.W[c])
-                sgn2 = sgn * ((-1) ** p)
-                if isinstance(space.disc, Spectral):
-                    res.coeffs[ci] += sgn2 * _convolve_modes(
-                        np.conj(lift.W[c])[tuple(slice(None, None, -1) for _ in lift.W[c].shape)],
-                        psi.coeffs[di],
-                    )
-                else:
-                    res.coeffs[ci] += sgn2 * fld * psi.coeffs[di]
-        out = out + np.conj(lift.tau) * res
-    return out
-
-
 # ---------------------------------------------------------------------------
 # representatives
 
@@ -406,7 +357,6 @@ class RepresentativeSet:
     lift: HorizontalLift
     ext: Extension                  # with the correction v = V1 + V2 installed
     alpha: FormSection              # dt-component of dbar u on the fiber
-    beta: FormSection
     phi: FormSection                # dt-component of nabla u on the fiber
     gamma: FormSection              # iota*(xi ⌟ psi)
     v1: FormSection
@@ -464,8 +414,8 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
 
     rep = RepresentativeSet(
         f=f, lift=lift, ext=ext,
-        alpha=lift.tau * ext.alpha(), beta=np.conj(lift.tau) * ext.beta,
-        phi=lift.tau * ext.phi(), gamma=gamma, v1=v1, v2=v2,
+        alpha=lift.tau * ext.alpha(), phi=lift.tau * ext.phi(),
+        gamma=gamma, v1=v1, v2=v2,
     )
     nf = max(f.norm(), 1e-300)
     prim = rep.xi_dbar_u()

@@ -180,11 +180,13 @@ class _GridCalculus:
         E = sp.diags(np.exp(theta_g).ravel(), format="csr")
         Einv = sp.diags(np.exp(-theta_g).ravel(), format="csr")
 
-        # plain periodic stencil along y (axis 1)
-        Dy1 = sp.csr_matrix((N, N), dtype=complex)
+        # plain periodic 1-D stencil (no automorphy), used along y here and by
+        # derivatives of periodic sample fields
+        D1 = sp.csr_matrix((N, N), dtype=complex)
         for off, c in zip(offsets, coeffs):
-            Dy1 = Dy1 + (c / h) * _shift_matrix(N, off)
-        Dy_per = sp.kron(eye, Dy1, format="csr")
+            D1 = D1 + (c / h) * _shift_matrix(N, off)
+        self.D1 = D1
+        Dy_per = sp.kron(eye, D1, format="csr")
         zfield = (self.x + t * self.y).ravel()
         self.Dy = Einv @ Dy_per @ E - sp.diags(2j * np.pi * d * zfield, format="csr")
 
@@ -450,31 +452,6 @@ class OperatorMatrix:
 
     __rmul__ = __mul__
 
-    def norm(self):
-        """Operator norm (exact per-mode for "mode" kind; dense for sparse)."""
-        if self.kind == "mode":
-            blocks = _bc(self.data, self.domain)
-            nc, nd = blocks.shape[:2]
-            flat = blocks.reshape(nc, nd, -1)
-            svals = np.linalg.svd(np.moveaxis(flat, 2, 0), compute_uv=False)
-            return float(svals.max()) if svals.size else 0.0
-        m = _as_sparse(self)
-        if min(m.shape) == 0:
-            return 0.0
-        if max(m.shape) <= 4096:
-            return float(np.linalg.norm(m.toarray(), 2))
-        # power iteration on A* A
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-        v /= np.linalg.norm(v)
-        for _ in range(50):
-            w = m.conj().T @ (m @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                return 0.0
-            v = w / nw
-        return float(np.sqrt(nw))
-
 
 def _bc(data, space):
     """Broadcast mode-kind data to full field shape."""
@@ -508,17 +485,6 @@ def zero_operator(domain: FormSpace, codomain: FormSpace) -> OperatorMatrix:
         return OperatorMatrix(domain, codomain, "mode", data.astype(complex))
     return OperatorMatrix(
         domain, codomain, "sparse", sp.csr_matrix((codomain.dim, domain.dim), dtype=complex)
-    )
-
-
-def identity_operator(space: FormSpace) -> OperatorMatrix:
-    if isinstance(space.disc, Spectral):
-        data = np.eye(space.ncomp, dtype=complex).reshape(
-            (space.ncomp, space.ncomp) + (1,) * len(space.field_shape)
-        )
-        return OperatorMatrix(space, space, "mode", data)
-    return OperatorMatrix(
-        space, space, "sparse", sp.identity(space.dim, dtype=complex, format="csr")
     )
 
 
@@ -649,8 +615,8 @@ def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
     return OperatorMatrix(space, target, "sparse", op)
 
 
-def _wedge11(space: FormSpace, C: np.ndarray) -> OperatorMatrix:
-    """Wedge with the (1,1)-form sum C_ab dz_a ^ dz̄_b: (p,q) -> (p+1,q+1)."""
+def _wedge11_block(space: FormSpace, C: np.ndarray) -> np.ndarray:
+    """Constant component block of the wedge with sum C_ab dz_a ^ dz̄_b on space."""
     p, q = space.bidegree
     n = space.n
     if p + 1 > n or q + 1 > n:
@@ -669,6 +635,13 @@ def _wedge11(space: FormSpace, C: np.ndarray) -> OperatorMatrix:
                     continue
                 # dz_a ^ dz̄_b ^ dz_J ^ dz̄_K = (-1)^p dz_a ^ dz_J ^ dz̄_b ^ dz̄_K
                 block[cidx[(Jnew, Knew)], di] += ((-1) ** p) * sa * sb * C[a, b]
+    return block
+
+
+def _wedge11(space: FormSpace, C: np.ndarray) -> OperatorMatrix:
+    """Wedge with the (1,1)-form sum C_ab dz_a ^ dz̄_b: (p,q) -> (p+1,q+1)."""
+    block = _wedge11_block(space, C)
+    target = space.sibling((space.bidegree[0] + 1, space.bidegree[1] + 1))
     if isinstance(space.disc, Spectral):
         data = block.reshape(block.shape + (1,) * len(space.field_shape)).astype(complex)
         return OperatorMatrix(space, target, "mode", data)
@@ -784,9 +757,3 @@ def contract_ks(K_field: np.ndarray, u: FormSection, space_hint=None) -> FormSec
                     out.coeffs[ci] += sgn * field * u.coeffs[di]
     return out
 
-
-def dump_operator(op: OperatorMatrix, path):
-    """Debug export in matrix-market format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), _as_sparse(op))

@@ -8,7 +8,7 @@ which makes the total volume int omega^n / n! exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,11 +37,6 @@ class LatticeTorus:
     def im_period(self) -> np.ndarray:
         return self.period.imag
 
-    def volume(self) -> float:
-        """int omega^n / n! = det(g) * det(Im Omega)."""
-        g = self.kaehler
-        return float(np.linalg.det(g).real * np.linalg.det(self.im_period))
-
 
 @dataclass(frozen=True)
 class BundleData:
@@ -52,18 +47,12 @@ class BundleData:
     chi        flat character, length 2n (flat kind only; zeros otherwise)
     degree     degree d (positive kind only; 0 for flat)
     curvature  n x n coefficient matrix C of Theta(h) = sum C_ab dz_a ^ dz̄_b
-    weight     metric potential phi sampled as a function of (x, y) arrays
-               (positive kind; |section|^2 e^{-phi} is the pointwise norm)
     """
 
     kind: str
     chi: np.ndarray
     degree: int
     curvature: np.ndarray
-    weight: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    # analytic t-derivative of the weight at fixed (x, y), used by the family
-    # calculus; None for flat bundles
-    weight_dt: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.chi.setflags(write=False)
@@ -106,37 +95,18 @@ def make_flat_bundle(torus: LatticeTorus, chi) -> BundleData:
     )
 
 
-def default_weight(torus: LatticeTorus, d: int):
-    """Translation-invariant potential phi = 2 pi d y^2 Im(t) with i*Theta = 2 pi d omega.
-
-    Returns (phi(x, y), dphi/dt(x, y)) as callables; the t-derivative is taken at
-    fixed (x, y) in the holomorphic gauge, giving phi_t = -pi i d y^2.
-    """
-    s = float(torus.im_period[0, 0])
-
-    def phi(x, y):
-        return 2.0 * np.pi * d * y**2 * s
-
-    def phi_dt(x, y):
-        # d/dt of 2 pi d y^2 Im t = 2 pi d y^2 * (1/2i) = -pi i d y^2
-        return -1j * np.pi * d * y**2 + 0.0 * x
-
-    return phi, phi_dt
-
-
-def make_positive_bundle(torus: LatticeTorus, d: int, weight=None, weight_dt=None) -> BundleData:
+def make_positive_bundle(torus: LatticeTorus, d: int) -> BundleData:
     """Degree-d positive line bundle on an elliptic curve (n=1 only).
 
     Sections are represented by functions F(x, y) periodic in x and quasi-periodic
-    in y with factor of automorphy exp(-2 pi i d (x + t y) - pi i d t).  The default
-    weight gives the translation-invariant curvature i*Theta = 2 pi d omega.
+    in y with factor of automorphy exp(-2 pi i d (x + t y) - pi i d t).  The
+    metric potential phi = 2 pi d y^2 Im(t) (sampled by the grid calculus) gives
+    the translation-invariant curvature i*Theta = 2 pi d omega.
     """
     if torus.n != 1:
         raise UnsupportedDimension("positive bundles are implemented for n=1 only")
     if d < 1:
         raise ValueError("degree d must be a positive integer")
-    if weight is None:
-        weight, weight_dt = default_weight(torus, d)
     g = torus.kaehler[0, 0].real
     curv = np.array([[np.pi * d * g]], dtype=complex)  # Theta = pi d g dz ^ dz̄
     return BundleData(
@@ -144,8 +114,6 @@ def make_positive_bundle(torus: LatticeTorus, d: int, weight=None, weight_dt=Non
         chi=np.zeros(2, dtype=float),
         degree=d,
         curvature=curv,
-        weight=weight,
-        weight_dt=weight_dt,
     )
 
 

@@ -7,12 +7,15 @@ a mode-diagonal OperatorMatrix (exact arithmetic up to rounding).
 Grid backend: the Laplacian is a sparse matrix; the numerical kernel is found by
 shift-inverted Lanczos and the Green operator solves a bordered (kernel-deflated)
 sparse system via a cached LU factorization.
+
+Both solvers share one interface: green(u), project(u), eigenvalues(),
+lambda1() and harmonic_sections().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from functools import cached_property
+from typing import List
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,20 +25,18 @@ from .errors import EigenFailure, EmptySpectrum, NotClosed, NotCoexact
 from .forms import (
     FormSection,
     FormSpace,
-    GramMatrix,
     OperatorMatrix,
     Spectral,
     adjoint,
     assemble_dbar,
     assemble_nabla10,
     gram,
-    pair_l2,
     zero_operator,
     _as_sparse,
 )
 
 
-def _laplacian(space: FormSpace, kind: str) -> OperatorMatrix:
+def laplacian(space: FormSpace, kind: str) -> OperatorMatrix:
     """kind "dbar": dbar dbar* + dbar* dbar;  kind "nabla": same with nabla^{1,0}."""
     p, q = space.bidegree
     n = space.n
@@ -66,7 +67,8 @@ def _laplacian(space: FormSpace, kind: str) -> OperatorMatrix:
 class _SpectralSolver:
     """Eigendata of a mode-diagonal G-self-adjoint PSD operator."""
 
-    def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float):
+    def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float,
+                 expected_kernel: int):
         g = gram(space)
         R = np.linalg.cholesky(g.P).conj().T      # P = R^H R
         Rinv = np.linalg.inv(R)
@@ -91,12 +93,20 @@ class _SpectralSolver:
         data = np.moveaxis(M, 0, 2).reshape((nc, nc) + self.space.field_shape)
         return OperatorMatrix(self.space, self.space, "mode", data)
 
-    def green(self) -> OperatorMatrix:
+    @cached_property
+    def _green_op(self) -> OperatorMatrix:
         inv = np.where(self.null_mask, 0.0, 1.0 / np.where(self.null_mask, 1.0, self.lam))
         return self._assemble(inv)
 
-    def projector(self) -> OperatorMatrix:
+    @cached_property
+    def _projector(self) -> OperatorMatrix:
         return self._assemble(self.null_mask.astype(float))
+
+    def green(self, u: FormSection) -> FormSection:
+        return self._green_op.apply(u)
+
+    def project(self, u: FormSection) -> FormSection:
+        return self._projector.apply(u)
 
     def harmonic_sections(self) -> List[FormSection]:
         out = []
@@ -173,25 +183,14 @@ class _GridSolver:
         self.U_small = U[:, order]
         self.aliased = np.array([self._is_aliased(self.U_small[:, j]) for j in range(k)])
         nker = int(np.sum(self.lam_small < self.cut))
-        self.kernel = self.U_small[:, :nker]
-        physical = self.kernel[:, ~self.aliased[:nker]]
         # orthonormalize both blocks (the full kernel drives deflation; only the
-        # non-aliased part is reported as harmonic)
-        if nker:
-            Q, _ = np.linalg.qr(self.kernel)
-            self.kernel = Q
-        if physical.shape[1]:
-            physical, _ = np.linalg.qr(physical)
-        self.kernel_physical = physical
+        # non-aliased part is reported as harmonic); either may have no columns
+        kernel = self.U_small[:, :nker]
+        self.kernel, _ = np.linalg.qr(kernel)
+        self.kernel_physical, _ = np.linalg.qr(kernel[:, ~self.aliased[:nker]])
         # deflated solve: bordered system [Mt, K; K^H, 0]
-        nk = self.kernel.shape[1]
-        if nk:
-            K = sp.csc_matrix(self.kernel)
-            A = sp.bmat([[Mt, K], [K.conj().T, None]], format="csc")
-        else:
-            A = Mt
-        self.nk = nk
-        self.lu = spla.splu(A)
+        K = sp.csc_matrix(self.kernel)
+        self.lu = spla.splu(sp.bmat([[Mt, K], [K.conj().T, None]], format="csc"))
 
     def _to_tilde(self, u: FormSection) -> np.ndarray:
         return self.wsqrt * u.coeffs.ravel()
@@ -200,24 +199,16 @@ class _GridSolver:
         arr = (vec / self.wsqrt).reshape((self.space.ncomp,) + self.space.field_shape)
         return FormSection(self.space, arr)
 
-    def green_apply(self, u: FormSection) -> FormSection:
+    def green(self, u: FormSection) -> FormSection:
+        K = self.kernel
         r = self._to_tilde(u)
-        if self.nk:
-            r = r - self.kernel @ (self.kernel.conj().T @ r)
-            rhs = np.concatenate([r, np.zeros(self.nk, dtype=complex)])
-            sol = self.lu.solve(rhs)[: r.size]
-            sol = sol - self.kernel @ (self.kernel.conj().T @ sol)
-        else:
-            sol = self.lu.solve(r)
-        return self._from_tilde(sol)
+        r = r - K @ (K.conj().T @ r)
+        sol = self.lu.solve(np.concatenate([r, np.zeros(K.shape[1], dtype=complex)]))[: r.size]
+        return self._from_tilde(sol - K @ (K.conj().T @ sol))
 
-    def project_apply(self, u: FormSection) -> FormSection:
+    def project(self, u: FormSection) -> FormSection:
         r = self._to_tilde(u)
-        if self.nk:
-            r = self.kernel @ (self.kernel.conj().T @ r)
-        else:
-            r = np.zeros_like(r)
-        return self._from_tilde(r)
+        return self._from_tilde(self.kernel @ (self.kernel.conj().T @ r))
 
     def _is_aliased(self, tilde_vec: np.ndarray) -> bool:
         N = self._gauge.shape[0]
@@ -246,56 +237,22 @@ class _GridSolver:
 
 
 class HodgePackage:
-    """Hodge data of one FormSpace: box, box^{1,0}, harmonic basis, Green operators."""
+    """Hodge data of one FormSpace: box, harmonic basis, Green operator, projector."""
 
     def __init__(self, space: FormSpace, rank_tol: float = 1e-7,
                  expected_kernel: int = 4):
         self.space = space
         self.rank_tol = rank_tol
-        self.laplacian = _laplacian(space, "dbar")
-        self.laplacian10 = _laplacian(space, "nabla")
-        self._expected_kernel = expected_kernel
-        if isinstance(space.disc, Spectral):
-            self._solver = _SpectralSolver(space, self.laplacian, rank_tol)
-        else:
-            self._solver = _GridSolver(space, self.laplacian, rank_tol, expected_kernel)
-        self._solver10_cache = None
+        self.laplacian = laplacian(space, "dbar")
+        solver = _SpectralSolver if isinstance(space.disc, Spectral) else _GridSolver
+        self._solver = solver(space, self.laplacian, rank_tol, expected_kernel)
         self.harmonic_basis = self._solver.harmonic_sections()
 
-    @property
-    def _solver10(self):
-        if self._solver10_cache is None:
-            if isinstance(self.space.disc, Spectral):
-                self._solver10_cache = _SpectralSolver(
-                    self.space, self.laplacian10, self.rank_tol
-                )
-            else:
-                self._solver10_cache = _GridSolver(
-                    self.space, self.laplacian10, self.rank_tol, self._expected_kernel
-                )
-        return self._solver10_cache
-
-    # -- dbar-Laplacian artifacts ------------------------------------------
     def green(self, u: FormSection) -> FormSection:
-        if isinstance(self.space.disc, Spectral):
-            return self._solver.green().apply(u)
-        return self._solver.green_apply(u)
+        return self._solver.green(u)
 
     def harmonic_project(self, u: FormSection) -> FormSection:
-        if isinstance(self.space.disc, Spectral):
-            return self._solver.projector().apply(u)
-        return self._solver.project_apply(u)
-
-    # -- nabla-Laplacian artifacts -----------------------------------------
-    def green10(self, u: FormSection) -> FormSection:
-        if isinstance(self.space.disc, Spectral):
-            return self._solver10.green().apply(u)
-        return self._solver10.green_apply(u)
-
-    def harmonic_project10(self, u: FormSection) -> FormSection:
-        if isinstance(self.space.disc, Spectral):
-            return self._solver10.projector().apply(u)
-        return self._solver10.project_apply(u)
+        return self._solver.project(u)
 
     @property
     def harmonic_dim(self) -> int:

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import StencilQuadratureFailure
 from .forms import FormSection, FormSpace, Grid, make_space, pair_l2
 from .geometry import (
-    BundleData,
     FamilySpec,
     LatticeTorus,
     make_positive_bundle,

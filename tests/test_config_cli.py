@@ -3,13 +3,14 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from toruslab import cli
 from toruslab.cli import main
 from toruslab.config import (
     DEFAULT_TOLERANCES,
     config_from_dict,
     load_config,
 )
-from toruslab.errors import ConfigInvalid
+from toruslab.errors import ConfigInvalid, EigenFailure
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,26 @@ def test_config_error_exit_code(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["hodge-check", "curvature", "scan-rank", "primitive-lift", "bls"])
+def test_unknown_config_key_exits_2(tmp_path, command):
+    cfg = write_cfg(tmp_path, "cfg.json", {"threads": 2})
+    res = run_cli([command, "--config", cfg])
+    assert res.exit_code == 2
+    assert "config error:" in res.output
+
+
+def test_numerical_failure_exits_3(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EigenFailure("ARPACK did not converge")
+
+    monkeypatch.setattr(cli, "build_hodge", fail)
+    cfg = write_cfg(tmp_path, "cfg.json", {"backend": "spectral", "d": 0, "M": 4})
+    res = run_cli(["hodge-check", "--config", cfg])
+    assert res.exit_code == 3
+    assert "numerical failure: ARPACK did not converge" in res.output
+
+
 def test_curvature_report_contents(tmp_path):
     out = str(tmp_path / "curv.json")
     cfg = write_cfg(tmp_path, "cfg.json",
@@ -159,7 +180,7 @@ def test_scan_rank_csv(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json",
                     {"family": "jumping", "t": [0, 1], "M": 4,
                      "scan": {"center": [0, 1], "radius": 0.05, "samples": 21}})
-    res = run_cli(["scan-rank", "--config", cfg, "--out", out, "--threads", "2"])
+    res = run_cli(["scan-rank", "--config", cfg, "--out", out])
     assert res.exit_code == 0, res.output
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "t_re,t_im,rank,lambda1"
