@@ -300,55 +300,95 @@ def schur_complement(form: HermitianFormOnTensor) -> np.ndarray:
     return (S + S.conj().T) / 2.0
 
 
+# exact alternation steps after the best start, in the oracle and in ALS
+_POLISH_STEPS = 200
+
+
+def _adj(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a stack of matrices."""
+    return np.conj(np.swapaxes(A, -1, -2))
+
+
+def _herm(A: np.ndarray) -> np.ndarray:
+    """Hermitian part of a stack of square matrices."""
+    return (A + _adj(A)) / 2
+
+
+def _min_gen_eigvecs(B: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Smallest eigenvectors of B v = lambda N v for a stack of pencils.
+
+    N is positive semidefinite; each pencil is regularized by a jitter relative
+    to the mean diagonal of N, reduced by the Cholesky factor L of N + jitter·I
+    to the standard problem L^{-1} B L^{-H} y = lambda y, and solved with
+    v = L^{-H} y, so v† (N + jitter·I) v = 1.
+    """
+    n = N.shape[-1]
+    jitter = 1e-12 * np.maximum(np.trace(N, axis1=-2, axis2=-1).real / max(n, 1), 1.0)
+    Li = np.linalg.inv(np.linalg.cholesky(N + jitter[:, None, None] * np.eye(n)))
+    _, Y = np.linalg.eigh(_herm(Li @ B @ _adj(Li)))
+    return (_adj(Li) @ Y[:, :, :1])[:, :, 0]
+
+
+def _als_step(Sk: np.ndarray, U: np.ndarray, W: np.ndarray):
+    """One alternation on stacked factors X = U W^T: best U for W, then best W for U.
+
+    U has shape (R, m1, k) and W (R, r, k); the R stacked problems are independent.
+    """
+    R, m1, kk = U.shape
+    r = W.shape[1]
+    # fix W, minimize over U: q = U*_{is} B[(is),(jt)] U_{jt}
+    B = np.einsum("iajb,Ras,Rbt->Risjt", Sk, np.conj(W), W).reshape(R, m1 * kk, m1 * kk)
+    N = np.einsum("ij,Rst->Risjt", np.eye(m1), _adj(W) @ W).reshape(R, m1 * kk, m1 * kk)
+    U = _min_gen_eigvecs(_herm(B), N).reshape(R, m1, kk)
+    # fix U, minimize over W: q = W*_{as} C[(as),(bt)] W_{bt}
+    C = np.einsum("iajb,Ris,Rjt->Rasbt", Sk, np.conj(U), U).reshape(R, r * kk, r * kk)
+    N2 = np.einsum("ab,Rst->Rasbt", np.eye(r), _adj(U) @ U).reshape(R, r * kk, r * kk)
+    W = _min_gen_eigvecs(_herm(C), N2).reshape(R, r, kk)
+    return U, W
+
+
+def _als_values(S: np.ndarray, U: np.ndarray, W: np.ndarray):
+    """Rayleigh quotients of the stacked tensors X = U W^T, and the unit X."""
+    X = U @ np.swapaxes(W, -1, -2)
+    X = X / np.linalg.norm(X, axis=(1, 2), keepdims=True)
+    x = X.reshape(X.shape[0], -1)
+    q = np.einsum("Ri,Ri->R", np.conj(x), x @ S.T).real
+    return q, X
+
+
 def _als_min(S: np.ndarray, m1: int, r: int, k: int, restarts: int,
              iters: int, rng) -> Tuple[float, np.ndarray]:
     """Minimize v† S v over unit tensors of rank <= k by alternating eigenproblems.
 
-    v = vec(X) with X = U V† of shape (m1, r), rank(X) <= k.
+    v = vec(X) with X = U V† of shape (m1, r), rank(X) <= k.  All restarts
+    alternate together as one stack; the best one is then alternated alone
+    until a step no longer lowers the value, for at most as many steps as the
+    oracle's polish.
     """
     kk = min(k, m1, r)
     if kk >= min(m1, r):
         # every tensor has rank <= min(m1, r): plain eigenproblem
         w, V = np.linalg.eigh(S)
         return float(w[0]), V[:, 0].reshape(m1, r)
-    best = np.inf
-    best_X = None
     Sk = S.reshape(m1, r, m1, r)
-    for _ in range(restarts):
-        U = rng.standard_normal((m1, kk)) + 1j * rng.standard_normal((m1, kk))
-        W = rng.standard_normal((r, kk)) + 1j * rng.standard_normal((r, kk))
-        # X = U W^T with X[i,a] = sum_s U[i,s] W[a,s]; rank(X) <= kk
-        for _ in range(iters):
-            # fix W, minimize over U: q = U*_{is} B[(is),(jt)] U_{jt}
-            B = np.einsum("iajb,as,bt->isjt", Sk, np.conj(W), W)
-            B = B.reshape(m1 * kk, m1 * kk)
-            N = np.kron(np.eye(m1), W.conj().T @ W)
-            _, vec = _gen_eigh_min((B + B.conj().T) / 2, N)
-            U = vec.reshape(m1, kk)
-            # fix U, minimize over W: q = W*_{as} C[(as),(bt)] W_{bt}
-            C = np.einsum("iajb,is,jt->asbt", Sk, np.conj(U), U)
-            C = C.reshape(r * kk, r * kk)
-            N2 = np.kron(np.eye(r), U.conj().T @ U)
-            _, vec2 = _gen_eigh_min((C + C.conj().T) / 2, N2)
-            W = vec2.reshape(r, kk)
-        X = U @ W.T
-        nrm = np.linalg.norm(X)
-        if nrm > 0:
-            X = X / nrm
-            q = float(np.real(np.vdot(X.ravel(), S @ X.ravel())))
-            if q < best:
-                best = q
-                best_X = X
+    # X = U W^T with X[i,a] = sum_s U[i,s] W[a,s]; rank(X) <= kk
+    starts = [(rng.standard_normal((m1, kk)) + 1j * rng.standard_normal((m1, kk)),
+               rng.standard_normal((r, kk)) + 1j * rng.standard_normal((r, kk)))
+              for _ in range(restarts)]
+    U, W = (np.stack(f) for f in zip(*starts))
+    for _ in range(iters):
+        U, W = _als_step(Sk, U, W)
+    q, X = _als_values(S, U, W)
+    i = int(np.argmin(q))
+    best, best_X = float(q[i]), X[i]
+    U, W = U[i:i + 1], W[i:i + 1]
+    for _ in range(_POLISH_STEPS):
+        U, W = _als_step(Sk, U, W)
+        q, X = _als_values(S, U, W)
+        if not q[0] < best:
+            break  # exact alternation never raises the value: rounding floor
+        best, best_X = float(q[0]), X[0]
     return best, best_X
-
-
-def _gen_eigh_min(B: np.ndarray, N: np.ndarray):
-    """Smallest eigenpair of B v = lambda N v with N positive semidefinite."""
-    from scipy.linalg import eigh
-
-    jitter = 1e-12 * max(np.trace(N).real / max(N.shape[0], 1), 1.0)
-    w, V = eigh(B, N + jitter * np.eye(N.shape[0]))
-    return float(w[0]), V[:, 0]
 
 
 def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
@@ -358,6 +398,8 @@ def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
     For k >= min(m1, r) this is the exact smallest eigenvalue.  For k = 1 with
     m1 <= 2 the M-factor is swept over a fine (theta, phi) grid of CP^1 with the
     exact F-side eigenvalue at each point, then polished by exact alternation.
+    The sweep runs one theta row at a time as a batch; the first strict minimum
+    in theta-major, phi-minor order starts the polish.
     """
     kk = min(k, m1, r)
     if kk >= min(m1, r):
@@ -370,17 +412,19 @@ def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
             return float(np.linalg.eigvalsh(S)[0])
         thetas = np.linspace(0, np.pi / 2, grid)
         phis = np.linspace(0, 2 * np.pi, 2 * grid, endpoint=False)
+        phase = np.exp(1j * phis)
         for th in thetas:
-            for ph in phis:
-                xi = np.array([np.cos(th), np.sin(th) * np.exp(1j * ph)])
-                A = np.einsum("i,iajb,j->ab", np.conj(xi), Sk, xi)
-                lam = np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
-                if lam < best:
-                    best = lam
-                    best_xi = xi
+            xis = np.stack([np.full(phis.size, np.cos(th), dtype=complex),
+                            np.sin(th) * phase], axis=1)
+            A = np.einsum("pi,iajb,pj->pab", np.conj(xis), Sk, xis)
+            lam = np.linalg.eigvalsh(_herm(A))[:, 0]
+            j = int(np.argmin(lam))
+            if lam[j] < best:
+                best = lam[j]
+                best_xi = xis[j]
         # polish with exact alternation from the best grid point
         xi = best_xi
-        for _ in range(200):
+        for _ in range(_POLISH_STEPS):
             A = np.einsum("i,iajb,j->ab", np.conj(xi), Sk, xi)
             w, V = np.linalg.eigh((A + A.conj().T) / 2)
             eta = V[:, 0]

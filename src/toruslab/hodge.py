@@ -165,6 +165,9 @@ class _GridSolver:
         rng = np.random.default_rng(1)
         v = rng.standard_normal(Mt.shape[0]) + 1j * rng.standard_normal(Mt.shape[0])
         v /= np.linalg.norm(v)
+        # a fixed ARPACK start keeps the eigenbasis, and so every grid report,
+        # the same from run to run
+        v0 = v.copy()
         for _ in range(30):
             v2 = Mt @ v
             lam_max = np.linalg.norm(v2)
@@ -175,7 +178,8 @@ class _GridSolver:
         self.cut = rank_tol * max(self.lam_max, 1.0)
         k = min(max(expected_kernel + 20, 24), Mt.shape[0] - 2)
         try:
-            lam, U = spla.eigsh(Mt, k=k, sigma=-0.05 * max(self.lam_max, 1.0), which="LM")
+            lam, U = spla.eigsh(Mt, k=k, sigma=-0.05 * max(self.lam_max, 1.0), which="LM",
+                               v0=v0)
         except Exception as exc:  # pragma: no cover
             raise EigenFailure(str(exc)) from exc
         order = np.argsort(lam)
