@@ -441,18 +441,21 @@ def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
 def schur_complement_demailly(form: HermitianFormOnTensor, k: int,
                               restarts: int = 50, iters: int = 40,
                               tol: float = 1e-9,
-                              seed: int = 0) -> Tuple[bool, Optional[np.ndarray]]:
+                              seed: int = 0
+                              ) -> Tuple[bool, Optional[np.ndarray], float]:
     """k-positivity of the Schur complement on M1 (x) F.
 
     Minimizes the quadratic form over unit tensors of rank <= k (alternating
-    least squares with random restarts) and returns (is_k_positive, witness),
-    where witness is a violating tensor (as an m1 x r matrix) when found.
+    least squares with random restarts) and returns (is_k_positive, witness,
+    minimum): witness is a violating tensor (as an m1 x r matrix) when found,
+    and minimum is the lowest value found, in the metric Id (x) fiber_metric
+    (+inf when M1 is zero).
     """
     S = schur_complement(form)
     m1 = form.split[0]
     r = form.r
     if m1 == 0:
-        return True, None
+        return True, None, float("inf")
     # normalize tensors in the metric Id (x) fiber_metric
     W = np.kron(np.eye(m1), form.fiber_metric)
     L = np.linalg.cholesky(W)
@@ -462,7 +465,7 @@ def schur_complement_demailly(form: HermitianFormOnTensor, k: int,
     val, X = _als_min(Sn, m1, r, k, restarts=restarts, iters=iters, rng=rng)
     scale = max(np.linalg.norm(Sn), 1.0)
     if val >= -tol * scale:
-        return True, None
+        return True, None, val
     # map the witness back to the original coordinates
     wit = np.linalg.solve(L.conj().T, X.ravel()).reshape(m1, r)
-    return False, wit
+    return False, wit, val

@@ -37,7 +37,6 @@ from .family import (
 from .forms import (
     FormSection,
     FormSpace,
-    Grid,
     Spectral,
     adjoint,
     assemble_dbar,
@@ -124,22 +123,19 @@ def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> compl
 # curvature fields of the ambient metric along a lift
 
 
-def _vertical_samples(lift: HorizontalLift) -> Optional[np.ndarray]:
+def _vertical_samples(lift: HorizontalLift) -> np.ndarray:
     """Raw samples of the full vertical component V = Omega' y + W (grid, n=1).
 
     Only ever used inside pointwise expressions (never differentiated), where
-    the non-periodic trivialization part is legitimate.
+    the non-periodic trivialization part is legitimate.  Callers reach it only
+    for positive bundles, whose spaces are always grid spaces.
     """
-    space = lift.space
-    if not isinstance(space.disc, Grid):
-        return None
-    calc = space.calculus
-    t = calc.t
+    calc = lift.space.calculus
     dom = complex(np.atleast_2d(lift.family.dperiod_map(lift.t))[0, 0])
     V = dom * calc.y.astype(complex)
     if lift.W is not None:
         V = V + lift.W[0]
-    return V[None]
+    return V
 
 
 def theta_xi_xibar_field(lift: HorizontalLift) -> Optional[np.ndarray]:
@@ -148,7 +144,7 @@ def theta_xi_xibar_field(lift: HorizontalLift) -> Optional[np.ndarray]:
     if space.bundle.is_flat:
         return None
     calc = space.calculus
-    V = _vertical_samples(lift)[0]
+    V = _vertical_samples(lift)
     fld = (
         calc.phi_ttbar
         + V * calc.phi_ztbar
@@ -170,7 +166,7 @@ def curvature_contraction_form(lift: HorizontalLift, f: FormSection) -> FormSect
     if space.bundle.is_flat:
         return out
     calc = space.calculus
-    V = _vertical_samples(lift)[0]
+    V = _vertical_samples(lift)
     T = lift.tau * (calc.phi_tzbar + V * calc.phi_zzbar)   # Theta_{xi z̄}
     # dz̄ ∧ dz_J = (-1)^n dz_J ∧ dz̄
     out.coeffs[0] = ((-1) ** n) * T * f.coeffs[0]
@@ -188,7 +184,7 @@ def xibar_curvature_wedge(lift: HorizontalLift, w: FormSection) -> FormSection:
     if space.bundle.is_flat:
         return target.zeros()
     calc = space.calculus
-    V = _vertical_samples(lift)[0]
+    V = _vertical_samples(lift)
     T = lift.tau * (calc.phi_tzbar + V * calc.phi_zzbar)
     return target.section(-np.conj(T) * w.coeffs)
 

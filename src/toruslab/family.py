@@ -169,17 +169,14 @@ def primitive_lift(family: FamilySpec, theta0: HorizontalLift,
     torus = space.torus
     flat0 = make_flat_bundle(torus, np.zeros(2 * n))
     sp11 = make_space(torus, flat0, (1, 1), space.disc)
-    sp01 = make_space(torus, flat0, (0, 1), space.disc)
-    # omega as an untwisted (1,1)-section with constant components (i/2) g_{ab}
+    sp01 = sp11.sibling((0, 1))
+    # omega as an untwisted (1,1)-section with constant components (i/2) g_{ab};
+    # n >= 2, so the space is spectral (the grid backend is n = 1 only)
     g = torus.kaehler
     comps = sp11.comps
     w = sp11.zeros()
     for ci, (J, K) in enumerate(comps):
-        val = 0.5j * g[J[0], K[0]]
-        if isinstance(space.disc, Spectral):
-            w.coeffs[ci][sp11.calculus.zero_mode_index()] = val
-        else:  # pragma: no cover - grid is n=1 only
-            w.coeffs[ci][:] = val
+        w.coeffs[ci][sp11.calculus.zero_mode_index()] = 0.5j * g[J[0], K[0]]
     defect = contract_ks(theta0.ks_field(), w)          # (0,2) untwisted
     sol = hodge02.green(defect)
     eta_form = adjoint(assemble_dbar(sp01)).apply(sol)  # (0,1)-form
@@ -297,19 +294,13 @@ def make_extension(family: FamilySpec, f: FormSection,
 
 
 def _plain_gradient_norm(f: FormSection) -> float:
-    """Norm of the plain z-derivatives of the coefficients of f."""
-    space = f.space
-    if isinstance(space.disc, Spectral):
-        calc = space.calculus
-        tot = 0.0
-        for a in range(space.n):
-            tot += float(np.sum(np.abs(calc.mu_z[a] * f.coeffs) ** 2))
-            tot += float(np.sum(np.abs(calc.mu_zbar[a] * f.coeffs) ** 2))
-        return float(np.sqrt(tot))
-    calc = space.calculus
-    g1 = (calc.Dz @ f.coeffs[0].ravel())
-    g2 = (calc.Dzbar @ f.coeffs[0].ravel())
-    return float(np.sqrt(np.sum(np.abs(g1) ** 2 + np.abs(g2) ** 2) / calc.N**2))
+    """Norm of the plain z-derivatives of the mode coefficients of f (flat bundles)."""
+    calc = f.space.calculus
+    tot = 0.0
+    for a in range(f.space.n):
+        tot += float(np.sum(np.abs(calc.mu_z[a] * f.coeffs) ** 2))
+        tot += float(np.sum(np.abs(calc.mu_zbar[a] * f.coeffs) ** 2))
+    return float(np.sqrt(tot))
 
 
 # ---------------------------------------------------------------------------

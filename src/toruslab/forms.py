@@ -18,10 +18,10 @@ major, anti-holomorphic K minor, each in increasing order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,13 +82,14 @@ def _remove(tup, a):
 
 
 # ---------------------------------------------------------------------------
-# calculus contexts (cached per torus/bundle/disc)
+# calculus contexts (one per fibre, shared by all sibling spaces)
 
 
 class _SpectralCalculus:
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Spectral):
         n, M = torus.n, disc.M
-        self.torus, self.bundle, self.disc = torus, bundle, disc
+        self.disc = disc
+        self.grams = {}  # bidegree -> GramMatrix, filled by gram()
         self.mshape = (2 * M + 1,) * (2 * n)
         k = np.arange(-M, M + 1, dtype=float)
         grids = np.meshgrid(*([k] * (2 * n)), indexing="ij")
@@ -154,7 +155,8 @@ class _GridCalculus:
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Grid):
         if torus.n != 1:
             raise DiscMismatch("grid backend supports n=1 only")
-        self.torus, self.bundle, self.disc = torus, bundle, disc
+        self.disc = disc
+        self.grams = {}  # bidegree -> GramMatrix, filled by gram()
         N, order = disc.N, disc.order
         t = complex(torus.period[0, 0])
         d = bundle.degree
@@ -242,37 +244,23 @@ def _shift_matrix(N, off):
     )
 
 
-_CALC_CACHE: dict = {}
-
-
-def _calculus(torus, bundle, disc):
-    key = (id(torus), id(bundle), disc)
-    ctx = _CALC_CACHE.get(key)
-    if ctx is None:
-        if isinstance(disc, Spectral):
-            if not bundle.is_flat:
-                raise DiscMismatch("spectral discretization requires a flat bundle")
-            ctx = _SpectralCalculus(torus, bundle, disc)
-        elif isinstance(disc, Grid):
-            if bundle.is_flat:
-                raise DiscMismatch("grid discretization requires a positive bundle")
-            ctx = _GridCalculus(torus, bundle, disc)
-        else:
-            raise DiscMismatch(f"unknown discretization {disc!r}")
-        _CALC_CACHE[key] = ctx
-    return ctx
-
-
 # ---------------------------------------------------------------------------
 # spaces, sections, operators
 
 
 @dataclass(frozen=True)
 class FormSpace:
+    """E-valued (p,q)-forms on one fibre, carrying the fibre's calculus.
+
+    make_space builds the calculus; sibling() gives the other bidegrees of the
+    fibre and shares it, with the Gram matrices it keeps.
+    """
+
     torus: LatticeTorus
     bundle: BundleData
     bidegree: tuple
     disc: Disc
+    calculus: Union[_SpectralCalculus, _GridCalculus] = field(compare=False, repr=False)
 
     @property
     def n(self):
@@ -287,10 +275,6 @@ class FormSpace:
     def ncomp(self):
         p, q = self.bidegree
         return comb(self.n, p) * comb(self.n, q)
-
-    @property
-    def calculus(self):
-        return _calculus(self.torus, self.bundle, self.disc)
 
     @property
     def field_shape(self):
@@ -312,7 +296,8 @@ class FormSpace:
         return FormSection(self, arr)
 
     def sibling(self, bidegree) -> "FormSpace":
-        return make_space(self.torus, self.bundle, bidegree, self.disc)
+        """The space of another bidegree on the same fibre, sharing this calculus."""
+        return replace(self, bidegree=_checked_bidegree(self.n, bidegree))
 
     # pointwise metric on components (spectral: constant; grid: n=1 scalar)
     def comp_metric(self) -> np.ndarray:
@@ -329,12 +314,49 @@ class FormSpace:
         return (P + P.conj().T) / 2.0
 
 
-def make_space(torus, bundle, bidegree, disc) -> FormSpace:
+def _checked_bidegree(n, bidegree):
     p, q = bidegree
-    if not (0 <= p <= torus.n and 0 <= q <= torus.n):
-        raise BidegreeOverflow(f"bidegree {bidegree} out of range for n={torus.n}")
-    _calculus(torus, bundle, disc)  # validates disc/bundle match, warms cache
-    return FormSpace(torus, bundle, (p, q), disc)
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise BidegreeOverflow(f"bidegree {bidegree} out of range for n={n}")
+    return (p, q)
+
+
+def make_space(torus, bundle, bidegree, disc) -> FormSpace:
+    """A form space with a fresh fibre calculus; use sibling() for the same fibre."""
+    bidegree = _checked_bidegree(torus.n, bidegree)
+    if isinstance(disc, Spectral):
+        if not bundle.is_flat:
+            raise DiscMismatch("spectral discretization requires a flat bundle")
+        calc = _SpectralCalculus(torus, bundle, disc)
+    elif isinstance(disc, Grid):
+        if bundle.is_flat:
+            raise DiscMismatch("grid discretization requires a positive bundle")
+        calc = _GridCalculus(torus, bundle, disc)
+    else:
+        raise DiscMismatch(f"unknown discretization {disc!r}")
+    return FormSpace(torus, bundle, bidegree, disc, calc)
+
+
+def band_limited(space: FormSpace, rng, nmodes: int = 6) -> "FormSection":
+    """A smooth random unit section: a handful of low Fourier modes.
+
+    Spectral spaces get random coefficients on every mode; grid spaces get
+    nmodes modes with |k_x|, |k_y| <= 2 per component.  Grid stencil operators
+    satisfy composite identities only on resolved fields like these.
+    """
+    coeffs = np.zeros((space.ncomp,) + space.field_shape, dtype=complex)
+    if isinstance(space.disc, Spectral):
+        coeffs = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
+    else:
+        calc = space.calculus
+        for ci in range(space.ncomp):
+            for _ in range(nmodes):
+                kx, ky = rng.integers(-2, 3, size=2)
+                c = rng.standard_normal() + 1j * rng.standard_normal()
+                coeffs[ci] += c * np.exp(2j * np.pi * (kx * calc.x + ky * calc.y))
+    u = space.section(coeffs)
+    nu = u.norm()
+    return u * (1.0 / nu) if nu > 0 else u
 
 
 @dataclass
@@ -501,7 +523,9 @@ class GramMatrix:
     """
 
     def __init__(self, space: FormSpace):
-        self.space = space
+        # no reference back to the space: the calculus keeps this object, and
+        # without a cycle a fibre is freed as soon as its last space goes
+        self.ncomp = space.ncomp
         if isinstance(space.disc, Spectral):
             self.kind = "spectral"
             self.P = space.comp_metric()
@@ -517,23 +541,19 @@ class GramMatrix:
 
     def inner(self, u: FormSection, v: FormSection) -> complex:
         if self.kind == "spectral":
-            nc = self.space.ncomp
+            nc = self.ncomp
             uf = u.coeffs.reshape(nc, -1)
             vf = v.coeffs.reshape(nc, -1)
             return complex(np.einsum("ck,cd,dk->", vf.conj(), self.P, uf))
         return complex(np.sum(v.coeffs.conj() * self.w * u.coeffs))
 
 
-_GRAM_CACHE: dict = {}
-
-
 def gram(space: FormSpace) -> GramMatrix:
-    key = (id(space.torus), id(space.bundle), space.disc, space.bidegree)
-    g = _GRAM_CACHE.get(key)
-    if g is None:
-        g = GramMatrix(space)
-        _GRAM_CACHE[key] = g
-    return g
+    """The Gram data of space, kept by its calculus for every sibling."""
+    grams = space.calculus.grams
+    if space.bidegree not in grams:
+        grams[space.bidegree] = GramMatrix(space)
+    return grams[space.bidegree]
 
 
 def pair_l2(u: FormSection, v: FormSection) -> complex:
@@ -542,11 +562,10 @@ def pair_l2(u: FormSection, v: FormSection) -> complex:
     return gram(u.space).inner(u, v)
 
 
-def adjoint(op: OperatorMatrix, gram_domain: Optional[GramMatrix] = None,
-            gram_codomain: Optional[GramMatrix] = None) -> OperatorMatrix:
+def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     """Formal adjoint: <A u, v>_cod = <u, A* v>_dom exactly in matrix arithmetic."""
-    gd = gram_domain or gram(op.domain)
-    gc = gram_codomain or gram(op.codomain)
+    gd = gram(op.domain)
+    gc = gram(op.codomain)
     if op.kind == "mode":
         # A* = P_dom^{-1} A^H P_cod per mode
         blocks = _bc(op.data, op.domain)

@@ -33,14 +33,13 @@ class ThetaFrame:
     """A frame of d holomorphic canonical sections on one positive-bundle fiber.
 
     Sections are represented as (1,0)-forms theta_a(z) dz in the grid gauge,
-    a = 0..d-1; the series is truncated when terms drop below `truncation`.
+    a = 0..d-1 (theta series truncated at the default of `theta_samples`).
     """
 
     t: complex
     d: int
     space: FormSpace
     sections: List[FormSection]
-    truncation: float = 1e-16
 
     def gram(self) -> np.ndarray:
         d = self.d
@@ -72,20 +71,16 @@ def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray,
     return out
 
 
-def theta_frame(t: complex, d: int, disc: Grid,
-                space: Optional[FormSpace] = None,
-                truncation: float = 1e-16) -> ThetaFrame:
+def theta_frame(t: complex, d: int, disc: Grid) -> ThetaFrame:
     """Holomorphic frame of the degree-d canonical sections on the fiber at t."""
-    if space is None:
-        torus = make_torus(1, [[t]])
-        bundle = make_positive_bundle(torus, d)
-        space = make_space(torus, bundle, (1, 0), disc)
+    torus = make_torus(1, [[t]])
+    space = make_space(torus, make_positive_bundle(torus, d), (1, 0), disc)
     calc = space.calculus
     sections = []
     for a in range(d):
-        samples = theta_samples(t, d, a, calc.x, calc.y, truncation)
+        samples = theta_samples(t, d, a, calc.x, calc.y)
         sections.append(space.section(samples[None, :, :]))
-    return ThetaFrame(t=t, d=d, space=space, sections=sections, truncation=truncation)
+    return ThetaFrame(t=t, d=d, space=space, sections=sections)
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,10 @@
 import numpy as np
 import pytest
 
-from toruslab.forms import Grid, Spectral, make_space
+from toruslab.forms import Grid, Spectral, band_limited  # noqa: F401  (re-exported to the tests)
 from toruslab.geometry import make_torus, make_flat_bundle, make_positive_bundle
 
 T0 = 0.3 + 1.1j
-
-
-def band_limited(space, rng, nmodes=6, kmax=2):
-    """A smooth random section: a handful of low Fourier modes.
-
-    Grid stencil operators only satisfy composite identities on resolved
-    fields, so rough (white-noise) inputs are reserved for tests that target
-    exactly that failure mode.
-    """
-    coeffs = np.zeros((space.ncomp,) + space.field_shape, dtype=complex)
-    if isinstance(space.disc, Spectral):
-        coeffs = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
-    else:
-        calc = space.calculus
-        for ci in range(space.ncomp):
-            for _ in range(nmodes):
-                kx, ky = rng.integers(-kmax, kmax + 1, size=2)
-                c = rng.standard_normal() + 1j * rng.standard_normal()
-                coeffs[ci] += c * np.exp(2j * np.pi * (kx * calc.x + ky * calc.y))
-    u = space.section(coeffs)
-    nu = u.norm()
-    return u * (1.0 / nu) if nu > 0 else u
 
 
 def band_limited_field(calc, rng, shape, magnitude=0.1):

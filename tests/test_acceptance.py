@@ -276,7 +276,7 @@ def test_rank_positivity_against_brute_force_oracle():
         assert form.m * form.r <= 9
         m1 = form.split[0]
         for kk in range(1, k + 1):
-            pos, _ = blsmod.schur_complement_demailly(form, kk, seed=seed)
+            pos, _, _ = blsmod.schur_complement_demailly(form, kk, seed=seed)
             oracle = blsmod.rank_k_min_oracle(S, m1, form.r, kk)
             if pos != (oracle > -1e-9):
                 disagreements.append((seed, kk, oracle))

@@ -182,7 +182,7 @@ def test_schur_complement_identity_and_edge_cases():
 def test_demailly_identity_is_positive_at_all_ranks():
     form = HermitianFormOnTensor(m=2, r=2, phi=np.eye(4), split=(2, 0))
     for k in (1, 2):
-        ok, wit = schur_complement_demailly(form, k)
+        ok, wit, _ = schur_complement_demailly(form, k)
         assert ok and wit is None
 
 
@@ -191,10 +191,12 @@ def test_griffiths_positive_but_not_nakano():
     # rank-1 minimum is 1 - 1.5/2 = 1/4 > 0; full minimum is -1/2
     assert rank_k_min_oracle(form.phi, 2, 2, 1) == pytest.approx(0.25, abs=1e-6)
     assert rank_k_min_oracle(form.phi, 2, 2, 2) == pytest.approx(-0.5, abs=1e-12)
-    ok1, wit1 = schur_complement_demailly(form, 1)
+    ok1, wit1, min1 = schur_complement_demailly(form, 1)
     assert ok1 and wit1 is None
-    ok2, wit2 = schur_complement_demailly(form, 2)
+    assert min1 == pytest.approx(0.25, abs=1e-6)
+    ok2, wit2, min2 = schur_complement_demailly(form, 2)
     assert not ok2
+    assert min2 == pytest.approx(-0.5, abs=1e-12)
     v = wit2.ravel()
     q = np.real(np.vdot(v, form.phi @ v)) / np.real(np.vdot(v, v))
     assert q == pytest.approx(-0.5, abs=1e-8)
@@ -228,8 +230,8 @@ def test_als_agrees_with_oracle_on_random_instances():
         truth = rank_k_min_oracle(S, 2, 2, 1)
         if abs(truth) < 1e-6:
             continue  # borderline sign is not a fair verdict comparison
-        ok, _ = schur_complement_demailly(form, 1, restarts=20, iters=30,
-                                          seed=seed)
+        ok, _, _ = schur_complement_demailly(form, 1, restarts=20, iters=30,
+                                             seed=seed)
         if ok != (truth >= 0):
             disagreements += 1
     assert disagreements == 0

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from toruslab.forms import (
     multiply,
     pair_l2,
 )
+from toruslab.geometry import make_positive_bundle, make_torus
 
 from conftest import band_limited
 
@@ -29,6 +33,29 @@ def spaces_for(torus, bundle, disc, bidegrees):
 def test_make_space_rejects_overflow(flat_torus, flat_bundle, spec_disc):
     with pytest.raises(BidegreeOverflow):
         make_space(flat_torus, flat_bundle, (2, 0), spec_disc)
+
+
+def test_siblings_share_the_calculus(torus2, flat_bundle2, spec_disc):
+    sp = make_space(torus2, flat_bundle2, (0, 0), spec_disc)
+    for b in [(0, 1), (1, 0), (1, 1), (2, 2)]:
+        assert sp.sibling(b).calculus is sp.calculus
+    with pytest.raises(BidegreeOverflow):
+        sp.sibling((3, 0))
+
+
+def test_grid_space_is_freed_with_its_last_reference():
+    # nothing outside the spaces keeps a fibre alive: once the spaces, the
+    # operators and the sections are dropped, the torus is collected
+    torus = make_torus(1, [[0.3 + 1.1j]])
+    sp = make_space(torus, make_positive_bundle(torus, 1), (0, 0), Grid(N=16, order=4))
+    u = band_limited(sp, np.random.default_rng(0))
+    assert pair_l2(u, u).real > 0
+    d = assemble_dbar(sp)
+    assert adjoint(d).apply(d.apply(u)).norm() > 0
+    ref = weakref.ref(torus)
+    del torus, sp, u, d
+    gc.collect()
+    assert ref() is None
 
 
 def test_section_arithmetic(flat_torus, flat_bundle, spec_disc, rng):
