@@ -72,11 +72,9 @@ def _family(cfg: ExperimentConfig):
     return catalog_family("siegel-diagonal", cfg.t, chi=chi, tau=cfg.tau)
 
 
-def _disc(cfg: ExperimentConfig, n: int):
+def _disc(cfg: ExperimentConfig):
     if cfg.backend == "spectral":
         return Spectral(M=cfg.M)
-    if n != 1:
-        raise ConfigInvalid("the grid backend supports one-dimensional fibers only")
     return Grid(N=cfg.N, order=cfg.order)
 
 
@@ -165,7 +163,7 @@ def _identity_suite(cfg: ExperimentConfig) -> dict:
     fam = _family(cfg)
     torus, bundle = fam.torus_at(), fam.bundle_at()
     n = torus.n
-    fibre = make_space(torus, bundle, (0, 0), _disc(cfg, n))
+    fibre = make_space(torus, bundle, (0, 0), _disc(cfg))
     res = {}
 
     # square of the (0,1)-differential across all composable bidegrees
@@ -257,6 +255,7 @@ def cmd_hodge_check(cfg, out, dump_spectrum):
         "command": "hodge-check",
         "config": cfg.as_dict(),
         "residuals": residuals,
+        "diagnostics": [packages[b].diagnostics() for b in sorted(packages)],
         "failures": failures,
         "status": "pass" if not failures else "fail",
     }
@@ -276,7 +275,7 @@ def cmd_curvature(cfg, out, dump_spectrum):
     fam = _family(cfg)
     torus, bundle = fam.torus_at(), fam.bundle_at()
     n = torus.n
-    sp = make_space(torus, bundle, (n, 0), _disc(cfg, n))
+    sp = make_space(torus, bundle, (n, 0), _disc(cfg))
     pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
                        expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 0)))
     basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
@@ -311,6 +310,7 @@ def cmd_curvature(cfg, out, dump_spectrum):
         "nakano_min_eig": float(rep.nakano_min_eig),
         "positivity_verdict": bool(rep.rank == 0 or not positive_bundle
                                    or rep.nakano_min_eig >= -cfg.tol("nakano")),
+        "diagnostics": [pkg0.diagnostics()],
         "failures": sorted(failures),
         "status": "pass" if not failures else "fail",
     }
@@ -345,7 +345,7 @@ def cmd_primitive_lift(cfg, out, dump_spectrum):
     fam = _family(cfg)
     torus, bundle = fam.torus_at(), fam.bundle_at()
     n = torus.n
-    sp = make_space(torus, bundle, (n, 0), _disc(cfg, n))
+    sp = make_space(torus, bundle, (n, 0), _disc(cfg))
     pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
                        expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 0)))
     basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]

@@ -132,13 +132,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "d" in raw:
         cfg.d = _as_int(raw["d"], "d", minimum=0)
     if "chi" in raw:
-        if not isinstance(raw["chi"], (list, tuple)):
-            raise ConfigInvalid("'chi' must be a list of real characters")
-        cfg.chi = tuple(float(x) for x in raw["chi"])
+        chi = raw["chi"]
+        if not isinstance(chi, (list, tuple)) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in chi):
+            raise ConfigInvalid(f"'chi' must be a list of real characters, got {chi!r}")
+        cfg.chi = tuple(float(x) for x in chi)
+    # the spectral backend discretizes flat bundles, the grid backend positive
+    # ones (elliptic with d >= 1); the default follows the bundle
+    positive = cfg.family == "elliptic" and cfg.d >= 1
+    cfg.backend = "grid" if positive else "spectral"
     if "backend" in raw:
         if raw["backend"] not in _BACKENDS:
             raise ConfigInvalid(f"backend must be one of {_BACKENDS}, got {raw['backend']!r}")
-        cfg.backend = raw["backend"]
+        if raw["backend"] != cfg.backend:
+            bundle = f"degree-{cfg.d} elliptic" if positive else f"flat {cfg.family}"
+            raise ConfigInvalid(f"backend {raw['backend']!r} cannot discretize the "
+                                f"{bundle} bundle; use {cfg.backend!r}")
+    n = 2 if cfg.family == "siegel-diagonal" else 1
+    if cfg.chi and len(cfg.chi) != 2 * n:
+        raise ConfigInvalid(f"'chi' of the {cfg.family} family needs {2 * n} entries, "
+                            f"got {len(cfg.chi)}")
+    if cfg.t.imag <= 0:
+        raise ConfigInvalid(f"'t' must have Im t > 0, got {cfg.t}")
     for key in ("N", "M", "order"):
         if key in raw:
             setattr(cfg, key, _as_int(raw[key], key))
@@ -187,6 +202,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             bls["step"] = _as_pos_float(bls["step"], "bls.step")
         if "t" in bls:
             bls["t"] = _as_complex(bls["t"], "bls.t")
+            if bls["t"].imag <= 0:
+                raise ConfigInvalid(f"'bls.t' must have Im t > 0, got {bls['t']}")
         cfg.bls = bls
 
     return cfg

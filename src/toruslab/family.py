@@ -39,9 +39,11 @@ from .forms import (
     assemble_nabla10,
     contract,
     contract_ks,
+    dzbar_multiplier,
     lefschetz_L,
     lefschetz_Lambda,
     make_space,
+    _wavenumbers,
 )
 from .geometry import FamilySpec, make_flat_bundle
 from .hodge import HodgePackage
@@ -98,9 +100,7 @@ def _dbar_of_field(space: FormSpace, W: np.ndarray) -> np.ndarray:
     torus = space.torus
     if isinstance(space.disc, Spectral):
         # differentiate untwisted modes: same multiplier with chi = 0
-        flat0 = make_flat_bundle(torus, np.zeros(2 * n))
-        aux = make_space(torus, flat0, (0, 0), space.disc)
-        mu = aux.calculus.mu_zbar  # (n, *mshape)
+        mu = dzbar_multiplier(torus.period, *_wavenumbers(n, space.disc.M, np.zeros(2 * n)))
         return np.stack([np.stack([mu[c] * W[a] for c in range(n)]) for a in range(n)])
     calc = space.calculus
     # plain periodic derivative of a periodic sample field (no automorphy)

@@ -85,34 +85,45 @@ def _remove(tup, a):
 # calculus contexts (one per fibre, shared by all sibling spaces)
 
 
+def _wavenumbers(n: int, M: int, chi):
+    """Shifted wave numbers k + chi of the modes |k_i| <= M: kappa_x, kappa_y, each (n, *mshape)."""
+    k = np.arange(-M, M + 1, dtype=float)
+    grids = np.meshgrid(*([k] * (2 * n)), indexing="ij")
+    kappa_x = np.stack([grids[a] + chi[a] for a in range(n)])
+    kappa_y = np.stack([grids[n + a] + chi[n + a] for a in range(n)])
+    return kappa_x, kappa_y
+
+
+def dzbar_multiplier(omega: np.ndarray, kappa_x: np.ndarray, kappa_y: np.ndarray) -> np.ndarray:
+    """mu_zbar[a], the d/dzbar_a multiplier of the modes e_k: (n, *mshape).
+
+    2 pi i sum_b (kappa_x_b * dx_b/dzbar_a + kappa_y_b * dy_b/dzbar_a), with
+    dx_b/dzbar_a = (Omega A)_{ba}, dy_b/dzbar_a = -A_{ba}, A = (Omega - Omega.conj)^{-1}.
+    """
+    A = np.linalg.inv(omega - omega.conj())
+    return 2j * np.pi * (
+        np.tensordot(omega @ A, kappa_x, axes=([0], [0]))
+        + np.tensordot(-A, kappa_y, axes=([0], [0]))
+    )
+
+
 class _SpectralCalculus:
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Spectral):
         n, M = torus.n, disc.M
         self.disc = disc
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
         self.mshape = (2 * M + 1,) * (2 * n)
-        k = np.arange(-M, M + 1, dtype=float)
-        grids = np.meshgrid(*([k] * (2 * n)), indexing="ij")
-        chi = bundle.chi
-        kappa_x = np.stack([grids[a] + chi[a] for a in range(n)])        # (n, *mshape)
-        kappa_y = np.stack([grids[n + a] + chi[n + a] for a in range(n)])
+        kappa_x, kappa_y = _wavenumbers(n, M, bundle.chi)
         omega = torus.period
         A = np.linalg.inv(omega - omega.conj())
-        MxZ = -omega.conj() @ A          # dx_b/dz_a = MxZ[b,a]... see below
-        MyZ = A
-        MxZb = omega @ A
-        MyZb = -A
         # mu_z[a] multiplies e_k by the d/dz_a derivative:
         #   2 pi i sum_b (kappa_x_b * dx_b/dz_a + kappa_y_b * dy_b/dz_a)
         # with dx_b/dz_a = (I - Omega A)_{ba} = (-Omega.conj A)_{ba}, dy_b/dz_a = A_{ba}.
         self.mu_z = 2j * np.pi * (
-            np.tensordot(MxZ, kappa_x, axes=([0], [0]))
-            + np.tensordot(MyZ, kappa_y, axes=([0], [0]))
+            np.tensordot(-omega.conj() @ A, kappa_x, axes=([0], [0]))
+            + np.tensordot(A, kappa_y, axes=([0], [0]))
         )
-        self.mu_zbar = 2j * np.pi * (
-            np.tensordot(MxZb, kappa_x, axes=([0], [0]))
-            + np.tensordot(MyZb, kappa_y, axes=([0], [0]))
-        )
+        self.mu_zbar = dzbar_multiplier(omega, kappa_x, kappa_y)
 
     def zero_mode_index(self):
         M = self.disc.M

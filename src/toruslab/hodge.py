@@ -4,12 +4,14 @@ Spectral backend: the Laplacian is mode-diagonal, so the full eigendecomposition
 is a vectorized batch of tiny Hermitian problems and the Green operator is again
 a mode-diagonal OperatorMatrix (exact arithmetic up to rounding).
 
-Grid backend: the Laplacian is a sparse matrix; the numerical kernel is found by
-shift-inverted Lanczos and the Green operator solves a bordered (kernel-deflated)
-sparse system via a cached LU factorization.
+Grid backend: the Laplacian is a sparse matrix.  One sparse LU of Mt - sigma I,
+at a tiny negative shift sigma, serves both the shift-invert eigensolve that
+finds the numerical kernel and the low spectrum, and every Green apply: one
+LU solve between two kernel projections, plus an exact correction of the shift
+on the computed eigenpairs.
 
 Both solvers share one interface: green(u), project(u), eigenvalues(),
-lambda1() and harmonic_sections().
+lambda1(), harmonic_sections() and diagnostics().
 """
 
 from __future__ import annotations
@@ -123,6 +125,14 @@ class _SpectralSolver:
     def eigenvalues(self) -> np.ndarray:
         return np.sort(self.lam.ravel())
 
+    def diagnostics(self) -> dict:
+        return {
+            "dim": int(self.lam.size),
+            "kernel_found": int(self.null_mask.sum()),
+            "lambda1": _lambda1_or_none(self),
+            "cut": self.cut,
+        }
+
     def lambda1(self) -> float:
         pos = self.lam[~self.null_mask]
         if pos.size == 0:
@@ -131,7 +141,21 @@ class _SpectralSolver:
 
 
 class _GridSolver:
-    """Kernel + deflated solver for a sparse G-self-adjoint PSD operator.
+    """Kernel, low spectrum and Green operator of a sparse G-self-adjoint PSD operator.
+
+    In the weighted coordinates the operator is a Hermitian matrix Mt.  One LU
+    of Mt - sigma I, with sigma = -1e-13 * max(lam_max, 1), drives the
+    shift-invert eigensolve for the k lowest eigenpairs.  The eigenvalues below
+    the rank cut span the deflation space K, and with P = I - K K^H,
+
+        G r = P lu.solve(P r) + sum_j (1/lam_j - 1/(lam_j - sigma)) u_j u_j^H P r
+
+    over the computed eigenpairs with lam_j >= cut.  The sum makes the shift
+    exact on the computed eigenspace; the remaining relative error is at most
+    |sigma| / lam_{k+1}.  Shift-invert this close to the kernel leaves the
+    positive Ritz vectors accurate only to about eps * lam_j / |sigma| (the
+    kernel ones to rounding); they enter G only through the O(sigma / lam^2)
+    sum.
 
     A square grid discretization of an operator with nonzero index carries exact
     spurious zero modes on the adjoint side, plus small near-Nyquist resonances
@@ -177,24 +201,38 @@ class _GridSolver:
         self.lam_max = float(lam_max.real) if Mt.nnz else 0.0
         self.cut = rank_tol * max(self.lam_max, 1.0)
         k = min(max(expected_kernel + 20, 24), Mt.shape[0] - 2)
+        # |sigma| is about 500x the rounding level eps * lam_max of the kernel
+        # eigenvalues, so Mt - sigma I is safely nonsingular, and far below
+        # lam_{k+1}, so shift-invert separates the low spectrum in few solves
+        # and the Green error left after the shift correction is tiny
+        self.sigma = -1e-13 * max(self.lam_max, 1.0)
+        self.eigsh_solves = 0
+
+        def solve(b):
+            self.eigsh_solves += 1
+            return self.lu.solve(b)
+
         try:
-            lam, U = spla.eigsh(Mt, k=k, sigma=-0.05 * max(self.lam_max, 1.0), which="LM",
-                               v0=v0)
+            self.lu = spla.splu(Mt - self.sigma * sp.identity(Mt.shape[0], format="csc"))
+            lam, U = spla.eigsh(Mt, k=k, sigma=self.sigma, which="LM", v0=v0,
+                               OPinv=spla.LinearOperator(Mt.shape, matvec=solve,
+                                                         dtype=Mt.dtype))
         except Exception as exc:  # pragma: no cover
             raise EigenFailure(str(exc)) from exc
         order = np.argsort(lam)
         self.lam_small = lam[order]
-        self.U_small = U[:, order]
-        self.aliased = np.array([self._is_aliased(self.U_small[:, j]) for j in range(k)])
+        U = U[:, order]
+        self.aliased = np.array([self._is_aliased(U[:, j]) for j in range(k)])
         nker = int(np.sum(self.lam_small < self.cut))
         # orthonormalize both blocks (the full kernel drives deflation; only the
         # non-aliased part is reported as harmonic); either may have no columns
-        kernel = self.U_small[:, :nker]
+        kernel = U[:, :nker]
         self.kernel, _ = np.linalg.qr(kernel)
         self.kernel_physical, _ = np.linalg.qr(kernel[:, ~self.aliased[:nker]])
-        # deflated solve: bordered system [Mt, K; K^H, 0]
-        K = sp.csc_matrix(self.kernel)
-        self.lu = spla.splu(sp.bmat([[Mt, K], [K.conj().T, None]], format="csc"))
+        # green() corrects the shift on the computed positive eigenpairs
+        self._U_pos = np.ascontiguousarray(U[:, nker:])
+        lam_pos = self.lam_small[nker:]
+        self._shift_fix = 1.0 / lam_pos - 1.0 / (lam_pos - self.sigma)
 
     def _to_tilde(self, u: FormSection) -> np.ndarray:
         return self.wsqrt * u.coeffs.ravel()
@@ -207,8 +245,12 @@ class _GridSolver:
         K = self.kernel
         r = self._to_tilde(u)
         r = r - K @ (K.conj().T @ r)
-        sol = self.lu.solve(np.concatenate([r, np.zeros(K.shape[1], dtype=complex)]))[: r.size]
-        return self._from_tilde(sol - K @ (K.conj().T @ sol))
+        sol = self.lu.solve(r)
+        sol = sol - K @ (K.conj().T @ sol)
+        # U^H r written as conj(U^T conj(r)), which copies r instead of U
+        coef = self._shift_fix * (self._U_pos.T @ r.conj()).conj()
+        sol = sol + self._U_pos @ coef
+        return self._from_tilde(sol)
 
     def project(self, u: FormSection) -> FormSection:
         r = self._to_tilde(u)
@@ -232,12 +274,33 @@ class _GridSolver:
     def eigenvalues(self) -> np.ndarray:
         return np.sort(self.lam_small[~self.aliased])
 
+    def diagnostics(self) -> dict:
+        return {
+            "dim": self.Mt.shape[0],
+            "nnz": int(self.Mt.nnz),
+            "lu_fill": int(self.lu.L.nnz + self.lu.U.nnz),
+            "sigma": self.sigma,
+            "eigsh_solves": self.eigsh_solves,
+            "kernel_found": self.kernel_physical.shape[1],
+            "kernel_deflated": self.kernel.shape[1],
+            "aliased_modes": int(self.aliased.sum()),
+            "lambda1": _lambda1_or_none(self),
+            "cut": self.cut,
+        }
+
     def lambda1(self) -> float:
         lam = self.lam_small[~self.aliased]
         pos = lam[lam >= self.cut]
         if pos.size == 0:
             raise EmptySpectrum("no non-aliased eigenvalue above the kernel threshold")
         return float(pos.min())
+
+
+def _lambda1_or_none(solver):
+    try:
+        return solver.lambda1()
+    except EmptySpectrum:
+        return None
 
 
 class HodgePackage:
@@ -247,6 +310,7 @@ class HodgePackage:
                  expected_kernel: int = 4):
         self.space = space
         self.rank_tol = rank_tol
+        self.expected_kernel = expected_kernel
         self.laplacian = laplacian(space, "dbar")
         solver = _SpectralSolver if isinstance(space.disc, Spectral) else _GridSolver
         self._solver = solver(space, self.laplacian, rank_tol, expected_kernel)
@@ -264,6 +328,13 @@ class HodgePackage:
 
     def eigenvalues(self) -> np.ndarray:
         return self._solver.eigenvalues()
+
+    def diagnostics(self) -> dict:
+        """Solver size and spectrum facts for reports: the solver's fields plus
+        the bidegree and the expected kernel dimension."""
+        return {"bidegree": list(self.space.bidegree),
+                "kernel_expected": self.expected_kernel,
+                **self._solver.diagnostics()}
 
 
 def build_hodge(space: FormSpace, rank_tol: float = 1e-7,

@@ -113,6 +113,10 @@ def test_hodge_check_passes_on_spectral_flat(tmp_path):
         "dbar_squared", "chern_anticommutator", "l_lambda_commutator",
         "bochner_kodaira", "hodge_decomposition", "minimal_solution_norm",
     }
+    diag, = report["diagnostics"]
+    assert diag["bidegree"] == [1, 1]
+    assert diag["kernel_found"] == diag["kernel_expected"] == 1
+    assert diag["lambda1"] > diag["cut"] > 0
 
 
 def test_hodge_check_flags_underresolved_grid(tmp_path):
@@ -146,6 +150,27 @@ def test_unknown_config_key_exits_2(tmp_path, command):
     assert "config error:" in res.output
 
 
+_BAD_CONFIGS = {
+    "chi-not-numeric": {"chi": ["a", 0]},
+    "chi-wrong-length": {"d": 0, "chi": [0.1]},
+    "t-below-axis": {"t": [0.3, -1.1]},
+    "t-on-axis": {"t": [0.3, 0.0]},
+    "bls-t-below-axis": {"bls": {"t": [0.3, -0.2]}},
+    "spectral-positive-bundle": {"backend": "spectral", "d": 1},
+    "jumping-on-grid": {"family": "jumping", "backend": "grid"},
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["hodge-check", "curvature", "scan-rank", "primitive-lift", "bls"])
+@pytest.mark.parametrize("payload", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
+def test_invalid_config_exits_2(tmp_path, command, payload):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    res = run_cli([command, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "config error:" in res.output
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise EigenFailure("ARPACK did not converge")
@@ -172,6 +197,12 @@ def test_curvature_report_contents(tmp_path):
     assert report["residual_routes"] >= 0.0
     theta = report["theta_H"][0][0]
     assert theta[0] > 0  # rank-one positive direct image
+    diag, = report["diagnostics"]
+    assert diag["bidegree"] == [1, 0] and diag["dim"] == 32 * 32
+    assert diag["kernel_found"] == diag["kernel_deflated"] == diag["kernel_expected"] == 1
+    assert diag["lu_fill"] >= diag["nnz"] > 0
+    assert diag["sigma"] < 0 < diag["eigsh_solves"]
+    assert diag["lambda1"] > diag["cut"] > 0
     # spectrum CSV written alongside
     lines = open(out + ".spectrum.csv").read().strip().splitlines()
     assert lines[0] == "bidegree,index,eigenvalue"

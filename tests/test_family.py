@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from toruslab.errors import ExtensionNotAdmissible
 from toruslab.family import (
+    _dbar_of_field,
     berndtsson_representative,
     class_match_residual,
     kappa,
@@ -16,7 +17,7 @@ from toruslab.family import (
     trivialization_lift,
 )
 from toruslab.forms import Grid, Spectral, make_space
-from toruslab.geometry import elliptic_family, siegel_diagonal_family
+from toruslab.geometry import elliptic_family, make_flat_bundle, siegel_diagonal_family
 from toruslab.hodge import build_hodge
 
 from conftest import T0, band_limited, band_limited_field
@@ -49,6 +50,19 @@ def test_kappa_is_linear(grid_setup, rng):
     lhs = kappa(lift, f * 2.0 + g)
     rhs = kappa(lift, f) * 2.0 + kappa(lift, g)
     assert (lhs - rhs).norm() <= 1e-12
+
+
+def test_spectral_dbar_of_field_matches_untwisted_calculus(rng):
+    # the multiplier of an untwisted field is the chi = 0 calculus' mu_zbar
+    fam = siegel_diagonal_family(0.2 + 0.9j, chi=(0.1, 0.2, 0.3, 0.4))
+    torus, bundle = fam.torus_at(), fam.bundle_at()
+    sp = make_space(torus, bundle, (2, 0), Spectral(M=4))
+    W = rng.standard_normal((2,) + sp.field_shape) + 1j * rng.standard_normal(
+        (2,) + sp.field_shape)
+    flat0 = make_flat_bundle(torus, np.zeros(4))
+    mu = make_space(torus, flat0, (0, 0), sp.disc).calculus.mu_zbar
+    expect = np.stack([np.stack([mu[c] * W[a] for c in range(2)]) for a in range(2)])
+    assert np.array_equal(_dbar_of_field(sp, W), expect)
 
 
 def test_perturbation_roundtrip(grid_setup, rng):

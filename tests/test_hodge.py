@@ -65,13 +65,16 @@ def test_flat_kernel_dims_match_character():
         assert pkg.harmonic_dim == dim
 
 
-def test_positive_bundle_kernel_dim_is_degree():
+def test_positive_bundle_kernel_dim_is_degree(rng):
     torus = make_torus(1, [[T0]])
     for d in (1, 2):
         bundle = make_positive_bundle(torus, d)
         sp = make_space(torus, bundle, (1, 0), Grid(N=32, order=6))
         pkg = build_hodge(sp, expected_kernel=d)
         assert pkg.harmonic_dim == d
+        u = band_limited(sp, rng)
+        resid = u - pkg.harmonic_project(u) - pkg.laplacian.apply(pkg.green(u))
+        assert resid.norm() <= 1e-9
 
 
 @pytest.mark.parametrize("which", ["flat01", "grid11"])
@@ -82,10 +85,12 @@ def test_decomposition_identity(which, flat01, grid11, rng):
     assert resid.norm() <= 1e-9
 
 
-def test_projection_is_idempotent_and_orthogonal(flat01, rng):
-    u = band_limited(flat01.space, rng)
-    hu = flat01.harmonic_project(u)
-    assert (flat01.harmonic_project(hu) - hu).norm() <= 1e-10
+@pytest.mark.parametrize("which", ["flat01", "grid11"])
+def test_projection_is_idempotent_and_orthogonal(which, flat01, grid11, rng):
+    pkg = {"flat01": flat01, "grid11": grid11}[which]
+    u = band_limited(pkg.space, rng)
+    hu = pkg.harmonic_project(u)
+    assert (pkg.harmonic_project(hu) - hu).norm() <= 1e-10
     assert abs(pair_l2(u - hu, hu)) <= 1e-10
 
 
@@ -123,14 +128,16 @@ def test_lambda1_matches_oracle(flat01):
     assert smallest_positive_eigenvalue(flat01) == pytest.approx(lam1, rel=1e-10)
 
 
+@pytest.mark.parametrize("which", ["flat01", "grid11"])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 1_000))
-def test_green_is_selfadjoint_and_positive(seed, flat01):
+def test_green_is_selfadjoint_and_positive(which, seed, flat01, grid11):
+    pkg = {"flat01": flat01, "grid11": grid11}[which]
     rng = np.random.default_rng(seed)
-    u = band_limited(flat01.space, rng)
-    v = band_limited(flat01.space, rng)
-    gu, gv = flat01.green(u), flat01.green(v)
+    u = band_limited(pkg.space, rng)
+    v = band_limited(pkg.space, rng)
+    gu, gv = pkg.green(u), pkg.green(v)
     assert abs(pair_l2(gu, v) - pair_l2(u, gv)) <= 1e-10
-    quad = pair_l2(flat01.green(u - flat01.harmonic_project(u)),
-                   u - flat01.harmonic_project(u)).real
+    quad = pair_l2(pkg.green(u - pkg.harmonic_project(u)),
+                   u - pkg.harmonic_project(u)).real
     assert quad >= -1e-12
