@@ -99,8 +99,12 @@ def _dbar_of_field(space: FormSpace, W: np.ndarray) -> np.ndarray:
     n = space.n
     torus = space.torus
     if isinstance(space.disc, Spectral):
-        # differentiate untwisted modes: same multiplier with chi = 0
-        mu = dzbar_multiplier(torus.period, *_wavenumbers(n, space.disc.M, np.zeros(2 * n)))
+        # differentiate untwisted modes: the multiplier with chi = 0, which is
+        # the calculus' own when the bundle is untwisted
+        if np.any(space.bundle.chi):
+            mu = dzbar_multiplier(torus.period, *_wavenumbers(n, space.disc.M, np.zeros(2 * n)))
+        else:
+            mu = space.calculus.mu_zbar
         return np.stack([np.stack([mu[c] * W[a] for c in range(n)]) for a in range(n)])
     calc = space.calculus
     # plain periodic derivative of a periodic sample field (no automorphy)

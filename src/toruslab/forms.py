@@ -168,6 +168,7 @@ class _GridCalculus:
             raise DiscMismatch("grid backend supports n=1 only")
         self.disc = disc
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
+        self.dbar_factors = {}  # ((p, 0), rank_tol) -> LU of dbar, filled by hodge
         N, order = disc.N, disc.order
         t = complex(torus.period[0, 0])
         d = bundle.degree

@@ -4,11 +4,11 @@ Spectral backend: the Laplacian is mode-diagonal, so the full eigendecomposition
 is a vectorized batch of tiny Hermitian problems and the Green operator is again
 a mode-diagonal OperatorMatrix (exact arithmetic up to rounding).
 
-Grid backend: the Laplacian is a sparse matrix.  One sparse LU of Mt - sigma I,
-at a tiny negative shift sigma, serves both the shift-invert eigensolve that
-finds the numerical kernel and the low spectrum, and every Green apply: one
-LU solve between two kernel projections, plus an exact correction of the shift
-on the computed eigenpairs.
+Grid backend (n = 1): the Laplacian is Dt^H Dt or Dt Dt^H for the weighted
+sparse dbar Dt, so Dt is factored, not the Laplacian.  One sparse LU of Dt,
+kept by the fibre calculus, serves the (p,0) and (p,1) packages: inverse
+iteration through it finds both kernels, and a Green apply is two solves with
+it between kernel deflations.  The low spectrum is computed only on demand.
 
 Both solvers share one interface: green(u), project(u), eigenvalues(),
 lambda1(), harmonic_sections() and diagnostics().
@@ -140,157 +140,154 @@ class _SpectralSolver:
         return float(pos.min())
 
 
+def _seeded_block(n: int, cols: int, seed: int) -> np.ndarray:
+    """A fixed complex Gaussian block: seeded starts keep grid reports repeatable."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+
+
+class _DbarFactor:
+    """Sparse LU of the weighted dbar Dt = W_cod^{1/2} D W_dom^{-1/2} out of a
+    (p,0) grid space, and the near-null vectors of Dt (null[0], the kernel on
+    (p,0)) and of Dt^H (null[1], on (p,1)) with their Ritz values.  Dt is not
+    normal, so inverse iteration runs with Dt^{-1} Dt^{-H}, not Dt^{-1} alone.
+    """
+
+    def __init__(self, space0: FormSpace, rank_tol: float, block: int):
+        D = _as_sparse(assemble_dbar(space0))
+        w = [np.sqrt(gram(space0.sibling((space0.bidegree[0], q))).w.ravel()) for q in (0, 1)]
+        Dt = (sp.diags(w[1]) @ D @ sp.diags(1.0 / w[0])).tocsc()
+        v = _seeded_block(Dt.shape[0], 1, 1)[:, 0]
+        for _ in range(30):   # power iteration for the spectral scale of Dt^H Dt
+            v = Dt.conj().T @ (Dt @ (v / np.linalg.norm(v)))
+        self.cut = rank_tol * max(float(np.linalg.norm(v)), 1.0)
+        try:
+            self.lu = spla.splu(Dt)
+        except RuntimeError as exc:
+            raise EigenFailure(str(exc)) from exc
+        self.null = [self._near_null(Dt, ("H", "N"), block),
+                     self._near_null(Dt.conj().T, ("N", "H"), block)]
+
+    def _near_null(self, A, trans, block: int):
+        """Near-null vectors of A = Dt or Dt^H and their Ritz values, below the
+        cut: block inverse iteration with (A^H A)^{-1}, then Rayleigh-Ritz; the
+        block doubles until a Ritz value lies above the cut."""
+        inner, outer = trans
+        n = A.shape[1]
+        while True:
+            V = _seeded_block(n, block, 2)
+            for _ in range(2):
+                V, _ = np.linalg.qr(V)
+                V = self.lu.solve(self.lu.solve(V, trans=inner), trans=outer)
+            V, _ = np.linalg.qr(V)
+            _, s, Wh = np.linalg.svd(A @ V, full_matrices=False)
+            ritz = s[::-1] ** 2
+            if ritz[-1] >= self.cut or block == n:
+                keep = int(np.sum(ritz < self.cut))
+                return V @ Wh[::-1][:keep].conj().T, ritz[:keep]
+            block = min(2 * block, n)
+
+
 class _GridSolver:
-    """Kernel, low spectrum and Green operator of a sparse G-self-adjoint PSD operator.
+    """Kernel, Green operator and, on demand, low spectrum of a grid Laplacian.
 
-    In the weighted coordinates the operator is a Hermitian matrix Mt.  One LU
-    of Mt - sigma I, with sigma = -1e-13 * max(lam_max, 1), drives the
-    shift-invert eigensolve for the k lowest eigenpairs.  The eigenvalues below
-    the rank cut span the deflation space K, and with P = I - K K^H,
-
-        G r = P lu.solve(P r) + sum_j (1/lam_j - 1/(lam_j - sigma)) u_j u_j^H P r
-
-    over the computed eigenpairs with lam_j >= cut.  The sum makes the shift
-    exact on the computed eigenspace; the remaining relative error is at most
-    |sigma| / lam_{k+1}.  Shift-invert this close to the kernel leaves the
-    positive Ritz vectors accurate only to about eps * lam_j / |sigma| (the
-    kernel ones to rounding); they enter G only through the O(sigma / lam^2)
-    sum.
-
-    A square grid discretization of an operator with nonzero index carries exact
-    spurious zero modes on the adjoint side, plus small near-Nyquist resonances
-    of the difference stencils.  Both kinds are pure grid artifacts concentrated
-    in the top frequency shell (in the Gaussian gauge), so eigenpairs are
-    classified by their high-frequency energy fraction: aliased modes stay in
-    the deflation space of the Green solver but are excluded from the reported
-    harmonic basis and from the spectral gap.
+    With K this side's near-null block of the shared _DbarFactor, C the other's
+    and P_Q = I - Q Q^H, G is P_K Dt^{-1} P_C Dt^{-H} P_K on (p,0) and
+    P_C Dt^{-H} P_K Dt^{-1} P_C on (p,1), the Laplacian's pseudo-inverse.
+    Aliased modes (spurious adjoint-side zero modes, near-Nyquist resonances:
+    mostly top-shell energy in the Gaussian gauge) stay in the deflation space
+    of G but not in the harmonic basis or the spectral gap.
     """
 
     def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float,
                  expected_kernel: int):
-        g = gram(space)
-        w = np.tile(g.w.ravel(), space.ncomp)
-        self.wsqrt = np.sqrt(w)
+        p, q = space.bidegree
+        self.space = space
+        self.wsqrt = np.sqrt(gram(space).w.ravel())
         calc = space.calculus
-        self._gauge = np.exp(
-            1j * np.pi * calc.d * calc.t * calc.y**2
-            + 2j * np.pi * calc.d * calc.x * calc.y
-        )
-        k1 = np.fft.fftfreq(calc.N, 1.0 / calc.N)
-        KX, KY = np.meshgrid(k1, k1, indexing="ij")
-        self._hishell = np.maximum(np.abs(KX), np.abs(KY)) >= calc.N / 3.0
-        M = _as_sparse(box)
-        Ws = sp.diags(self.wsqrt)
-        Wsi = sp.diags(1.0 / self.wsqrt)
-        Mt = (Ws @ M @ Wsi).tocsc()
-        Mt = (Mt + Mt.conj().T) * 0.5
-        self.space, self.Mt = space, Mt
-        # spectral scale via power iteration
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(Mt.shape[0]) + 1j * rng.standard_normal(Mt.shape[0])
-        v /= np.linalg.norm(v)
-        # a fixed ARPACK start keeps the eigenbasis, and so every grid report,
-        # the same from run to run
-        v0 = v.copy()
-        for _ in range(30):
-            v2 = Mt @ v
-            lam_max = np.linalg.norm(v2)
-            if lam_max == 0:
-                break
-            v = v2 / lam_max
-        self.lam_max = float(lam_max.real) if Mt.nnz else 0.0
-        self.cut = rank_tol * max(self.lam_max, 1.0)
-        k = min(max(expected_kernel + 20, 24), Mt.shape[0] - 2)
-        # |sigma| is about 500x the rounding level eps * lam_max of the kernel
-        # eigenvalues, so Mt - sigma I is safely nonsingular, and far below
-        # lam_{k+1}, so shift-invert separates the low spectrum in few solves
-        # and the Green error left after the shift correction is tiny
-        self.sigma = -1e-13 * max(self.lam_max, 1.0)
+        self._gauge = np.exp(1j * np.pi * calc.d * (calc.t * calc.y**2 + 2 * calc.x * calc.y))
+        k1 = np.abs(np.fft.fftfreq(calc.N, 1.0 / calc.N))
+        self._hishell = np.maximum.outer(k1, k1) >= calc.N / 3.0
+        self.nnz = int(_as_sparse(box).nnz)
+        factors, key = calc.dbar_factors, ((p, 0), rank_tol)
+        if key not in factors:
+            factors[key] = _DbarFactor(space.sibling((p, 0)), rank_tol, expected_kernel + 2)
+        self.factor = factors[key]
+        self.kernel, self._kernel_ritz = self.factor.null[q]
+        self._cokernel = self.factor.null[1 - q][0]
+        self._trans = ("H", "N") if q == 0 else ("N", "H")   # as in null[q]
+        self._kernel_aliased = self._aliased(self.kernel)
+        self.kernel_physical, _ = np.linalg.qr(self.kernel[:, ~self._kernel_aliased])
+        self.k = min(max(expected_kernel + 20, 24), self.wsqrt.size - 2)
         self.eigsh_solves = 0
-
-        def solve(b):
-            self.eigsh_solves += 1
-            return self.lu.solve(b)
-
-        try:
-            self.lu = spla.splu(Mt - self.sigma * sp.identity(Mt.shape[0], format="csc"))
-            lam, U = spla.eigsh(Mt, k=k, sigma=self.sigma, which="LM", v0=v0,
-                               OPinv=spla.LinearOperator(Mt.shape, matvec=solve,
-                                                         dtype=Mt.dtype))
-        except Exception as exc:  # pragma: no cover
-            raise EigenFailure(str(exc)) from exc
-        order = np.argsort(lam)
-        self.lam_small = lam[order]
-        U = U[:, order]
-        self.aliased = np.array([self._is_aliased(U[:, j]) for j in range(k)])
-        nker = int(np.sum(self.lam_small < self.cut))
-        # orthonormalize both blocks (the full kernel drives deflation; only the
-        # non-aliased part is reported as harmonic); either may have no columns
-        kernel = U[:, :nker]
-        self.kernel, _ = np.linalg.qr(kernel)
-        self.kernel_physical, _ = np.linalg.qr(kernel[:, ~self.aliased[:nker]])
-        # green() corrects the shift on the computed positive eigenpairs
-        self._U_pos = np.ascontiguousarray(U[:, nker:])
-        lam_pos = self.lam_small[nker:]
-        self._shift_fix = 1.0 / lam_pos - 1.0 / (lam_pos - self.sigma)
-
-    def _to_tilde(self, u: FormSection) -> np.ndarray:
-        return self.wsqrt * u.coeffs.ravel()
 
     def _from_tilde(self, vec) -> FormSection:
         arr = (vec / self.wsqrt).reshape((self.space.ncomp,) + self.space.field_shape)
         return FormSection(self.space, arr)
 
+    def _green_tilde(self, r: np.ndarray) -> np.ndarray:
+        (first, second), K, C = self._trans, self.kernel, self._cokernel
+        y = self.factor.lu.solve(r - K @ (K.conj().T @ r), trans=first)
+        x = self.factor.lu.solve(y - C @ (C.conj().T @ y), trans=second)
+        return x - K @ (K.conj().T @ x)
+
     def green(self, u: FormSection) -> FormSection:
-        K = self.kernel
-        r = self._to_tilde(u)
-        r = r - K @ (K.conj().T @ r)
-        sol = self.lu.solve(r)
-        sol = sol - K @ (K.conj().T @ sol)
-        # U^H r written as conj(U^T conj(r)), which copies r instead of U
-        coef = self._shift_fix * (self._U_pos.T @ r.conj()).conj()
-        sol = sol + self._U_pos @ coef
-        return self._from_tilde(sol)
+        return self._from_tilde(self._green_tilde(self.wsqrt * u.coeffs.ravel()))
 
     def project(self, u: FormSection) -> FormSection:
-        r = self._to_tilde(u)
-        return self._from_tilde(self.kernel @ (self.kernel.conj().T @ r))
+        K = self.kernel
+        return self._from_tilde(K @ (K.conj().T @ (self.wsqrt * u.coeffs.ravel())))
 
-    def _is_aliased(self, tilde_vec: np.ndarray) -> bool:
-        N = self._gauge.shape[0]
-        v = (tilde_vec / self.wsqrt).reshape(N, N)
-        F = np.fft.fft2(self._gauge * v)
-        tot = np.sum(np.abs(F) ** 2)
-        if tot == 0:
-            return True
-        return float(np.sum(np.abs(F[self._hishell]) ** 2) / tot) > 0.5
+    def _aliased(self, V: np.ndarray) -> np.ndarray:
+        """Whether each column of V has over half its energy in the top shell."""
+        fields = (V / self.wsqrt[:, None]).T.reshape((-1,) + self._gauge.shape)
+        E = np.abs(np.fft.fft2(self._gauge * fields)) ** 2
+        return E[:, self._hishell].sum(axis=1) > 0.5 * E.sum(axis=(1, 2))
+
+    @cached_property
+    def _spectrum(self):
+        """The k lowest eigenvalues, sorted, and their aliasing flags: the
+        kernel's Ritz values and 1/mu for the largest eigenvalues mu of G."""
+        n = self.wsqrt.size
+
+        def apply(r):
+            self.eigsh_solves += 1
+            return self._green_tilde(r)
+
+        try:
+            mu, U = spla.eigsh(spla.LinearOperator((n, n), matvec=apply, dtype=complex),
+                               k=self.k - self.kernel.shape[1], which="LM",
+                               v0=_seeded_block(n, 1, 1)[:, 0])
+        except spla.ArpackError as exc:
+            raise EigenFailure(str(exc)) from exc
+        lam = np.concatenate([self._kernel_ritz, 1.0 / mu])
+        aliased = np.concatenate([self._kernel_aliased, self._aliased(U)])
+        order = np.argsort(lam, kind="stable")
+        return lam[order], aliased[order]
 
     def harmonic_sections(self) -> List[FormSection]:
-        return [
-            self._from_tilde(self.kernel_physical[:, j])
-            for j in range(self.kernel_physical.shape[1])
-        ]
+        return [self._from_tilde(v) for v in self.kernel_physical.T]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.sort(self.lam_small[~self.aliased])
+        lam, aliased = self._spectrum
+        return lam[~aliased]
 
     def diagnostics(self) -> dict:
         return {
-            "dim": self.Mt.shape[0],
-            "nnz": int(self.Mt.nnz),
-            "lu_fill": int(self.lu.L.nnz + self.lu.U.nnz),
-            "sigma": self.sigma,
+            "dim": int(self.wsqrt.size),
+            "nnz": self.nnz,
+            "lu_fill": int(self.factor.lu.nnz),
+            "lambda1": _lambda1_or_none(self),   # runs the eigensolve counted next
             "eigsh_solves": self.eigsh_solves,
             "kernel_found": self.kernel_physical.shape[1],
             "kernel_deflated": self.kernel.shape[1],
-            "aliased_modes": int(self.aliased.sum()),
-            "lambda1": _lambda1_or_none(self),
-            "cut": self.cut,
+            "aliased_modes": int(self._spectrum[1].sum()),
+            "cut": self.factor.cut,
         }
 
     def lambda1(self) -> float:
-        lam = self.lam_small[~self.aliased]
-        pos = lam[lam >= self.cut]
+        lam = self.eigenvalues()
+        pos = lam[lam >= self.factor.cut]
         if pos.size == 0:
             raise EmptySpectrum("no non-aliased eigenvalue above the kernel threshold")
         return float(pos.min())

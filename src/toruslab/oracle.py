@@ -184,6 +184,19 @@ def exact_flat_spectrum(torus: LatticeTorus, chi, bidegree: Tuple[int, int],
     return np.sort(np.tile(lam, ncomp))
 
 
+def exact_landau_spectrum(d: int, bidegree: Tuple[int, int], count: int) -> np.ndarray:
+    """The lowest `count` dbar-Laplacian eigenvalues of a degree-d positive bundle.
+
+    With constant curvature the Laplacian on a fibre is a Landau Hamiltonian,
+    whatever the period t: its levels are 2 pi d m, each d times, from m = 0
+    on (p,0) (dbar* dbar, kernel = holomorphic sections) and from m = 1 on
+    (p,1) (dbar dbar*, no kernel).
+    """
+    q = bidegree[1]
+    m = q + np.arange(count) // d
+    return 2.0 * np.pi * d * m
+
+
 def is_jump_point(t: complex, target: complex = 1j, tol: float = 1e-9) -> bool:
     """Decide target in Z + t Z by solving the 2x2 real system for (m, n)."""
     s = t.imag

@@ -39,6 +39,7 @@ from toruslab.geometry import (
 from toruslab.hodge import build_hodge, minimal_solution
 from toruslab.oracle import (
     exact_flat_spectrum,
+    exact_landau_spectrum,
     fd_chern_curvature_H,
     is_jump_point,
     rank_scan,
@@ -114,6 +115,24 @@ def test_hodge_engine_against_exact_spectra():
         lam = np.sort(pkg.eigenvalues())
         m = min(len(lam), len(lam_exact))
         assert np.allclose(lam[:m], lam_exact[:m], atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, -0.2 + 0.8j])
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_hodge_engine_against_exact_landau_spectra(t, d):
+    # Kept (non-aliased) eigenvalues against the Landau levels 2 pi d m, each d
+    # times, m >= 0 on (1,0) and m >= 1 on (1,1).  lambda1 = 2 pi d meets 3e-8;
+    # the order-10 stencil's truncation error at N = 48 grows with the level,
+    # to 1.2e-7 at m = 6 for d = 2, so the whole ladder is held to 2e-7.
+    fam = elliptic_family(t, d=d)
+    sp10 = make_space(fam.torus_at(), fam.bundle_at(), (1, 0), Grid(N=48, order=10))
+    for bidegree, expected in (((1, 0), d), ((1, 1), 0)):
+        pkg = build_hodge(sp10.sibling(bidegree), expected_kernel=expected)
+        lam = pkg.eigenvalues()
+        exact = exact_landau_spectrum(d, bidegree, lam.size)
+        assert lam.size >= 10
+        assert np.all(np.abs(lam - exact) <= 2e-7 * np.maximum(exact, 2 * np.pi * d))
+        assert pkg.diagnostics()["lambda1"] == pytest.approx(2 * np.pi * d, rel=3e-8)
 
 
 def test_hodge_engine_decomposition_and_minimal_solution():

@@ -53,16 +53,18 @@ def test_kappa_is_linear(grid_setup, rng):
 
 
 def test_spectral_dbar_of_field_matches_untwisted_calculus(rng):
-    # the multiplier of an untwisted field is the chi = 0 calculus' mu_zbar
-    fam = siegel_diagonal_family(0.2 + 0.9j, chi=(0.1, 0.2, 0.3, 0.4))
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    sp = make_space(torus, bundle, (2, 0), Spectral(M=4))
-    W = rng.standard_normal((2,) + sp.field_shape) + 1j * rng.standard_normal(
-        (2,) + sp.field_shape)
-    flat0 = make_flat_bundle(torus, np.zeros(4))
-    mu = make_space(torus, flat0, (0, 0), sp.disc).calculus.mu_zbar
-    expect = np.stack([np.stack([mu[c] * W[a] for c in range(2)]) for a in range(2)])
-    assert np.array_equal(_dbar_of_field(sp, W), expect)
+    # the multiplier of an untwisted field is the chi = 0 calculus' mu_zbar,
+    # for a twisted bundle and for an untwisted one alike
+    for chi in ((0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.0, 0.0)):
+        fam = siegel_diagonal_family(0.2 + 0.9j, chi=chi)
+        torus, bundle = fam.torus_at(), fam.bundle_at()
+        sp = make_space(torus, bundle, (2, 0), Spectral(M=4))
+        W = rng.standard_normal((2,) + sp.field_shape) + 1j * rng.standard_normal(
+            (2,) + sp.field_shape)
+        flat0 = make_flat_bundle(torus, np.zeros(4))
+        mu = make_space(torus, flat0, (0, 0), sp.disc).calculus.mu_zbar
+        expect = np.stack([np.stack([mu[c] * W[a] for c in range(2)]) for a in range(2)])
+        assert np.array_equal(_dbar_of_field(sp, W), expect)
 
 
 def test_perturbation_roundtrip(grid_setup, rng):

@@ -77,6 +77,16 @@ def test_positive_bundle_kernel_dim_is_degree(rng):
         assert resid.norm() <= 1e-9
 
 
+def test_grid_kernel_block_grows_to_aliased_cokernel():
+    # alone, a d = 3 (1,1) package starts its near-null block at
+    # expected_kernel + 2 = 2 columns, fewer than its 3 aliased zero modes
+    torus = make_torus(1, [[T0]])
+    sp = make_space(torus, make_positive_bundle(torus, 3), (1, 1), Grid(N=32, order=6))
+    diag = build_hodge(sp, expected_kernel=0).diagnostics()
+    assert diag["kernel_deflated"] == 3
+    assert diag["kernel_found"] == 0
+
+
 @pytest.mark.parametrize("which", ["flat01", "grid11"])
 def test_decomposition_identity(which, flat01, grid11, rng):
     pkg = {"flat01": flat01, "grid11": grid11}[which]
