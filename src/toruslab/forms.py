@@ -19,6 +19,7 @@ major, anti-holomorphic K minor, each in increasing order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Union
@@ -161,15 +162,19 @@ def _central_stencil(order):
 
 
 class _GridCalculus:
-    """n=1 grid backend: derivative matrices and weight data for degree d."""
+    """n=1 grid backend: derivative matrices and weight data for degree d.
+
+    The sparse derivative matrices are built on first use: a theta frame or a
+    Gram matrix needs only the sample points and the weight.
+    """
 
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Grid):
         if torus.n != 1:
             raise DiscMismatch("grid backend supports n=1 only")
         self.disc = disc
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
-        self.dbar_factors = {}  # ((p, 0), rank_tol) -> LU of dbar, filled by hodge
-        N, order = disc.N, disc.order
+        self.dbar_factors = {}  # rank_tol -> factor of dbar, filled by hodge
+        N = disc.N
         t = complex(torus.period[0, 0])
         d = bundle.degree
         self.t, self.d, self.N = t, d, N
@@ -179,10 +184,6 @@ class _GridCalculus:
         self.x = (idx[:, None] / N) * np.ones((1, N))
         self.y = np.ones((N, 1)) * (idx[None, :] / N)
 
-        offsets, coeffs = _central_stencil(order)
-        h = 1.0 / N
-        eye = sp.identity(N, format="csr", dtype=complex)
-
         # Differentiation is done in the Gaussian gauge H = e^theta F with
         # theta = i pi d t y^2 + 2 pi i d x y.  H is periodic in y and Bloch
         # quasi-periodic in x (factor e^{2 pi i d y}), and is uniformly scaled,
@@ -190,24 +191,57 @@ class _GridCalculus:
         # F itself varies over many orders of magnitude across the cell:
         #   dF/dx = e^{-theta} d/dx(e^theta F) - (2 pi i d y) F
         #   dF/dy = e^{-theta} d/dy(e^theta F) - (2 pi i d z) F,  z = x + t y.
-        theta_g = 1j * np.pi * d * t * self.y**2 + 2j * np.pi * d * self.x * self.y
-        E = sp.diags(np.exp(theta_g).ravel(), format="csr")
-        Einv = sp.diags(np.exp(-theta_g).ravel(), format="csr")
+        self.theta_g = 1j * np.pi * d * t * self.y**2 + 2j * np.pi * d * self.x * self.y
 
-        # plain periodic 1-D stencil (no automorphy), used along y here and by
-        # derivatives of periodic sample fields
+        # weight data for the translation-invariant potential phi = 2 pi d y^2 s
+        y = self.y
+        self.phi = 2.0 * np.pi * d * y**2 * s
+        self.phi_z = -2j * np.pi * d * y           # at fixed t
+        self.phi_zbar = 2j * np.pi * d * y
+        self.phi_zzbar = np.pi * d / s             # = pi d g, constant
+        # t-derivatives at fixed z (holomorphic gauge)
+        self.phi_t = 1j * np.pi * d * y**2
+        self.phi_tzbar = -np.pi * d * y / s
+        self.phi_ztbar = -np.pi * d * y / s
+        self.phi_ttbar = np.pi * d * y**2 / s
+
+    @cached_property
+    def D1(self):
+        """Plain periodic 1-D stencil (no automorphy), used along y here and by
+        derivatives of periodic sample fields."""
+        N = self.N
+        offsets, coeffs = _central_stencil(self.disc.order)
+        h = 1.0 / N
         D1 = sp.csr_matrix((N, N), dtype=complex)
         for off, c in zip(offsets, coeffs):
             D1 = D1 + (c / h) * _shift_matrix(N, off)
-        self.D1 = D1
-        Dy_per = sp.kron(eye, D1, format="csr")
-        zfield = (self.x + t * self.y).ravel()
-        self.Dy = Einv @ Dy_per @ E - sp.diags(2j * np.pi * d * zfield, format="csr")
+        return D1
 
-        # stencil along x (axis 0) with the Bloch wrap factor e^{+-2 pi i d y}
+    @cached_property
+    def gauge(self):
+        """The gauge factor E = e^{theta} at the sample points, (N, N)."""
+        return np.exp(self.theta_g)
+
+    def _gauged(self, per):
+        """e^{-theta} per e^{theta}: a stencil on H, moved to F."""
+        return (sp.diags(np.exp(-self.theta_g).ravel(), format="csr") @ per
+                @ sp.diags(self.gauge.ravel(), format="csr"))
+
+    @cached_property
+    def Dy(self):
+        Dy_per = sp.kron(sp.identity(self.N, format="csr", dtype=complex), self.D1, format="csr")
+        zfield = (self.x + self.t * self.y).ravel()
+        return self._gauged(Dy_per) - sp.diags(2j * np.pi * self.d * zfield, format="csr")
+
+    @cached_property
+    def Dx(self):
+        """Stencil along x (axis 0) with the Bloch wrap factor e^{+-2 pi i d y}."""
+        N = self.N
+        offsets, coeffs = _central_stencil(self.disc.order)
+        h = 1.0 / N
         rows, cols, vals = [], [], []
         j_all = np.arange(N)
-        bloch = np.exp(2j * np.pi * d * j_all / N)
+        bloch = np.exp(2j * np.pi * self.d * j_all / N)
         for off, c in zip(offsets, coeffs):
             for i in range(N):
                 ii = i + off
@@ -225,23 +259,50 @@ class _GridCalculus:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(N * N, N * N),
         )
-        self.Dx = Einv @ Dx_per @ E - sp.diags(2j * np.pi * d * self.y.ravel(), format="csr")
+        return self._gauged(Dx_per) - sp.diags(2j * np.pi * self.d * self.y.ravel(), format="csr")
 
-        denom = t - np.conj(t)  # 2 i s
-        self.Dz = (-np.conj(t) / denom) * self.Dx + (1.0 / denom) * self.Dy
-        self.Dzbar = (t / denom) * self.Dx + (-1.0 / denom) * self.Dy
+    @cached_property
+    def Dz(self):
+        denom = self.t - np.conj(self.t)  # 2 i s
+        return (-np.conj(self.t) / denom) * self.Dx + (1.0 / denom) * self.Dy
 
-        # weight data for the translation-invariant potential phi = 2 pi d y^2 s
-        y = self.y
-        self.phi = 2.0 * np.pi * d * y**2 * s
-        self.phi_z = -2j * np.pi * d * y           # at fixed t
-        self.phi_zbar = 2j * np.pi * d * y
-        self.phi_zzbar = np.pi * d / s             # = pi d g, constant
-        # t-derivatives at fixed z (holomorphic gauge)
-        self.phi_t = 1j * np.pi * d * y**2
-        self.phi_tzbar = -np.pi * d * y / s
-        self.phi_ztbar = -np.pi * d * y / s
-        self.phi_ttbar = np.pi * d * y**2 / s
+    @cached_property
+    def Dzbar(self):
+        denom = self.t - np.conj(self.t)
+        return (self.t / denom) * self.Dx + (-1.0 / denom) * self.Dy
+
+    @cached_property
+    def dbar_hat(self):
+        """Dzbar in the Gaussian gauge and the y-Fourier basis, as a csc matrix:
+        Dzbar = E^{-1} F_y^H A F_y E with E = e^{theta}, F_y the unitary FFT
+        along y, row and column (i, k) = (x index, y frequency).
+
+        A = a (x-stencil) + diag(b lambda_k + (pi d / s) x_i), a = t/(t - tbar),
+        b = -1/(t - tbar), where lambda_k are the eigenvalues of D1 and the
+        diagonal gathers the gauge terms of Dx and Dy.  The Bloch factor
+        e^{2 pi i d y w} of an x-stencil entry that wraps w times shifts the
+        frequency k -> k - d w, so a row has order + 1 nonzeros, and A is
+        periodic-banded along each of the gcd(d, N) chains that the shift links.
+        """
+        N, d, t = self.N, self.d, self.t
+        offsets, coeffs = _central_stencil(self.disc.order)
+        h = 1.0 / N
+        a, b = t / (t - np.conj(t)), -1.0 / (t - np.conj(t))
+        k = np.arange(N)
+        lam = sum((c / h) * np.exp(2j * np.pi * off * k / N) for off, c in zip(offsets, coeffs))
+        i = k[:, None]
+        diag = np.broadcast_to(i * N + k, (N, N)).ravel()
+        rows, cols = [diag], [diag]
+        vals = [(b * lam + (np.pi * d / self.s) * self.x).ravel()]
+        for off, c in zip(offsets, coeffs):
+            wrap, ii = np.divmod(i + off, N)
+            rows.append(diag)
+            cols.append((ii * N + (k - d * wrap) % N).ravel())
+            vals.append(np.full(N * N, a * c / h))
+        return sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(N * N, N * N),
+        )
 
     def mul(self, samples):
         """Sparse diagonal multiplication operator for an (N,N) sample array."""

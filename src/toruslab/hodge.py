@@ -5,10 +5,12 @@ is a vectorized batch of tiny Hermitian problems and the Green operator is again
 a mode-diagonal OperatorMatrix (exact arithmetic up to rounding).
 
 Grid backend (n = 1): the Laplacian is Dt^H Dt or Dt Dt^H for the weighted
-sparse dbar Dt, so Dt is factored, not the Laplacian.  One sparse LU of Dt,
-kept by the fibre calculus, serves the (p,0) and (p,1) packages: inverse
-iteration through it finds both kernels, and a Green apply is two solves with
-it between kernel deflations.  The low spectrum is computed only on demand.
+sparse dbar Dt, so Dt is factored, not the Laplacian.  In the Gaussian gauge
+and the Fourier basis along y, Dt is diagonal scalings around a matrix with
+order + 1 nonzeros a row, banded along its Bloch chains; its sparse LU, kept
+by the fibre calculus, serves all four bidegrees: inverse iteration through
+it finds both kernels, and a Green apply is two solves with it between kernel
+deflations.  The low spectrum is computed only on demand.
 
 Both solvers share one interface: green(u), project(u), eigenvalues(),
 lambda1(), harmonic_sections() and diagnostics().
@@ -20,7 +22,6 @@ from functools import cached_property
 from typing import List
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenFailure, EmptySpectrum, NotClosed, NotCoexact
@@ -147,40 +148,72 @@ def _seeded_block(n: int, cols: int, seed: int) -> np.ndarray:
 
 
 class _DbarFactor:
-    """Sparse LU of the weighted dbar Dt = W_cod^{1/2} D W_dom^{-1/2} out of a
-    (p,0) grid space, and the near-null vectors of Dt (null[0], the kernel on
-    (p,0)) and of Dt^H (null[1], on (p,1)) with their Ritz values.  Dt is not
+    """The weighted dbar Dt = W_cod^{1/2} D W_dom^{-1/2} out of (0,0) on a grid
+    fibre, factored in the y-Fourier basis, and the near-null vectors of Dt
+    (null[0], the kernel on (p,0)) and of Dt^H (null[1], on (p,1)) with their
+    Ritz values.
+
+    Dt = L F_y^H A F_y R with the fibre calculus' dbar_hat A, the unitary FFT
+    F_y along y and diagonal L = W_cod^{1/2} E^{-1}, R = E W_dom^{-1/2} (E the
+    gauge factor).  So a solve is a scaling, an FFT, a sparse LU solve with A
+    (banded along its Bloch chains, so the fill stays small), an inverse FFT
+    and a scaling.  The (1,0) dbar is -Dt, since the (p,1) and (p,0) weights
+    differ by the same constant for p = 0 and 1; inverse iteration and Green
+    use solves in pairs, so one factor serves all four bidegrees.  Dt is not
     normal, so inverse iteration runs with Dt^{-1} Dt^{-H}, not Dt^{-1} alone.
     """
 
-    def __init__(self, space0: FormSpace, rank_tol: float, block: int):
-        D = _as_sparse(assemble_dbar(space0))
-        w = [np.sqrt(gram(space0.sibling((space0.bidegree[0], q))).w.ravel()) for q in (0, 1)]
-        Dt = (sp.diags(w[1]) @ D @ sp.diags(1.0 / w[0])).tocsc()
-        v = _seeded_block(Dt.shape[0], 1, 1)[:, 0]
+    def __init__(self, space: FormSpace, rank_tol: float, block: int):
+        calc = space.calculus
+        self.N = calc.N
+        E = calc.gauge.ravel()[:, None]
+        w = [np.sqrt(gram(space.sibling((0, q))).w.ravel())[:, None] for q in (0, 1)]
+        L, R = w[1] / E, E / w[0]
+        self._scales = {"N": (L, R), "H": (R.conj(), L.conj())}
+        self.A = calc.dbar_hat
+        self._AH = self.A.conj().T
+        v = _seeded_block(self.A.shape[0], 1, 1)
         for _ in range(30):   # power iteration for the spectral scale of Dt^H Dt
-            v = Dt.conj().T @ (Dt @ (v / np.linalg.norm(v)))
+            v = self.apply(self.apply(v / np.linalg.norm(v)), "H")
         self.cut = rank_tol * max(float(np.linalg.norm(v)), 1.0)
         try:
-            self.lu = spla.splu(Dt)
+            self.lu = spla.splu(self.A)
         except RuntimeError as exc:
             raise EigenFailure(str(exc)) from exc
-        self.null = [self._near_null(Dt, ("H", "N"), block),
-                     self._near_null(Dt.conj().T, ("N", "H"), block)]
+        self.null = [self._near_null(("H", "N"), block), self._near_null(("N", "H"), block)]
 
-    def _near_null(self, A, trans, block: int):
-        """Near-null vectors of A = Dt or Dt^H and their Ritz values, below the
-        cut: block inverse iteration with (A^H A)^{-1}, then Rayleigh-Ritz; the
-        block doubles until a Ritz value lies above the cut."""
+    def _in_fourier(self, v, op, left, right):
+        """left F_y^H op(F_y right v), left and right diagonal, for a vector or
+        a block of columns."""
+        N = self.N
+        V = np.fft.fft((right * v.reshape(N * N, -1)).reshape(N, N, -1), axis=1, norm="ortho")
+        V = np.fft.ifft(op(V.reshape(N * N, -1)).reshape(N, N, -1), axis=1, norm="ortho")
+        return (left * V.reshape(N * N, -1)).reshape(v.shape)
+
+    def apply(self, v, trans="N"):
+        """Dt v, or Dt^H v for trans "H"."""
+        A = self.A if trans == "N" else self._AH
+        return self._in_fourier(v, A.__matmul__, *self._scales[trans])
+
+    def solve(self, r, trans="N"):
+        """Dt^{-1} r, or Dt^{-H} r for trans "H"."""
+        left, right = self._scales[trans]
+        return self._in_fourier(r, lambda b: self.lu.solve(b, trans=trans), 1 / right, 1 / left)
+
+    def _near_null(self, trans, block: int):
+        """Near-null vectors of A = Dt (trans ("H", "N")) or Dt^H (("N", "H"))
+        and their Ritz values, below the cut: block inverse iteration with
+        (A^H A)^{-1}, then Rayleigh-Ritz; the block doubles until a Ritz value
+        lies above the cut."""
         inner, outer = trans
-        n = A.shape[1]
+        n = self.A.shape[0]
         while True:
             V = _seeded_block(n, block, 2)
             for _ in range(2):
                 V, _ = np.linalg.qr(V)
-                V = self.lu.solve(self.lu.solve(V, trans=inner), trans=outer)
+                V = self.solve(self.solve(V, inner), outer)
             V, _ = np.linalg.qr(V)
-            _, s, Wh = np.linalg.svd(A @ V, full_matrices=False)
+            _, s, Wh = np.linalg.svd(self.apply(V, outer), full_matrices=False)
             ritz = s[::-1] ** 2
             if ritz[-1] >= self.cut or block == n:
                 keep = int(np.sum(ritz < self.cut))
@@ -191,7 +224,7 @@ class _DbarFactor:
 class _GridSolver:
     """Kernel, Green operator and, on demand, low spectrum of a grid Laplacian.
 
-    With K this side's near-null block of the shared _DbarFactor, C the other's
+    With K this side's near-null block of the fibre's _DbarFactor, C the other's
     and P_Q = I - Q Q^H, G is P_K Dt^{-1} P_C Dt^{-H} P_K on (p,0) and
     P_C Dt^{-H} P_K Dt^{-1} P_C on (p,1), the Laplacian's pseudo-inverse.
     Aliased modes (spurious adjoint-side zero modes, near-Nyquist resonances:
@@ -201,18 +234,17 @@ class _GridSolver:
 
     def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float,
                  expected_kernel: int):
-        p, q = space.bidegree
+        q = space.bidegree[1]
         self.space = space
         self.wsqrt = np.sqrt(gram(space).w.ravel())
         calc = space.calculus
-        self._gauge = np.exp(1j * np.pi * calc.d * (calc.t * calc.y**2 + 2 * calc.x * calc.y))
         k1 = np.abs(np.fft.fftfreq(calc.N, 1.0 / calc.N))
         self._hishell = np.maximum.outer(k1, k1) >= calc.N / 3.0
         self.nnz = int(_as_sparse(box).nnz)
-        factors, key = calc.dbar_factors, ((p, 0), rank_tol)
-        if key not in factors:
-            factors[key] = _DbarFactor(space.sibling((p, 0)), rank_tol, expected_kernel + 2)
-        self.factor = factors[key]
+        factors = calc.dbar_factors
+        if rank_tol not in factors:
+            factors[rank_tol] = _DbarFactor(space, rank_tol, expected_kernel + 2)
+        self.factor = factors[rank_tol]
         self.kernel, self._kernel_ritz = self.factor.null[q]
         self._cokernel = self.factor.null[1 - q][0]
         self._trans = ("H", "N") if q == 0 else ("N", "H")   # as in null[q]
@@ -227,8 +259,8 @@ class _GridSolver:
 
     def _green_tilde(self, r: np.ndarray) -> np.ndarray:
         (first, second), K, C = self._trans, self.kernel, self._cokernel
-        y = self.factor.lu.solve(r - K @ (K.conj().T @ r), trans=first)
-        x = self.factor.lu.solve(y - C @ (C.conj().T @ y), trans=second)
+        y = self.factor.solve(r - K @ (K.conj().T @ r), first)
+        x = self.factor.solve(y - C @ (C.conj().T @ y), second)
         return x - K @ (K.conj().T @ x)
 
     def green(self, u: FormSection) -> FormSection:
@@ -240,8 +272,9 @@ class _GridSolver:
 
     def _aliased(self, V: np.ndarray) -> np.ndarray:
         """Whether each column of V has over half its energy in the top shell."""
-        fields = (V / self.wsqrt[:, None]).T.reshape((-1,) + self._gauge.shape)
-        E = np.abs(np.fft.fft2(self._gauge * fields)) ** 2
+        gauge = self.space.calculus.gauge
+        fields = (V / self.wsqrt[:, None]).T.reshape((-1,) + gauge.shape)
+        E = np.abs(np.fft.fft2(gauge * fields)) ** 2
         return E[:, self._hishell].sum(axis=1) > 0.5 * E.sum(axis=(1, 2))
 
     @cached_property
@@ -369,12 +402,3 @@ def bergman_project(pkg_up: HodgePackage, f: FormSection) -> FormSection:
     dstar = adjoint(d)
     return f - dstar.apply(pkg_up.green(d.apply(f)))
 
-
-def neumann_project(pkg_up: HodgePackage, f: FormSection) -> FormSection:
-    """Id - P_t: the part of f orthogonal to holomorphic sections."""
-    d = assemble_dbar(f.space)
-    return adjoint(d).apply(pkg_up.green(d.apply(f)))
-
-
-def smallest_positive_eigenvalue(pkg: HodgePackage) -> float:
-    return pkg._solver.lambda1()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from toruslab.forms import (
     Grid,
     Spectral,
     assemble_dbar,
+    gram,
     make_space,
     pair_l2,
 )
@@ -16,8 +18,6 @@ from toruslab.hodge import (
     bergman_project,
     build_hodge,
     minimal_solution,
-    neumann_project,
-    smallest_positive_eigenvalue,
 )
 from toruslab.oracle import exact_flat_spectrum
 
@@ -87,6 +87,55 @@ def test_grid_kernel_block_grows_to_aliased_cokernel():
     assert diag["kernel_found"] == 0
 
 
+@pytest.mark.parametrize("N", [8, 32])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dbar_factor_matches_assembled_dbar(N, d):
+    # at N = 8 the order-10 stencil reaches past half the period, so two
+    # offsets land on one x index with different Bloch wraps; d = 2 links the
+    # y frequencies into two chains
+    torus = make_torus(1, [[T0]])
+    sp10 = make_space(torus, make_positive_bundle(torus, d), (1, 0), Grid(N=N, order=10))
+    factor = build_hodge(sp10, expected_kernel=d)._solver.factor
+    sp00 = sp10.sibling((0, 0))
+    w0, w1 = (np.sqrt(gram(sp00.sibling((0, q))).w.ravel()) for q in (0, 1))
+    Dt = sparse.diags(w1) @ assemble_dbar(sp00).data @ sparse.diags(1.0 / w0)
+    rng = np.random.default_rng(N + d)
+    V = rng.standard_normal((N * N, 3)) + 1j * rng.standard_normal((N * N, 3))
+    for trans, A in (("N", Dt), ("H", Dt.conj().T)):
+        ref = A @ V
+        assert np.abs(factor.apply(V, trans) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the weighted dbar out of (1,0) is -Dt, so the factor serves it too
+    v0, v1 = (np.sqrt(gram(sp10.sibling((1, q))).w.ravel()) for q in (0, 1))
+    Dt10 = sparse.diags(v1) @ assemble_dbar(sp10).data @ sparse.diags(1.0 / v0)
+    assert np.abs(Dt10 + Dt).max() <= 1e-14 * np.abs(Dt).max()
+    # a right-hand side off the other side's near-null block is solvable
+    for trans, A, Q in (("N", Dt, factor.null[1][0]), ("H", Dt.conj().T, factor.null[0][0])):
+        r = V - Q @ (Q.conj().T @ V)
+        x = factor.solve(r, trans)
+        assert np.linalg.norm(A @ x - r) <= 1e-11 * np.linalg.norm(r)
+
+
+def test_one_dbar_factor_per_fibre(rng):
+    torus = make_torus(1, [[T0]])
+    bundle = make_positive_bundle(torus, 2)
+    disc = Grid(N=32, order=6)
+    shared = make_space(torus, bundle, (0, 0), disc)
+    pkgs = [build_hodge(shared, expected_kernel=2),
+            build_hodge(shared.sibling((1, 0)), expected_kernel=2)]
+    assert len(shared.calculus.dbar_factors) == 1
+    assert pkgs[0]._solver.factor is pkgs[1]._solver.factor
+    for pkg in pkgs:
+        alone = build_hodge(make_space(torus, bundle, pkg.space.bidegree, disc),
+                            expected_kernel=2)
+        assert pkg.harmonic_dim == alone.harmonic_dim == 2
+        assert pkg._solver.kernel.shape == alone._solver.kernel.shape
+        u = band_limited(pkg.space, rng)
+        for p in (pkg, alone):
+            resid = u - p.harmonic_project(u) - p.laplacian.apply(p.green(u))
+            assert resid.norm() <= 1e-9
+        assert (pkg.green(u) - alone.green(u)).norm() <= 1e-12 * alone.green(u).norm()
+
+
 @pytest.mark.parametrize("which", ["flat01", "grid11"])
 def test_decomposition_identity(which, flat01, grid11, rng):
     pkg = {"flat01": flat01, "grid11": grid11}[which]
@@ -125,7 +174,7 @@ def test_bergman_neumann_split(flat11, rng):
     sp10 = flat11.space.sibling((1, 0))
     f = band_limited(sp10, rng)
     bf = bergman_project(flat11, f)
-    nf = neumann_project(flat11, f)
+    nf = f - bergman_project(flat11, f)
     assert (bf + nf - f).norm() <= 1e-10
     assert assemble_dbar(sp10).apply(bf).norm() <= 1e-8
     assert (bergman_project(flat11, bf) - bf).norm() <= 1e-8
@@ -135,7 +184,7 @@ def test_lambda1_matches_oracle(flat01):
     torus = flat01.space.torus
     lam_exact = exact_flat_spectrum(torus, [0.0, 0.0], (0, 1), M=6)
     lam1 = lam_exact[lam_exact > 1e-9].min()
-    assert smallest_positive_eigenvalue(flat01) == pytest.approx(lam1, rel=1e-10)
+    assert flat01._solver.lambda1() == pytest.approx(lam1, rel=1e-10)
 
 
 @pytest.mark.parametrize("which", ["flat01", "grid11"])
