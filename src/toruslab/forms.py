@@ -14,6 +14,11 @@ Two backends:
 
 Bidegree components are enumerated lexicographically: holomorphic index set J
 major, anti-holomorphic K minor, each in increasing order.
+
+Each fibre has one calculus, shared by the spaces of all its bidegrees.  Besides
+the Gram data it keeps the data of every operator assemble_dbar,
+assemble_nabla10 and adjoint (of those two) have built, keyed by operator and
+bidegree, so a fibre assembles each of them once.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ class _SpectralCalculus:
         n, M = torus.n, disc.M
         self.disc = disc
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
+        self.operators = {}  # operator key -> mode array, filled by _operator_data()
         self.mshape = (2 * M + 1,) * (2 * n)
         kappa_x, kappa_y = _wavenumbers(n, M, bundle.chi)
         omega = torus.period
@@ -165,7 +171,8 @@ class _GridCalculus:
     """n=1 grid backend: derivative matrices and weight data for degree d.
 
     The sparse derivative matrices are built on first use: a theta frame or a
-    Gram matrix needs only the sample points and the weight.
+    Gram matrix needs only the sample points and the weight.  Dz and Dzbar are
+    built together from the x and y stencils, which are not kept.
     """
 
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Grid):
@@ -173,6 +180,7 @@ class _GridCalculus:
             raise DiscMismatch("grid backend supports n=1 only")
         self.disc = disc
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
+        self.operators = {}  # operator key -> sparse matrix, filled by _operator_data()
         self.dbar_factors = {}  # rank_tol -> factor of dbar, filled by hodge
         N = disc.N
         t = complex(torus.period[0, 0])
@@ -224,52 +232,44 @@ class _GridCalculus:
 
     def _gauged(self, per):
         """e^{-theta} per e^{theta}: a stencil on H, moved to F."""
-        return (sp.diags(np.exp(-self.theta_g).ravel(), format="csr") @ per
-                @ sp.diags(self.gauge.ravel(), format="csr"))
+        return _scaled(per, np.exp(-self.theta_g).ravel(), self.gauge.ravel())
 
     @cached_property
-    def Dy(self):
-        Dy_per = sp.kron(sp.identity(self.N, format="csr", dtype=complex), self.D1, format="csr")
-        zfield = (self.x + self.t * self.y).ravel()
-        return self._gauged(Dy_per) - sp.diags(2j * np.pi * self.d * zfield, format="csr")
-
-    @cached_property
-    def Dx(self):
-        """Stencil along x (axis 0) with the Bloch wrap factor e^{+-2 pi i d y}."""
-        N = self.N
+    def _dz_dzbar(self):
+        """(Dz, Dzbar) from the stencils along x and y."""
+        N, d, t = self.N, self.d, self.t
         offsets, coeffs = _central_stencil(self.disc.order)
         h = 1.0 / N
+        # along y (axis 1): the plain periodic stencil on H
+        Dy_per = sp.kron(sp.identity(N, format="csr", dtype=complex), self.D1, format="csr")
+        zfield = (self.x + t * self.y).ravel()
+        Dy = self._gauged(Dy_per) - sp.diags(2j * np.pi * d * zfield, format="csr")
+        # along x (axis 0): an entry that wraps w times carries the Bloch factor
+        # e^{2 pi i d y w}
+        i, j = np.arange(N)[:, None], np.arange(N)[None, :]
+        bloch = np.exp(2j * np.pi * d * j / N)
         rows, cols, vals = [], [], []
-        j_all = np.arange(N)
-        bloch = np.exp(2j * np.pi * self.d * j_all / N)
         for off, c in zip(offsets, coeffs):
-            for i in range(N):
-                ii = i + off
-                wrap = 0
-                while ii >= N:
-                    ii -= N
-                    wrap += 1
-                while ii < 0:
-                    ii += N
-                    wrap -= 1
-                rows.append(i * N + j_all)
-                cols.append(ii * N + j_all)
-                vals.append((c / h) * bloch**wrap)
+            wrap, ii = np.divmod(i + off, N)
+            rows.append(np.broadcast_to(i * N + j, (N, N)).ravel())
+            cols.append((ii * N + j).ravel())
+            vals.append(((c / h) * bloch**wrap).ravel())
         Dx_per = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(N * N, N * N),
         )
-        return self._gauged(Dx_per) - sp.diags(2j * np.pi * self.d * self.y.ravel(), format="csr")
+        Dx = self._gauged(Dx_per) - sp.diags(2j * np.pi * d * self.y.ravel(), format="csr")
+        denom = t - np.conj(t)  # 2 i s
+        return ((-np.conj(t) / denom) * Dx + (1.0 / denom) * Dy,
+                (t / denom) * Dx + (-1.0 / denom) * Dy)
 
-    @cached_property
+    @property
     def Dz(self):
-        denom = self.t - np.conj(self.t)  # 2 i s
-        return (-np.conj(self.t) / denom) * self.Dx + (1.0 / denom) * self.Dy
+        return self._dz_dzbar[0]
 
-    @cached_property
+    @property
     def Dzbar(self):
-        denom = self.t - np.conj(self.t)
-        return (self.t / denom) * self.Dx + (-1.0 / denom) * self.Dy
+        return self._dz_dzbar[1]
 
     @cached_property
     def dbar_hat(self):
@@ -304,9 +304,12 @@ class _GridCalculus:
             shape=(N * N, N * N),
         )
 
-    def mul(self, samples):
-        """Sparse diagonal multiplication operator for an (N,N) sample array."""
-        return sp.diags(np.asarray(samples, dtype=complex).ravel(), format="csr")
+
+def _scaled(m, left, right):
+    """diag(left) m diag(right) for a csr matrix m, in one pass over its entries."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return sp.csr_matrix((left[rows] * m.data * right[m.indices], m.indices, m.indptr),
+                         shape=m.shape)
 
 
 def _shift_matrix(N, off):
@@ -326,7 +329,7 @@ class FormSpace:
     """E-valued (p,q)-forms on one fibre, carrying the fibre's calculus.
 
     make_space builds the calculus; sibling() gives the other bidegrees of the
-    fibre and shares it, with the Gram matrices it keeps.
+    fibre and shares it, with the Gram and operator data it keeps.
     """
 
     torus: LatticeTorus
@@ -486,13 +489,18 @@ class OperatorMatrix:
     kind "mode":   data has shape (ncomp_cod, ncomp_dom, *mshape) and acts
                    mode-diagonally (broadcastable trailing dims allowed).
     kind "sparse": data is a scipy sparse matrix of shape (cod.dim, dom.dim).
+
+    An operator from assemble_dbar or assemble_nabla10 carries the key of its
+    data in the fibre calculus' operator cache, so that adjoint() caches too.
     """
 
-    def __init__(self, domain: FormSpace, codomain: FormSpace, kind: str, data):
+    def __init__(self, domain: FormSpace, codomain: FormSpace, kind: str, data,
+                 key=None):
         self.domain = domain
         self.codomain = codomain
         self.kind = kind
         self.data = data
+        self.key = key
 
     @property
     def shape(self):
@@ -637,26 +645,41 @@ def pair_l2(u: FormSection, v: FormSection) -> complex:
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     """Formal adjoint: <A u, v>_cod = <u, A* v>_dom exactly in matrix arithmetic."""
+    if op.key is None:
+        data = _adjoint_data(op)
+    else:
+        data = _operator_data(op.domain, ("adjoint",) + op.key, lambda: _adjoint_data(op))
+    return OperatorMatrix(op.codomain, op.domain, op.kind, data)
+
+
+def _adjoint_data(op: OperatorMatrix):
     gd = gram(op.domain)
     gc = gram(op.codomain)
     if op.kind == "mode":
         # A* = P_dom^{-1} A^H P_cod per mode
         blocks = _bc(op.data, op.domain)
         AH = np.conj(np.swapaxes(blocks, 0, 1))
-        out = np.einsum("de,ef...,fc->dc...", gd.Pinv, AH, gc.P)
-        return OperatorMatrix(op.codomain, op.domain, "mode", out)
-    m = _as_sparse(op)
-    wd = gd.w.ravel()
-    wc = gc.w.ravel()
-    nd = op.domain.ncomp
-    nc = op.codomain.ncomp
-    Wd_inv = sp.diags(np.tile(1.0 / wd, nd), format="csr")
-    Wc = sp.diags(np.tile(wc, nc), format="csr")
-    return OperatorMatrix(op.codomain, op.domain, "sparse", Wd_inv @ m.conj().T @ Wc)
+        return np.einsum("de,ef...,fc->dc...", gd.Pinv, AH, gc.P)
+    # W_dom^{-1} A^H W_cod, the transpose of W_cod conj(A) W_dom^{-1}
+    wd = np.tile(gd.w.ravel(), op.domain.ncomp)
+    wc = np.tile(gc.w.ravel(), op.codomain.ncomp)
+    return _scaled(op.data.tocsr().conj(), wc, 1.0 / wd).T
 
 
 # ---------------------------------------------------------------------------
 # operator assembly
+
+
+def _operator_data(space: FormSpace, key, build):
+    """The data of the operator named by key, built once per fibre calculus.
+
+    The cache holds only arrays and sparse matrices, never a space or an
+    OperatorMatrix, so a fibre is freed with its last space.
+    """
+    ops = space.calculus.operators
+    if key not in ops:
+        ops[key] = build()
+    return ops[key]
 
 
 def assemble_dbar(space: FormSpace) -> OperatorMatrix:
@@ -666,21 +689,24 @@ def assemble_dbar(space: FormSpace) -> OperatorMatrix:
     if q + 1 > n:
         raise BidegreeOverflow(f"dbar out of (p,{q}) with n={n}")
     target = space.sibling((p, q + 1))
-    if isinstance(space.disc, Spectral):
-        calc = space.calculus
-        data = np.zeros((target.ncomp, space.ncomp) + calc.mshape, dtype=complex)
-        cidx = {c: i for i, c in enumerate(target.comps)}
-        for di, (J, K) in enumerate(space.comps):
-            for c in range(n):
-                sgn, Knew = _insert(K, c)
-                if sgn == 0:
-                    continue
-                ci = cidx[(J, Knew)]
-                data[ci, di] += ((-1) ** p) * sgn * calc.mu_zbar[c]
-        return OperatorMatrix(space, target, "mode", data)
+    key = ("dbar", space.bidegree)
     calc = space.calculus
+    if isinstance(space.disc, Spectral):
+        def build():
+            data = np.zeros((target.ncomp, space.ncomp) + calc.mshape, dtype=complex)
+            cidx = {c: i for i, c in enumerate(target.comps)}
+            for di, (J, K) in enumerate(space.comps):
+                for c in range(n):
+                    sgn, Knew = _insert(K, c)
+                    if sgn == 0:
+                        continue
+                    ci = cidx[(J, Knew)]
+                    data[ci, di] += ((-1) ** p) * sgn * calc.mu_zbar[c]
+            return data
+        return OperatorMatrix(space, target, "mode", _operator_data(space, key, build), key)
     # n=1: (p,0) -> (p,1), single component each; sign (-1)^p from dz̄ past dz_J
-    return OperatorMatrix(space, target, "sparse", ((-1) ** p) * calc.Dzbar)
+    data = _operator_data(space, key, lambda: calc.Dzbar if p == 0 else -calc.Dzbar)
+    return OperatorMatrix(space, target, "sparse", data, key)
 
 
 def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
@@ -690,21 +716,24 @@ def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
     if p + 1 > n:
         raise BidegreeOverflow(f"nabla10 out of ({p},q) with n={n}")
     target = space.sibling((p + 1, q))
-    if isinstance(space.disc, Spectral):
-        calc = space.calculus
-        data = np.zeros((target.ncomp, space.ncomp) + calc.mshape, dtype=complex)
-        cidx = {c: i for i, c in enumerate(target.comps)}
-        for di, (J, K) in enumerate(space.comps):
-            for a in range(n):
-                sgn, Jnew = _insert(J, a)
-                if sgn == 0:
-                    continue
-                ci = cidx[(Jnew, K)]
-                data[ci, di] += sgn * calc.mu_z[a]
-        return OperatorMatrix(space, target, "mode", data)
+    key = ("nabla10", space.bidegree)
     calc = space.calculus
-    op = calc.Dz - calc.mul(calc.phi_z)
-    return OperatorMatrix(space, target, "sparse", op)
+    if isinstance(space.disc, Spectral):
+        def build():
+            data = np.zeros((target.ncomp, space.ncomp) + calc.mshape, dtype=complex)
+            cidx = {c: i for i, c in enumerate(target.comps)}
+            for di, (J, K) in enumerate(space.comps):
+                for a in range(n):
+                    sgn, Jnew = _insert(J, a)
+                    if sgn == 0:
+                        continue
+                    ci = cidx[(Jnew, K)]
+                    data[ci, di] += sgn * calc.mu_z[a]
+            return data
+        return OperatorMatrix(space, target, "mode", _operator_data(space, key, build), key)
+    data = _operator_data(space, key,
+                          lambda: calc.Dz - sp.diags(calc.phi_z.ravel(), format="csr"))
+    return OperatorMatrix(space, target, "sparse", data, key)
 
 
 def _wedge11_block(space: FormSpace, C: np.ndarray) -> np.ndarray:

@@ -13,7 +13,10 @@ it finds both kernels, and a Green apply is two solves with it between kernel
 deflations.  The low spectrum is computed only on demand.
 
 Both solvers share one interface: green(u), project(u), eigenvalues(),
-lambda1(), harmonic_sections() and diagnostics().
+lambda1(), harmonic_sections() and diagnostics().  A package assembles its
+Laplacian box on first use: the spectral solver needs it at once, the grid
+solver never, so a grid box is built only when something applies it or a
+report asks for its nnz.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .forms import (
     assemble_nabla10,
     gram,
     zero_operator,
-    _as_sparse,
 )
 
 
@@ -70,8 +72,7 @@ def laplacian(space: FormSpace, kind: str) -> OperatorMatrix:
 class _SpectralSolver:
     """Eigendata of a mode-diagonal G-self-adjoint PSD operator."""
 
-    def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float,
-                 expected_kernel: int):
+    def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float):
         g = gram(space)
         R = np.linalg.cholesky(g.P).conj().T      # P = R^H R
         Rinv = np.linalg.inv(R)
@@ -172,10 +173,17 @@ class _DbarFactor:
         self._scales = {"N": (L, R), "H": (R.conj(), L.conj())}
         self.A = calc.dbar_hat
         self._AH = self.A.conj().T
-        v = _seeded_block(self.A.shape[0], 1, 1)
-        for _ in range(30):   # power iteration for the spectral scale of Dt^H Dt
-            v = self.apply(self.apply(v / np.linalg.norm(v)), "H")
-        self.cut = rank_tol * max(float(np.linalg.norm(v)), 1.0)
+        # power iteration for the spectral scale of Dt^H Dt.  |L| and |R| are
+        # constants l and r (the weights and the gauge factor share the decay
+        # e^{-pi d s y^2}), so Dt^H Dt = (l r)^2 U^H A^H A U with U = F_y R / r
+        # unitary, and the iteration runs on A from the start U v0.
+        l, r = float(np.abs(L).mean()), float(np.abs(R).mean())
+        N = self.N
+        v = np.fft.fft((R * _seeded_block(N * N, 1, 1)).reshape(N, N), axis=1, norm="ortho")
+        v = v.ravel()
+        for _ in range(30):
+            v = self._AH @ (self.A @ (v / np.linalg.norm(v)))
+        self.cut = rank_tol * max((l * r) ** 2 * float(np.linalg.norm(v)), 1.0)
         try:
             self.lu = spla.splu(self.A)
         except RuntimeError as exc:
@@ -232,15 +240,13 @@ class _GridSolver:
     of G but not in the harmonic basis or the spectral gap.
     """
 
-    def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float,
-                 expected_kernel: int):
+    def __init__(self, space: FormSpace, rank_tol: float, expected_kernel: int):
         q = space.bidegree[1]
         self.space = space
         self.wsqrt = np.sqrt(gram(space).w.ravel())
         calc = space.calculus
         k1 = np.abs(np.fft.fftfreq(calc.N, 1.0 / calc.N))
         self._hishell = np.maximum.outer(k1, k1) >= calc.N / 3.0
-        self.nnz = int(_as_sparse(box).nnz)
         factors = calc.dbar_factors
         if rank_tol not in factors:
             factors[rank_tol] = _DbarFactor(space, rank_tol, expected_kernel + 2)
@@ -308,7 +314,6 @@ class _GridSolver:
     def diagnostics(self) -> dict:
         return {
             "dim": int(self.wsqrt.size),
-            "nnz": self.nnz,
             "lu_fill": int(self.factor.lu.nnz),
             "lambda1": _lambda1_or_none(self),   # runs the eigensolve counted next
             "eigsh_solves": self.eigsh_solves,
@@ -334,17 +339,29 @@ def _lambda1_or_none(solver):
 
 
 class HodgePackage:
-    """Hodge data of one FormSpace: box, harmonic basis, Green operator, projector."""
+    """Hodge data of one FormSpace: harmonic basis, Green operator, projector,
+    and the box, assembled on first use.
+
+    The spectral solver diagonalizes the box, so a spectral package assembles
+    it at once; the grid solver factors dbar, and a grid package assembles the
+    box only when something applies it or reads its nnz.
+    """
 
     def __init__(self, space: FormSpace, rank_tol: float = 1e-7,
                  expected_kernel: int = 4):
         self.space = space
         self.rank_tol = rank_tol
         self.expected_kernel = expected_kernel
-        self.laplacian = laplacian(space, "dbar")
-        solver = _SpectralSolver if isinstance(space.disc, Spectral) else _GridSolver
-        self._solver = solver(space, self.laplacian, rank_tol, expected_kernel)
+        if isinstance(space.disc, Spectral):
+            self._solver = _SpectralSolver(space, self.laplacian, rank_tol)
+        else:
+            self._solver = _GridSolver(space, rank_tol, expected_kernel)
         self.harmonic_basis = self._solver.harmonic_sections()
+
+    @cached_property
+    def laplacian(self) -> OperatorMatrix:
+        """The dbar-Laplacian (box) of the space."""
+        return laplacian(self.space, "dbar")
 
     def green(self, u: FormSection) -> FormSection:
         return self._solver.green(u)
@@ -361,10 +378,14 @@ class HodgePackage:
 
     def diagnostics(self) -> dict:
         """Solver size and spectrum facts for reports: the solver's fields plus
-        the bidegree and the expected kernel dimension."""
-        return {"bidegree": list(self.space.bidegree),
-                "kernel_expected": self.expected_kernel,
-                **self._solver.diagnostics()}
+        the bidegree and the expected kernel dimension; a grid package adds the
+        nnz of its box, which this assembles if nothing has yet."""
+        out = {"bidegree": list(self.space.bidegree),
+               "kernel_expected": self.expected_kernel,
+               **self._solver.diagnostics()}
+        if not isinstance(self.space.disc, Spectral):
+            out["nnz"] = int(self.laplacian.data.nnz)
+        return out
 
 
 def build_hodge(space: FormSpace, rank_tol: float = 1e-7,

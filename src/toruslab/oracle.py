@@ -52,10 +52,13 @@ class ThetaFrame:
 
 def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray,
                   truncation: float = 1e-16) -> np.ndarray:
-    """Level-d theta series with characteristic a/d evaluated at z = x + t y.
+    """Level-d theta series with characteristic a/d at z = x_i + t y_j, for 1-D
+    sample vectors x and y: an array of shape (len(x), len(y)).
 
     theta_a(z) = sum_m exp(pi i d t (m + a/d)^2 + 2 pi i d z (m + a/d)); it is
     periodic in x and quasi-periodic in y with the level-d factor of automorphy.
+    Each term is exp(2 pi i d c x) exp(pi i d t c^2 + 2 pi i d c t y) with
+    c = m + a/d, so the sum over m is one matrix product.
     """
     s = t.imag
     # term magnitude ~ exp(-pi d s (m + a/d + y)^2 + pi d s y^2); with y in [0,1)
@@ -63,12 +66,10 @@ def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray,
     reach = np.sqrt(max(-np.log(truncation), 1.0) / (np.pi * d * s)) + 2.0
     m_lo = int(np.floor(-1.0 - reach))
     m_hi = int(np.ceil(reach)) + 1
-    z = x + t * y
-    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-    for m in range(m_lo, m_hi + 1):
-        c = m + a / d
-        out += np.exp(1j * np.pi * d * t * c * c + 2j * np.pi * d * z * c)
-    return out
+    c = np.arange(m_lo, m_hi + 1) + a / d
+    along_x = np.exp(2j * np.pi * d * np.outer(x, c))
+    along_y = np.exp(1j * np.pi * d * t * c[:, None] ** 2 + 2j * np.pi * d * t * np.outer(c, y))
+    return along_x @ along_y
 
 
 def theta_frame(t: complex, d: int, disc: Grid) -> ThetaFrame:
@@ -78,7 +79,7 @@ def theta_frame(t: complex, d: int, disc: Grid) -> ThetaFrame:
     calc = space.calculus
     sections = []
     for a in range(d):
-        samples = theta_samples(t, d, a, calc.x, calc.y)
+        samples = theta_samples(t, d, a, calc.x[:, 0], calc.y[0])
         sections.append(space.section(samples[None, :, :]))
     return ThetaFrame(t=t, d=d, space=space, sections=sections)
 

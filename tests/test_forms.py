@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,74 @@ def test_grid_space_is_freed_with_its_last_reference():
     del torus, sp, u, d
     gc.collect()
     assert ref() is None
+
+
+def test_grid_fibre_is_freed_by_reference_counting():
+    # the operator cache, the dbar factor and the lazily built box hold no
+    # cycle: with the cyclic collector off, dropping the last references frees
+    # the fibre at once
+    from toruslab.curvature import curvature_H
+    from toruslab.family import trivialization_lift
+    from toruslab.geometry import elliptic_family
+    from toruslab.hodge import build_hodge, minimal_solution
+
+    gc.collect()
+    gc.disable()
+    try:
+        fam = elliptic_family(0.3 + 1.1j, d=2)
+        torus = fam.torus_at()
+        ref = weakref.ref(torus)
+        sp10 = make_space(torus, fam.bundle_at(), (1, 0), Grid(N=48, order=10))
+        pkg10 = build_hodge(sp10, expected_kernel=2)
+        pkg11 = build_hodge(sp10.sibling((1, 1)), expected_kernel=0)
+        basis = [f * (1.0 / f.norm()) for f in pkg10.harmonic_basis]
+        rep = curvature_H(fam, trivialization_lift(fam, sp10), basis, pkg10, pkg_n1=pkg11)
+        assert rep.rank == 2
+        rng = np.random.default_rng(3)
+        alpha = assemble_dbar(sp10).apply(band_limited(sp10, rng))
+        u0 = minimal_solution(pkg11, alpha)
+        assert (assemble_dbar(sp10).apply(u0) - alpha).norm() <= 1e-8 * alpha.norm()
+        u = band_limited(pkg11.space, rng)
+        assert pkg11.laplacian.apply(pkg11.green(u)).norm() > 0
+        assert pkg10.diagnostics()["nnz"] > 0 and pkg11.diagnostics()["nnz"] > 0
+        del fam, torus, sp10, pkg10, pkg11, basis, rep, alpha, u0, u
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("which", ["spectral", "grid"])
+def test_operator_data_is_assembled_once_per_fibre(which, flat_torus, flat_bundle,
+                                                   positive_bundle, spec_disc, grid_disc):
+    from toruslab.hodge import build_hodge
+
+    bundle = flat_bundle if which == "spectral" else positive_bundle
+    disc = spec_disc if which == "spectral" else grid_disc
+    sp00 = make_space(flat_torus, bundle, (0, 0), disc)
+    for assemble, bidegree in ((assemble_dbar, (0, 0)), (assemble_dbar, (1, 0)),
+                               (assemble_nabla10, (0, 0)), (assemble_nabla10, (0, 1))):
+        sp = sp00.sibling(bidegree)
+        op = assemble(sp)
+        assert assemble(sp).data is op.data
+        adj = adjoint(op)
+        assert adjoint(assemble(sp)).data is adj.data
+        gd, gc_ = gram(op.domain), gram(op.codomain)
+        if which == "spectral":
+            blocks = np.broadcast_to(op.data, op.data.shape[:2] + sp.field_shape)
+            ref = np.einsum("de,ef...,fc->dc...", gd.Pinv,
+                            np.conj(np.swapaxes(blocks, 0, 1)), gc_.P)
+            diff = np.abs(adj.data - ref).max()
+        else:
+            ref = (sparse.diags(1.0 / gd.w.ravel()) @ op.data.conj().T
+                   @ sparse.diags(gc_.w.ravel()))
+            diff = abs(adj.data - ref).max()
+        assert diff <= 1e-15 * abs(ref).max()
+    if which == "grid":
+        assert assemble_dbar(sp00).data is sp00.calculus.Dzbar
+        pkg = build_hodge(sp00.sibling((1, 0)), expected_kernel=1)
+        assert "laplacian" not in pkg.__dict__
+        diag = pkg.diagnostics()
+        assert diag["nnz"] == pkg.__dict__["laplacian"].data.nnz
 
 
 def test_section_arithmetic(flat_torus, flat_bundle, spec_disc, rng):
