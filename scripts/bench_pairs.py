@@ -7,17 +7,19 @@ as a ``BENCH_<n>.json``.
 
 The parent's committed files are exported with ``git archive`` into
 ``<scratch>/parent``; the change side is the working tree this script lives
-in.  For each workload of ``BENCHMARK.json`` and each seed, one run of
-``python3 perfbench/run.py --workload W --seed S --seconds T`` goes to each
-side, the sides alternating which runs first.  Then one ``--trace 1`` run per
-side at the trace seed gives the per-layer figures, and one more pair at the
-confirmation seed (a seed not used while the change was written) checks the
-claim.  Every run's result line is kept under ``runs_in_order``, and the
+in.  For each workload of ``BENCHMARK.json`` and each of the seeds 101-110,
+one run of ``python3 perfbench/run.py --workload W --seed S --seconds T``
+(T is ``run_seconds`` of ``BENCHMARK.json``) goes to each side, the sides
+alternating which runs first.  Then one ``--trace 1`` run per
+side at seed 201 gives the per-layer figures, and one more pair at seed 977
+(a seed not used while the change was written) checks the claim.  Every run's result line is kept under ``runs_in_order``, and the
 output file is rewritten after each run, so an interrupted session keeps what
 it measured.
 
-The claim is met when the change is better on at least 9 in 10 pairs and the
-median gain exceeds the interquartile range of the parent's runs.
+The claim is met when the change is better on at least 9 in 10 pairs, the
+median gain exceeds the interquartile range of the parent's runs, the change
+is also better in the confirmation pair, and the change fails no more items
+than the parent, counting the confirmation pair.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ import tarfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = list(range(101, 111))
+TRACE_SEED = 201
+CONFIRM_SEED = 977
 
 
 def parse_args(argv):
@@ -41,11 +46,6 @@ def parse_args(argv):
     ap.add_argument("--scratch", required=True, help="directory for the parent's files")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--claim", required=True, help="workload:metric the change claims")
-    ap.add_argument("--workloads", nargs="+", help="default: all of BENCHMARK.json")
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(101, 111)))
-    ap.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
-    ap.add_argument("--trace-seed", type=int, default=201)
-    ap.add_argument("--confirm-seed", type=int, default=977)
     return ap.parse_args(argv)
 
 
@@ -77,14 +77,14 @@ def quartiles(xs):
     return {"median": round(float(med), 6), "q1": round(float(q1), 6), "q3": round(float(q3), 6)}
 
 
-def summarize(runs, metrics, seeds, claim, confirm_seed, trace_seed):
+def summarize(runs, metrics, claim):
     """The BENCH layout from the runs so far."""
     better = {m["name"]: m["better"] for m in metrics}
     out = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == w]
         paired = {side: {r["seed"]: r for r in mine if r["side"] == side
-                         and r["seed"] in seeds and not r["trace"]}
+                         and r["seed"] in SEEDS and not r["trace"]}
                   for side in ("parent", "change")}
         pairs = sorted(set(paired["parent"]) & set(paired["change"]))
         end_to_end = {}
@@ -105,7 +105,7 @@ def summarize(runs, metrics, seeds, claim, confirm_seed, trace_seed):
             "failed": {side: sum(paired[side][s]["failed"] for s in pairs) for side in paired},
             "attempted": {side: sum(paired[side][s]["attempted"] for s in pairs)
                           for side in paired},
-            f"per_layer_trace_seed{trace_seed}": {
+            f"per_layer_trace_seed{TRACE_SEED}": {
                 k: {side: round(traced[side][k], 6) for side in ("parent", "change")}
                 for k in traced.get("parent", {}) if k in traced.get("change", {})},
             "runs_in_order": [
@@ -114,9 +114,9 @@ def summarize(runs, metrics, seeds, claim, confirm_seed, trace_seed):
                  **{k: round(v, 6) for k, v in r["metrics"].items()}}
                 for r in mine],
         }
-        confirm = {r["side"]: r for r in mine if r["seed"] == confirm_seed and not r["trace"]}
+        confirm = {r["side"]: r for r in mine if r["seed"] == CONFIRM_SEED and not r["trace"]}
         if confirm:
-            out[w]["failed"][f"seed{confirm_seed}"] = {s: r["failed"] for s, r in confirm.items()}
+            out[w]["failed"][f"seed{CONFIRM_SEED}"] = {s: r["failed"] for s, r in confirm.items()}
     cw, cm = claim
     row = out.get(cw, {}).get("end_to_end", {}).get(cm)
     claim_block = {"workload": cw, "metric": cm}
@@ -124,15 +124,23 @@ def summarize(runs, metrics, seeds, claim, confirm_seed, trace_seed):
         sign = 1.0 if better[cm] == "higher" else -1.0
         gain = row["change"]["median"] - row["parent"]["median"]
         iqr = row["parent"]["q3"] - row["parent"]["q1"]
+        confirm = {r["side"]: r for r in runs
+                   if r["workload"] == cw and r["seed"] == CONFIRM_SEED and not r["trace"]}
+        failed = {side: out[cw]["failed"][side] + (confirm[side]["failed"] if side in confirm
+                                                   else 0)
+                  for side in ("parent", "change")}
+        confirmed = len(confirm) == 2 and sign * (confirm["change"]["metrics"][cm]
+                                                  - confirm["parent"]["metrics"][cm]) > 0
         claim_block.update(
             change_better_pairs=row["change_better_pairs"], pairs=row["pairs"],
             median_gain=round(gain, 6), parent_iqr=round(iqr, 6),
+            failed=failed,
             met=bool(row["change_better_pairs"] >= 0.9 * row["pairs"]
-                     and sign * gain > iqr))
-        confirm = {r["side"]: round(r["metrics"][cm], 6) for r in runs
-                   if r["workload"] == cw and r["seed"] == confirm_seed and not r["trace"]}
+                     and sign * gain > iqr and confirmed
+                     and failed["change"] <= failed["parent"]))
         if confirm:
-            claim_block[f"confirm_seed{confirm_seed}"] = confirm
+            claim_block[f"confirm_seed{CONFIRM_SEED}"] = {
+                side: round(r["metrics"][cm], 6) for side, r in confirm.items()}
     return claim_block, out
 
 
@@ -140,8 +148,8 @@ def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     claim = tuple(args.claim.split(":", 1))
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -151,10 +159,10 @@ def main(argv=None):
         "description": (
             f"Paired perfbench runs, parent commit {rev} against this change: {command} "
             f"--workload W --seed S --seconds {seconds:g}, from each checkout, sides "
-            f"alternating which runs first. Seeds {args.seeds[0]}-{args.seeds[-1]} give the "
+            f"alternating which runs first. Seeds {SEEDS[0]}-{SEEDS[-1]} give the "
             f"end-to-end figures (median and quartiles of the runs per side); one --trace 1 "
-            f"run per side at seed {args.trace_seed} gives the per-layer figures, which are "
-            f"means per traced item. Seed {args.confirm_seed}, not used while the change was "
+            f"run per side at seed {TRACE_SEED} gives the per-layer figures, which are "
+            f"means per traced item. Seed {CONFIRM_SEED}, not used while the change was "
             f"written, confirms the claim with one more pair."),
         "parent": rev,
     }
@@ -168,22 +176,21 @@ def main(argv=None):
                      "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
         print(f"{workload} seed {seed} {side}{' trace' if trace else ''}: "
               f"{ {k: round(v, 4) for k, v in runs[-1]['metrics'].items()} }", flush=True)
-        claim_block, summary = summarize(runs, bench["end_to_end"], args.seeds, claim,
-                                         args.confirm_seed, args.trace_seed)
+        claim_block, summary = summarize(runs, bench["end_to_end"], claim)
         with open(args.out, "w") as fh:
             json.dump({**header, "claim": claim_block, "environment": env,
                        "workloads": summary}, fh, indent=1)
             fh.write("\n")
 
     for workload in workloads:
-        for k, seed in enumerate(args.seeds):
+        for k, seed in enumerate(SEEDS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 record(side, workload, seed)
         for side in ("parent", "change"):
-            record(side, workload, args.trace_seed, trace=True)
+            record(side, workload, TRACE_SEED, trace=True)
     for side in ("change", "parent"):
-        record(side, claim[0], args.confirm_seed)
+        record(side, claim[0], CONFIRM_SEED)
     return 0
 
 

@@ -248,10 +248,11 @@ class _GridCalculus:
         # e^{2 pi i d y w}
         i, j = np.arange(N)[:, None], np.arange(N)[None, :]
         bloch = np.exp(2j * np.pi * d * j / N)
+        row = (i * N + j).ravel()
         rows, cols, vals = [], [], []
         for off, c in zip(offsets, coeffs):
             wrap, ii = np.divmod(i + off, N)
-            rows.append(np.broadcast_to(i * N + j, (N, N)).ravel())
+            rows.append(row)
             cols.append((ii * N + j).ravel())
             vals.append(((c / h) * bloch**wrap).ravel())
         Dx_per = sp.csr_matrix(
