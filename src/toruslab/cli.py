@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bls as blsmod
 from .config import ExperimentConfig, config_from_dict, load_config
-from .curvature import curvature_H, curvature_commutator
+from .curvature import curvature_H, curvature_commutator, direct_image_fibre, wedge_pair
 from .errors import (
     ConfigInvalid,
     NotClosed,
@@ -23,12 +23,7 @@ from .errors import (
     SingularBlock,
     TorusLabError,
 )
-from .family import (
-    kappa,
-    primitive_lift,
-    primitivity_residual,
-    trivialization_lift,
-)
+from .family import kappa, primitive_lift, primitivity_residual
 from .forms import (
     Grid,
     Spectral,
@@ -43,8 +38,13 @@ from .forms import (
 )
 from .geometry import catalog_family
 from .hodge import build_hodge, laplacian, minimal_solution
-from .oracle import exact_flat_spectrum, is_jump_point, rank_scan, write_rank_scan_csv
-from .curvature import wedge_pair
+from .oracle import (
+    exact_flat_spectrum,
+    fd_chern_curvature_H,
+    is_jump_point,
+    rank_scan,
+    write_rank_scan_csv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,17 @@ def _emit(report: dict, out):
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _failed(checks) -> list:
+    """Sorted names of the (name, value, bound) checks that miss value <= bound;
+    a NaN value never meets it."""
+    return sorted(name for name, value, bound in checks if not value <= bound)
+
+
+def _kernel_check(pkg) -> tuple:
+    """The kernel_dim check: the package's harmonic basis has the expected size."""
+    return ("kernel_dim", abs(pkg.harmonic_dim - pkg.expected_kernel), 0)
 
 
 def _dump_spectrum_csv(packages: dict, path: str) -> None:
@@ -174,7 +185,7 @@ def _identity_suite(cfg: ExperimentConfig) -> dict:
             u = band_limited(sp, rng)
             vals.append(assemble_dbar(fibre.sibling((p, q + 1))).apply(
                 assemble_dbar(sp).apply(u)).norm())
-    res["dbar_squared"] = float(max(vals))
+    res["dbar_squared"] = float(np.max(vals))
 
     # anticommutator of the two differentials equals wedging with the curvature
     u = band_limited(fibre, rng)
@@ -196,12 +207,12 @@ def _identity_suite(cfg: ExperimentConfig) -> dict:
                 down = fibre.sibling((p - 1, q - 1))
                 acc = acc + lefschetz_L(down).apply(lefschetz_Lambda(sp).apply(u))
             vals.append(acc.norm())
-    res["l_lambda_commutator"] = float(max(vals))
+    res["l_lambda_commutator"] = float(np.max(vals))
 
     # curvature-commutator form of the Laplacian comparison on (n,1)
     sp_n1 = fibre.sibling((n, 1))
     pkg_n1 = build_hodge(sp_n1, rank_tol=cfg.tol("rank_tol"),
-                         expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 1)))
+                         expected_kernel=_expected_kernel(cfg, fam, (n, 1)))
     u = band_limited(sp_n1, rng)
     bk = (pkg_n1.laplacian.apply(u) - laplacian(sp_n1, "nabla").apply(u)
           - curvature_commutator(sp_n1).apply(u))
@@ -231,7 +242,8 @@ def _identity_suite(cfg: ExperimentConfig) -> dict:
     return res, {(n, 1): pkg_n1}
 
 
-def _expected_kernel_nq(cfg, torus, bundle, bidegree) -> int:
+def _expected_kernel(cfg, fam, bidegree) -> int:
+    torus, bundle = fam.torus_at(), fam.bundle_at()
     if not bundle.is_flat:
         return cfg.d ** torus.n if bidegree[1] == 0 else 0
     lam = exact_flat_spectrum(torus, bundle.chi, bidegree, M=2)
@@ -242,15 +254,17 @@ def _expected_kernel_nq(cfg, torus, bundle, bidegree) -> int:
 def cmd_hodge_check(cfg, out, dump_spectrum):
     """Run the operator-identity and Hodge-decomposition suite."""
     residuals, packages = _identity_suite(cfg)
-    tol_of = {
-        "dbar_squared": "identity",
-        "chern_anticommutator": "identity",
-        "l_lambda_commutator": "identity",
-        "bochner_kodaira": "identity",
-        "hodge_decomposition": "hodge_decomposition",
-        "minimal_solution_norm": "minimal_solution",
+    identity = cfg.tol("identity")
+    bounds = {
+        "dbar_squared": identity,
+        "chern_anticommutator": identity,
+        "l_lambda_commutator": identity,
+        "bochner_kodaira": identity,
+        "hodge_decomposition": cfg.tol("hodge_decomposition"),
+        "minimal_solution_norm": cfg.tol("minimal_solution"),
     }
-    failures = sorted(k for k, v in residuals.items() if v > cfg.tol(tol_of[k]))
+    failures = _failed([(k, v, bounds[k]) for k, v in residuals.items()]
+                       + [_kernel_check(pkg) for pkg in packages.values()])
     report = {
         "command": "hodge-check",
         "config": cfg.as_dict(),
@@ -271,28 +285,32 @@ def cmd_hodge_check(cfg, out, dump_spectrum):
 
 @_command("curvature", {})
 def cmd_curvature(cfg, out, dump_spectrum):
-    """Curvature of the direct-image field: both routes plus positivity verdict."""
+    """Curvature of the direct-image field: both routes, the FD Gram oracle on
+    the grid, and the positivity verdict."""
     fam = _family(cfg)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    n = torus.n
-    sp = make_space(torus, bundle, (n, 0), _disc(cfg))
-    pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
-                       expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 0)))
-    basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
-    lift = trivialization_lift(fam, sp)
+    disc = _disc(cfg)
+    n = fam.torus_at().n
+    sp, pkg0, basis, lift = direct_image_fibre(
+        fam, disc, _expected_kernel(cfg, fam, (n, 0)), rank_tol=cfg.tol("rank_tol"))
     rep = curvature_H(fam, lift, basis, pkg0,
                       admissibility_tol=cfg.tol("admissibility"))
 
-    failures = []
-    positive_bundle = not bundle.is_flat
+    checks = [_kernel_check(pkg0)]
+    positive_bundle = not sp.bundle.is_flat
     if rep.rank > 0:
         scale = max(float(np.linalg.norm(rep.theta_H)), 1e-300)
-        if rep.residual_routes / scale > cfg.tol("routes_rel"):
-            failures.append("routes_rel")
-        if positive_bundle and rep.nakano_min_eig < -cfg.tol("nakano"):
-            failures.append("nakano")
-        if np.linalg.eigvalsh(rep.term_sff).min() < -cfg.tol("sff_psd"):
-            failures.append("sff_psd")
+        checks.append(("routes_rel", rep.residual_routes / scale, cfg.tol("routes_rel")))
+        if positive_bundle:
+            checks.append(("nakano", -rep.nakano_min_eig, cfg.tol("nakano")))
+        checks.append(("sff_psd", -float(np.linalg.eigvalsh(rep.term_sff).min()),
+                       cfg.tol("sff_psd")))
+    extra = {}
+    if isinstance(disc, Grid):
+        fd = fd_chern_curvature_H(fam, cfg.d, disc, step=cfg.step, harmonic_basis=basis)
+        extra["fd_rel"] = float(np.linalg.norm(rep.theta_H - fd)
+                                / max(float(np.linalg.norm(fd)), 1e-300))
+        checks.append(("fd_rel", extra["fd_rel"], cfg.tol("fd_rel")))
+    failures = _failed(checks)
 
     report = {
         "command": "curvature",
@@ -306,17 +324,17 @@ def cmd_curvature(cfg, out, dump_spectrum):
         "theta_H": _cmat(rep.theta_H),
         "theta_H_pushforward": _cmat(rep.theta_H_bly),
         "residual_routes": float(rep.residual_routes),
+        **extra,
         "hermiticity_defect": float(rep.hermiticity_defect()),
         "nakano_min_eig": float(rep.nakano_min_eig),
-        "positivity_verdict": bool(rep.rank == 0 or not positive_bundle
-                                   or rep.nakano_min_eig >= -cfg.tol("nakano")),
+        "positivity_verdict": not positive_bundle or not {"kernel_dim", "nakano"} & set(failures),
         "diagnostics": [pkg0.diagnostics()],
-        "failures": sorted(failures),
+        "failures": failures,
         "status": "pass" if not failures else "fail",
     }
     _emit(report, out)
     if dump_spectrum and out:
-        _dump_spectrum_csv({(n, 0): pkg0}, out + ".spectrum.csv")
+        _dump_spectrum_csv({sp.bidegree: pkg0}, out + ".spectrum.csv")
     return 0 if not failures else 1
 
 
@@ -343,41 +361,33 @@ def cmd_scan_rank(cfg, out, dump_spectrum):
 def cmd_primitive_lift(cfg, out, dump_spectrum):
     """Construct the primitive horizontal lift and verify its two properties."""
     fam = _family(cfg)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    n = torus.n
-    sp = make_space(torus, bundle, (n, 0), _disc(cfg))
-    pkg0 = build_hodge(sp, rank_tol=cfg.tol("rank_tol"),
-                       expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (n, 0)))
-    basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
-    base = trivialization_lift(fam, sp)
+    n = fam.torus_at().n
+    sp, pkg0, basis, base = direct_image_fibre(
+        fam, _disc(cfg), _expected_kernel(cfg, fam, (n, 0)), rank_tol=cfg.tol("rank_tol"))
     if n >= 2:
-        sp02 = sp.sibling((0, 2))
-        pkg02 = build_hodge(sp02, rank_tol=cfg.tol("rank_tol"),
-                            expected_kernel=_expected_kernel_nq(cfg, torus, bundle, (0, 2)))
+        pkg02 = build_hodge(sp.sibling((0, 2)), rank_tol=cfg.tol("rank_tol"),
+                            expected_kernel=_expected_kernel(cfg, fam, (0, 2)))
         lifted = primitive_lift(fam, base, pkg02)
     else:
         lifted = primitive_lift(fam, base)
 
-    prim_res = max([0.0] + [primitivity_residual(lifted, f) for f in basis])
-    hr_res = 0.0
-    for f in basis:
-        kf = kappa(lifted, f)
-        hr_res = max(hr_res, abs(wedge_pair(kf, kf) + pair_l2(kf, kf)))
+    # np.max, unlike max, keeps a NaN, so the check below fails on it
+    prim_res = float(np.max([0.0] + [primitivity_residual(lifted, f) for f in basis]))
+    kfs = [kappa(lifted, f) for f in basis]
+    hr_res = float(np.max([0.0] + [abs(wedge_pair(k, k) + pair_l2(k, k)) for k in kfs]))
 
-    failures = []
-    if prim_res > cfg.tol("primitivity"):
-        failures.append("primitivity")
-    if hr_res > cfg.tol("hr_equality"):
-        failures.append("hr_equality")
+    failures = _failed([_kernel_check(pkg0),
+                        ("primitivity", prim_res, cfg.tol("primitivity")),
+                        ("hr_equality", hr_res, cfg.tol("hr_equality"))])
 
     report = {
         "command": "primitive-lift",
         "config": cfg.as_dict(),
         "rank": len(basis),
         "unchanged": bool(n == 1),
-        "primitivity_residual": float(prim_res),
-        "hr_equality_residual": float(hr_res),
-        "failures": sorted(failures),
+        "primitivity_residual": prim_res,
+        "hr_equality_residual": hr_res,
+        "failures": failures,
         "status": "pass" if not failures else "fail",
     }
     _emit(report, out)

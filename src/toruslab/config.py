@@ -17,19 +17,17 @@ from .errors import ConfigInvalid
 _FAMILIES = ("elliptic", "jumping", "siegel-diagonal")
 _BACKENDS = ("grid", "spectral")
 
-# Effective tolerance defaults; every report echoes the merged set.
+# Effective tolerance defaults, each read by some command; every report echoes
+# the merged set.
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "identity": 1e-10,
     "hodge_decomposition": 1e-9,
     "minimal_solution": 1e-8,
     "admissibility": 1e-5,
-    "representative": 1e-6,
     "routes_rel": 1e-5,
     "fd_rel": 1e-3,
     "nakano": 1e-6,
     "sff_psd": 1e-10,
-    "lift_independence": 1e-5,
-    "sff_routes": 1e-6,
     "primitivity": 1e-8,
     "hr_equality": 1e-7,
     "rank_tol": 1e-7,

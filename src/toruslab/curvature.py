@@ -10,6 +10,10 @@ basis of fiberwise holomorphic top forms:
   with the horizontal lift, plus the Gram matrix of xi ⌟ dbar u, evaluated
   fiberwise for a one-dimensional base.
 
+direct_image_fibre is the one pipeline that sets up both routes on the fibre
+at the base point: (n,0)-space -> Hodge package -> unit harmonic basis ->
+trivialization lift.  curvature_H then evaluates the curvature on that basis.
+
 Sign conventions are pinned by the n=1 Hodge-Riemann sign test: for a
 (1,0)-form, i u ∧ ū integrates to +|u|², and for a (0,1)-form to −|u|².
 """
@@ -33,8 +37,10 @@ from .family import (
     berndtsson_representative,
     kappa,
     lie_derivative_10,
+    trivialization_lift,
 )
 from .forms import (
+    Disc,
     FormSection,
     FormSpace,
     Spectral,
@@ -45,13 +51,14 @@ from .forms import (
     gram,
     lefschetz_L,
     lefschetz_Lambda,
+    make_space,
     multiply,
     pair_l2,
     zero_operator,
     _wedge11_block,
 )
 from .geometry import FamilySpec
-from .hodge import HodgePackage
+from .hodge import HodgePackage, build_hodge
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +308,19 @@ class CurvatureReport:
             if M.size:
                 out = max(out, float(np.linalg.norm(M - M.conj().T)))
         return out
+
+
+def direct_image_fibre(family: FamilySpec, disc: Disc, expected_kernel: int,
+                       rank_tol: float = 1e-7
+                       ) -> Tuple[FormSpace, HodgePackage, List[FormSection], HorizontalLift]:
+    """(space, package, basis, lift) on the fibre at the base point: the
+    (n,0)-space, its Hodge package, the unit harmonic basis and the
+    trivialization lift, which curvature_H takes."""
+    torus = family.torus_at()
+    space = make_space(torus, family.bundle_at(), (torus.n, 0), disc)
+    pkg = build_hodge(space, rank_tol=rank_tol, expected_kernel=expected_kernel)
+    basis = [f * (1.0 / f.norm()) for f in pkg.harmonic_basis]
+    return space, pkg, basis, trivialization_lift(family, space)
 
 
 def _hermitize(M: np.ndarray) -> np.ndarray:

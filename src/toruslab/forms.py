@@ -17,8 +17,11 @@ major, anti-holomorphic K minor, each in increasing order.
 
 Each fibre has one calculus, shared by the spaces of all its bidegrees.  Besides
 the Gram data it keeps the data of every operator assemble_dbar,
-assemble_nabla10 and adjoint (of those two) have built, keyed by operator and
-bidegree, so a fibre assembles each of them once.
+assemble_nabla10 and adjoint (of those two) have built, so a fibre assembles
+each of them once.  A spectral fibre keys that data by operator and bidegree.
+A grid fibre (n = 1) keeps one matrix per operator, that of its (0,0) form:
+∇¹'⁰ on (0,1) equals ∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄ on (0,0), a
+sign the operator carries.
 """
 
 from __future__ import annotations
@@ -441,9 +444,6 @@ class FormSection:
     space: FormSpace
     coeffs: np.ndarray
 
-    def copy(self):
-        return FormSection(self.space, self.coeffs.copy())
-
     def __add__(self, other):
         _same_space(self, other)
         return FormSection(self.space, self.coeffs + other.coeffs)
@@ -456,9 +456,6 @@ class FormSection:
         return FormSection(self.space, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return FormSection(self.space, -self.coeffs)
 
     def norm(self):
         return float(np.sqrt(max(pair_l2(self, self).real, 0.0)))
@@ -485,7 +482,7 @@ class VerticalVectorField:
 
 
 class OperatorMatrix:
-    """Linear map between two FormSpaces.
+    """Linear map between two FormSpaces: sign times data.
 
     kind "mode":   data has shape (ncomp_cod, ncomp_dom, *mshape) and acts
                    mode-diagonally (broadcastable trailing dims allowed).
@@ -493,66 +490,54 @@ class OperatorMatrix:
 
     An operator from assemble_dbar or assemble_nabla10 carries the key of its
     data in the fibre calculus' operator cache, so that adjoint() caches too.
+    The sign is -1 only where a grid fibre shares one matrix between two
+    bidegrees that differ by a sign (the ∂̄ out of (1,0)), and on what is
+    composed from or adjoint to such an operator.
     """
 
     def __init__(self, domain: FormSpace, codomain: FormSpace, kind: str, data,
-                 key=None):
+                 key=None, sign=1):
         self.domain = domain
         self.codomain = codomain
         self.kind = kind
         self.data = data
         self.key = key
-
-    @property
-    def shape(self):
-        return (self.codomain.dim, self.domain.dim)
+        self.sign = sign
 
     def apply(self, u: FormSection) -> FormSection:
         if u.space.bidegree != self.domain.bidegree or u.space.field_shape != self.domain.field_shape:
             raise ShapeMismatch("operator domain does not match section space")
         if self.kind == "mode":
             out = np.einsum("cd...,d...->c...", _bc(self.data, self.domain), u.coeffs)
-            return FormSection(self.codomain, out)
-        vec = self.data @ u.coeffs.ravel()
-        return FormSection(
-            self.codomain, vec.reshape((self.codomain.ncomp,) + self.codomain.field_shape)
-        )
-
-    def __call__(self, u):
-        return self.apply(u)
+        else:
+            out = (self.data @ u.coeffs.ravel()).reshape(
+                (self.codomain.ncomp,) + self.codomain.field_shape)
+        return FormSection(self.codomain, out if self.sign == 1 else -out)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """self o other."""
-        if self.kind == "mode" and other.kind == "mode":
-            a = _bc(self.data, self.domain)
-            b = _bc(other.data, other.domain)
-            return OperatorMatrix(
-                other.domain, self.codomain, "mode", np.einsum("cd...,de...->ce...", a, b)
-            )
-        return OperatorMatrix(
-            other.domain, self.codomain, "sparse", _as_sparse(self) @ _as_sparse(other)
-        )
+        """self o other; both of the kind of their fibre's backend."""
+        if self.kind == "mode":
+            data = np.einsum("cd...,de...->ce...", _bc(self.data, self.domain),
+                             _bc(other.data, other.domain))
+        else:
+            data = self.data @ other.data
+        return OperatorMatrix(other.domain, self.codomain, self.kind, data,
+                              sign=self.sign * other.sign)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def __add__(self, other):
-        if self.kind == "mode" and other.kind == "mode":
-            return OperatorMatrix(
-                self.domain,
-                self.codomain,
-                "mode",
-                _bc(self.data, self.domain) + _bc(other.data, other.domain),
-            )
-        return OperatorMatrix(
-            self.domain, self.codomain, "sparse", _as_sparse(self) + _as_sparse(other)
-        )
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
+        if self.kind == "mode":
+            a, b = _bc(self.data, self.domain), _bc(other.data, other.domain)
+        else:
+            a, b = self.data, other.data
+        data = (a if self.sign == 1 else -a) + (b if other.sign == 1 else -b)
+        return OperatorMatrix(self.domain, self.codomain, self.kind, data)
 
     def __mul__(self, scalar):
-        return OperatorMatrix(self.domain, self.codomain, self.kind, self.data * scalar)
+        return OperatorMatrix(self.domain, self.codomain, self.kind,
+                              self.data * (self.sign * scalar))
 
     __rmul__ = __mul__
 
@@ -563,33 +548,15 @@ def _bc(data, space):
     return np.broadcast_to(data, target)
 
 
-def _as_sparse(op: OperatorMatrix):
-    if op.kind == "sparse":
-        return op.data
-    # densify a mode operator into block-diagonal sparse (rarely needed)
-    blocks = _bc(op.data, op.domain)
-    nc, nd = blocks.shape[:2]
-    nm = int(np.prod(op.domain.field_shape))
-    flat = blocks.reshape(nc, nd, nm)
-    rows, cols, vals = [], [], []
-    for c in range(nc):
-        for d in range(nd):
-            rows.append(c * nm + np.arange(nm))
-            cols.append(d * nm + np.arange(nm))
-            vals.append(flat[c, d])
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=op.shape,
-    )
-
-
 def zero_operator(domain: FormSpace, codomain: FormSpace) -> OperatorMatrix:
-    if isinstance(domain.disc, Spectral):
-        data = np.zeros((codomain.ncomp, domain.ncomp) + (1,) * len(domain.field_shape))
-        return OperatorMatrix(domain, codomain, "mode", data.astype(complex))
-    return OperatorMatrix(
-        domain, codomain, "sparse", sp.csr_matrix((codomain.dim, domain.dim), dtype=complex)
-    )
+    """The zero map, as mode data that broadcasts over any field shape.
+
+    Only flat (spectral) fibres reach it: on a grid fibre (n = 1) every
+    Laplacian, Lefschetz adjoint and curvature commutator that is asked for
+    has a term.
+    """
+    data = np.zeros((codomain.ncomp, domain.ncomp) + (1,) * len(domain.field_shape))
+    return OperatorMatrix(domain, codomain, "mode", data.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +612,25 @@ def pair_l2(u: FormSection, v: FormSection) -> complex:
 
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
-    """Formal adjoint: <A u, v>_cod = <u, A* v>_dom exactly in matrix arithmetic."""
+    """Formal adjoint: <A u, v>_cod = <u, A* v>_dom exactly in matrix arithmetic.
+
+    The adjoint of a cached operator is cached under ("adjoint", *key) and
+    built between the spaces its data belongs to, so a grid fibre keeps one
+    adjoint per operator too: the Gram weights of (p,1) and (p,0), and of (1,q)
+    and (0,q), differ by the same constant for both p and q.
+    """
     if op.key is None:
         data = _adjoint_data(op)
     else:
-        data = _operator_data(op.domain, ("adjoint",) + op.key, lambda: _adjoint_data(op))
-    return OperatorMatrix(op.codomain, op.domain, op.kind, data)
+        name, base = op.key
+        data = _operator_data(
+            op.domain, ("adjoint",) + op.key,
+            lambda: _adjoint_data(_ASSEMBLERS[name](op.domain.sibling(base))))
+    return OperatorMatrix(op.codomain, op.domain, op.kind, data, sign=op.sign)
 
 
 def _adjoint_data(op: OperatorMatrix):
+    """The data of the adjoint of op's data (its sign left aside)."""
     gd = gram(op.domain)
     gc = gram(op.codomain)
     if op.kind == "mode":
@@ -671,8 +648,15 @@ def _adjoint_data(op: OperatorMatrix):
 # operator assembly
 
 
+def _cached(space: FormSpace, target: FormSpace, kind: str, key, build,
+            sign=1) -> OperatorMatrix:
+    """The operator sign * data from space to target, its data built once per
+    fibre calculus under key = (name, bidegree the data belongs to)."""
+    return OperatorMatrix(space, target, kind, _operator_data(space, key, build), key, sign)
+
+
 def _operator_data(space: FormSpace, key, build):
-    """The data of the operator named by key, built once per fibre calculus.
+    """The data cached under key in the fibre calculus, built on first use.
 
     The cache holds only arrays and sparse matrices, never a space or an
     OperatorMatrix, so a fibre is freed with its last space.
@@ -690,7 +674,6 @@ def assemble_dbar(space: FormSpace) -> OperatorMatrix:
     if q + 1 > n:
         raise BidegreeOverflow(f"dbar out of (p,{q}) with n={n}")
     target = space.sibling((p, q + 1))
-    key = ("dbar", space.bidegree)
     calc = space.calculus
     if isinstance(space.disc, Spectral):
         def build():
@@ -704,10 +687,10 @@ def assemble_dbar(space: FormSpace) -> OperatorMatrix:
                     ci = cidx[(J, Knew)]
                     data[ci, di] += ((-1) ** p) * sgn * calc.mu_zbar[c]
             return data
-        return OperatorMatrix(space, target, "mode", _operator_data(space, key, build), key)
+        return _cached(space, target, "mode", ("dbar", space.bidegree), build)
     # n=1: (p,0) -> (p,1), single component each; sign (-1)^p from dz̄ past dz_J
-    data = _operator_data(space, key, lambda: calc.Dzbar if p == 0 else -calc.Dzbar)
-    return OperatorMatrix(space, target, "sparse", data, key)
+    return _cached(space, target, "sparse", ("dbar", (0, 0)), lambda: calc.Dzbar,
+                   sign=(-1) ** p)
 
 
 def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
@@ -717,7 +700,6 @@ def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
     if p + 1 > n:
         raise BidegreeOverflow(f"nabla10 out of ({p},q) with n={n}")
     target = space.sibling((p + 1, q))
-    key = ("nabla10", space.bidegree)
     calc = space.calculus
     if isinstance(space.disc, Spectral):
         def build():
@@ -731,10 +713,13 @@ def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
                     ci = cidx[(Jnew, K)]
                     data[ci, di] += sgn * calc.mu_z[a]
             return data
-        return OperatorMatrix(space, target, "mode", _operator_data(space, key, build), key)
-    data = _operator_data(space, key,
-                          lambda: calc.Dz - sp.diags(calc.phi_z.ravel(), format="csr"))
-    return OperatorMatrix(space, target, "sparse", data, key)
+        return _cached(space, target, "mode", ("nabla10", space.bidegree), build)
+    # n=1: (0,q) -> (1,q), the same matrix for q = 0 and 1
+    return _cached(space, target, "sparse", ("nabla10", (0, 0)),
+                   lambda: calc.Dz - sp.diags(calc.phi_z.ravel(), format="csr"))
+
+
+_ASSEMBLERS = {"dbar": assemble_dbar, "nabla10": assemble_nabla10}
 
 
 def _wedge11_block(space: FormSpace, C: np.ndarray) -> np.ndarray:

@@ -33,10 +33,6 @@ class LatticeTorus:
         self.period.setflags(write=False)
         self.kaehler.setflags(write=False)
 
-    @property
-    def im_period(self) -> np.ndarray:
-        return self.period.imag
-
 
 @dataclass(frozen=True)
 class BundleData:

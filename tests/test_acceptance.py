@@ -15,6 +15,7 @@ from toruslab.cli import _identity_suite, random_demailly_instance
 from toruslab.config import config_from_dict
 from toruslab.curvature import (
     curvature_H,
+    direct_image_fibre,
     lift_independence_check,
     second_fundamental_form,
     wedge_pair,
@@ -26,7 +27,6 @@ from toruslab.family import (
     perturb_lift,
     primitive_lift,
     primitivity_residual,
-    trivialization_lift,
 )
 from toruslab.forms import Grid, Spectral, assemble_dbar, make_space, pair_l2
 from toruslab.geometry import (
@@ -59,12 +59,8 @@ def pipeline_for(d):
         return _CACHE[d]
     t_start = time.perf_counter()
     fam = elliptic_family(T0, d=d)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
     disc = Grid(N=N_PROD, order=ORDER_PROD)
-    sp = make_space(torus, bundle, (1, 0), disc)
-    pkg0 = build_hodge(sp, expected_kernel=d)
-    basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
-    lift = trivialization_lift(fam, sp)
+    sp, pkg0, basis, lift = direct_image_fibre(fam, disc, expected_kernel=d)
     report = curvature_H(fam, lift, basis, pkg0)
     fd = fd_chern_curvature_H(fam, d, disc, step=STEP, harmonic_basis=basis)
     elapsed = time.perf_counter() - t_start
@@ -177,20 +173,13 @@ def test_jumping_family_rank_scan():
 def test_primitive_lift_on_abelian_surface():
     rng = np.random.default_rng(2)
     fam = siegel_diagonal_family(0.2 + 0.9j)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    disc = Spectral(M=5)
-    sp = make_space(torus, bundle, (2, 0), disc)
-    pkg0 = build_hodge(sp, expected_kernel=1)
-    f = pkg0.harmonic_basis[0]
-    f = f * (1.0 / f.norm())
-    base = trivialization_lift(fam, sp)
+    sp, _, (f,), base = direct_image_fibre(fam, Spectral(M=5), expected_kernel=1)
 
     W = np.zeros((2,) + sp.field_shape, dtype=complex)
     W[0] = 0.05 * rng.standard_normal(sp.field_shape)
     W[1] = 0.05 * rng.standard_normal(sp.field_shape)
     pert = perturb_lift(base, W)
-    sp02 = make_space(torus, bundle, (0, 2), disc)
-    pkg02 = build_hodge(sp02, expected_kernel=1)
+    pkg02 = build_hodge(sp.sibling((0, 2)), expected_kernel=1)
     lifted = primitive_lift(fam, pert, pkg02)
 
     assert primitivity_residual(lifted, f) <= 1e-8

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -27,6 +29,20 @@ def test_config_defaults():
     assert cfg.N == 64 and cfg.M == 8 and cfg.order == 10
     assert cfg.tolerances == DEFAULT_TOLERANCES
     assert cfg.tol("routes_rel") == 1e-5
+
+
+def test_every_tolerance_is_read_by_a_command():
+    # a tolerance that no cfg.tol("<key>") call reads is a knob that changes
+    # nothing; every literal read must name a default, too
+    src = pathlib.Path(cli.__file__).parent
+    read = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "tol" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                read.add(node.args[0].value)
+    assert read == set(DEFAULT_TOLERANCES)
 
 
 def test_config_complex_fields():
@@ -158,6 +174,7 @@ _BAD_CONFIGS = {
     "bls-t-below-axis": {"bls": {"t": [0.3, -0.2]}},
     "spectral-positive-bundle": {"backend": "spectral", "d": 1},
     "jumping-on-grid": {"family": "jumping", "backend": "grid"},
+    "unread-tolerance": {"tolerances": {"sff_routes": 1e-6}},
 }
 
 
@@ -195,6 +212,7 @@ def test_curvature_report_contents(tmp_path):
     assert report["rank"] == 1
     assert report["positivity_verdict"] is True
     assert report["residual_routes"] >= 0.0
+    assert 0.0 <= report["fd_rel"] <= 1e-3
     theta = report["theta_H"][0][0]
     assert theta[0] > 0  # rank-one positive direct image
     diag, = report["diagnostics"]
@@ -207,6 +225,24 @@ def test_curvature_report_contents(tmp_path):
     lines = open(out + ".spectrum.csv").read().strip().splitlines()
     assert lines[0] == "bidegree,index,eigenvalue"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("command, payload, failure", [
+    # N = 4 resolves no holomorphic section of the degree-1 bundle
+    ("curvature", {"backend": "grid", "d": 1, "N": 4}, "kernel_dim"),
+    ("primitive-lift", {"backend": "grid", "d": 1, "N": 4}, "kernel_dim"),
+    # the FD Gram oracle agrees to about 3e-6 at N = 32, order 6
+    ("curvature", {"backend": "grid", "d": 1, "N": 32, "order": 6,
+                   "tolerances": {"routes_rel": 1e-4, "admissibility": 1e-2,
+                                  "fd_rel": 1e-9}}, "fd_rel"),
+], ids=["curvature-no-section", "primitive-lift-no-section", "curvature-fd-rel"])
+def test_tolerance_failure_exits_1(tmp_path, command, payload, failure):
+    out = str(tmp_path / "report.json")
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    res = run_cli([command, "--config", cfg, "--out", out])
+    assert res.exit_code == 1, res.output
+    report = json.loads(open(out).read())
+    assert failure in report["failures"] and report["status"] == "fail"
 
 
 def test_scan_rank_csv(tmp_path):

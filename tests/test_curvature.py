@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from toruslab.curvature import (
     curvature_H,
     curvature_L_theta,
+    direct_image_fibre,
     hodge_riemann_check,
     lefschetz_decompose,
     lefschetz_reconstruct,
@@ -20,7 +21,6 @@ from toruslab.family import (
     kappa,
     perturb_lift,
     primitive_lift,
-    trivialization_lift,
 )
 from toruslab.forms import Grid, Spectral, lefschetz_L, make_space, pair_l2
 from toruslab.geometry import elliptic_family, siegel_diagonal_family
@@ -36,12 +36,8 @@ ADM = 1e-2  # admissibility gate for the coarse N=32 grids used here
 def grid_curv():
     """Full curvature pipeline on the degree-1 family at N=32 (seconds)."""
     fam = elliptic_family(T0, d=1)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
     disc = Grid(N=32, order=6)
-    sp = make_space(torus, bundle, (1, 0), disc)
-    pkg0 = build_hodge(sp, expected_kernel=1)
-    basis = [f * (1.0 / f.norm()) for f in pkg0.harmonic_basis]
-    lift = trivialization_lift(fam, sp)
+    sp, pkg0, basis, lift = direct_image_fibre(fam, disc, expected_kernel=1)
     report = curvature_H(fam, lift, basis, pkg0, admissibility_tol=ADM)
     return fam, disc, sp, pkg0, basis, lift, report
 
@@ -96,11 +92,7 @@ def test_lefschetz_decomposition_roundtrip(torus2, flat_bundle2, spec_disc, rng)
 def test_flat_family_curvature_closed_form():
     fam = elliptic_family(0.2 + 0.8j, d=0, chi=(0.0, 0.0))
     s = fam.t.imag
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    sp = make_space(torus, bundle, (1, 0), Spectral(M=6))
-    pkg = build_hodge(sp, expected_kernel=1)
-    basis = [f * (1.0 / f.norm()) for f in pkg.harmonic_basis]
-    lift = trivialization_lift(fam, sp)
+    _, pkg, basis, lift = direct_image_fibre(fam, Spectral(M=6), expected_kernel=1)
     report = curvature_H(fam, lift, basis, pkg)
     expect = 1.0 / (4.0 * s * s)
     assert report.theta_H[0, 0].real == pytest.approx(expect, rel=1e-12)
@@ -156,12 +148,7 @@ def test_xu_wang_lower_bound(grid_curv):
 
 def test_abelian_surface_pairing_identity():
     fam = siegel_diagonal_family(0.2 + 0.9j)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    sp = make_space(torus, bundle, (2, 0), Spectral(M=4))
-    pkg = build_hodge(sp, expected_kernel=1)
-    f = pkg.harmonic_basis[0]
-    f = f * (1.0 / f.norm())
-    lift = trivialization_lift(fam, sp)
+    _, _, (f,), lift = direct_image_fibre(fam, Spectral(M=4), expected_kernel=1)
     kf = kappa(lift, f)
     assert abs(wedge_pair(kf, kf) + pair_l2(kf, kf)) <= 1e-10
     # primitivity of kappa f, expressed through the Lefschetz operator

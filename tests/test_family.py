@@ -14,8 +14,8 @@ from toruslab.family import (
     perturb_lift,
     primitive_lift,
     primitivity_residual,
-    trivialization_lift,
 )
+from toruslab.curvature import direct_image_fibre
 from toruslab.forms import Grid, Spectral, make_space
 from toruslab.geometry import elliptic_family, make_flat_bundle, siegel_diagonal_family
 from toruslab.hodge import build_hodge
@@ -26,13 +26,7 @@ from conftest import T0, band_limited, band_limited_field
 @pytest.fixture(scope="module")
 def grid_setup():
     fam = elliptic_family(T0, d=1)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    disc = Grid(N=32, order=6)
-    sp = make_space(torus, bundle, (1, 0), disc)
-    pkg0 = build_hodge(sp, expected_kernel=1)
-    f = pkg0.harmonic_basis[0]
-    f = f * (1.0 / f.norm())
-    lift = trivialization_lift(fam, sp)
+    sp, pkg0, (f,), lift = direct_image_fibre(fam, Grid(N=32, order=6), expected_kernel=1)
     return fam, sp, pkg0, f, lift
 
 
@@ -85,13 +79,7 @@ def test_primitive_lift_is_identity_in_dimension_one(grid_setup):
 
 def test_primitive_lift_corrects_perturbed_surface_lift(rng):
     fam = siegel_diagonal_family(0.2 + 0.9j)
-    torus, bundle = fam.torus_at(), fam.bundle_at()
-    disc = Spectral(M=5)
-    sp = make_space(torus, bundle, (2, 0), disc)
-    pkg0 = build_hodge(sp, expected_kernel=1)
-    f = pkg0.harmonic_basis[0]
-    f = f * (1.0 / f.norm())
-    base = trivialization_lift(fam, sp)
+    sp, _, (f,), base = direct_image_fibre(fam, Spectral(M=5), expected_kernel=1)
 
     # a vertical perturbation with off-diagonal shear makes kappa non-primitive
     W = np.zeros((2,) + sp.field_shape, dtype=complex)
@@ -101,8 +89,7 @@ def test_primitive_lift_corrects_perturbed_surface_lift(rng):
     res_pert = primitivity_residual(pert, f)
     assert res_pert > 1e-6
 
-    sp02 = make_space(torus, bundle, (0, 2), disc)
-    pkg02 = build_hodge(sp02, expected_kernel=1)
+    pkg02 = build_hodge(sp.sibling((0, 2)), expected_kernel=1)
     fixed = primitive_lift(fam, pert, pkg02)
     assert primitivity_residual(fixed, f) <= 1e-8
 

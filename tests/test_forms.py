@@ -63,8 +63,7 @@ def test_grid_fibre_is_freed_by_reference_counting():
     # the operator cache, the dbar factor and the lazily built box hold no
     # cycle: with the cyclic collector off, dropping the last references frees
     # the fibre at once
-    from toruslab.curvature import curvature_H
-    from toruslab.family import trivialization_lift
+    from toruslab.curvature import curvature_H, direct_image_fibre
     from toruslab.geometry import elliptic_family
     from toruslab.hodge import build_hodge, minimal_solution
 
@@ -72,13 +71,12 @@ def test_grid_fibre_is_freed_by_reference_counting():
     gc.disable()
     try:
         fam = elliptic_family(0.3 + 1.1j, d=2)
-        torus = fam.torus_at()
+        sp10, pkg10, basis, lift = direct_image_fibre(fam, Grid(N=48, order=10),
+                                                      expected_kernel=2)
+        torus = sp10.torus
         ref = weakref.ref(torus)
-        sp10 = make_space(torus, fam.bundle_at(), (1, 0), Grid(N=48, order=10))
-        pkg10 = build_hodge(sp10, expected_kernel=2)
         pkg11 = build_hodge(sp10.sibling((1, 1)), expected_kernel=0)
-        basis = [f * (1.0 / f.norm()) for f in pkg10.harmonic_basis]
-        rep = curvature_H(fam, trivialization_lift(fam, sp10), basis, pkg10, pkg_n1=pkg11)
+        rep = curvature_H(fam, lift, basis, pkg10, pkg_n1=pkg11)
         assert rep.rank == 2
         rng = np.random.default_rng(3)
         alpha = assemble_dbar(sp10).apply(band_limited(sp10, rng))
@@ -87,7 +85,7 @@ def test_grid_fibre_is_freed_by_reference_counting():
         u = band_limited(pkg11.space, rng)
         assert pkg11.laplacian.apply(pkg11.green(u)).norm() > 0
         assert pkg10.diagnostics()["nnz"] > 0 and pkg11.diagnostics()["nnz"] > 0
-        del fam, torus, sp10, pkg10, pkg11, basis, rep, alpha, u0, u
+        del fam, torus, sp10, pkg10, pkg11, basis, lift, rep, alpha, u0, u
         assert ref() is None
     finally:
         gc.enable()
@@ -109,18 +107,25 @@ def test_operator_data_is_assembled_once_per_fibre(which, flat_torus, flat_bundl
         adj = adjoint(op)
         assert adjoint(assemble(sp)).data is adj.data
         gd, gc_ = gram(op.domain), gram(op.codomain)
+        A, adjA = op.sign * op.data, adj.sign * adj.data
         if which == "spectral":
-            blocks = np.broadcast_to(op.data, op.data.shape[:2] + sp.field_shape)
+            blocks = np.broadcast_to(A, A.shape[:2] + sp.field_shape)
             ref = np.einsum("de,ef...,fc->dc...", gd.Pinv,
                             np.conj(np.swapaxes(blocks, 0, 1)), gc_.P)
-            diff = np.abs(adj.data - ref).max()
+            diff = np.abs(adjA - ref).max()
         else:
-            ref = (sparse.diags(1.0 / gd.w.ravel()) @ op.data.conj().T
+            ref = (sparse.diags(1.0 / gd.w.ravel()) @ A.conj().T
                    @ sparse.diags(gc_.w.ravel()))
-            diff = abs(adj.data - ref).max()
+            diff = abs(adjA - ref).max()
         assert diff <= 1e-15 * abs(ref).max()
     if which == "grid":
+        # one matrix per operator and one per adjoint: the (0,1) nabla10 and the
+        # (1,0) dbar (with sign -1) share the data of the (0,0) ones
         assert assemble_dbar(sp00).data is sp00.calculus.Dzbar
+        assert assemble_dbar(sp00.sibling((1, 0))).sign == -1
+        assert set(sp00.calculus.operators) == {
+            ("dbar", (0, 0)), ("nabla10", (0, 0)),
+            ("adjoint", "dbar", (0, 0)), ("adjoint", "nabla10", (0, 0))}
         pkg = build_hodge(sp00.sibling((1, 0)), expected_kernel=1)
         assert "laplacian" not in pkg.__dict__
         diag = pkg.diagnostics()
