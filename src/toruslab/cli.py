@@ -18,6 +18,7 @@ from .config import ExperimentConfig, config_from_dict, load_config
 from .curvature import curvature_H, curvature_commutator, direct_image_fibre, wedge_pair
 from .errors import (
     ConfigInvalid,
+    ExtensionNotAdmissible,
     NotClosed,
     NotCoexact,
     SingularBlock,
@@ -144,7 +145,9 @@ def _command(name: str, defaults: dict):
     """Register body(cfg, out, dump_spectrum) -> exit code as a config command.
 
     The config is loaded with the given defaults (when --config is omitted);
-    ConfigInvalid exits 2 with "config error:", any other TorusLabError exits 3
+    ConfigInvalid exits 2 with "config error:", ExtensionNotAdmissible (a miss
+    of the admissibility tolerance, as on an under-resolved grid) exits 1 with
+    "tolerance failure: admissibility:", and any other TorusLabError exits 3
     with "numerical failure:".
     """
     def register(body):
@@ -157,6 +160,9 @@ def _command(name: str, defaults: dict):
             except ConfigInvalid as exc:
                 click.echo(f"config error: {exc}", err=True)
                 code = 2
+            except ExtensionNotAdmissible as exc:
+                click.echo(f"tolerance failure: admissibility: {exc}", err=True)
+                code = 1
             except TorusLabError as exc:
                 click.echo(f"numerical failure: {exc}", err=True)
                 code = 3
@@ -326,7 +332,8 @@ def cmd_curvature(cfg, out, dump_spectrum):
         "residual_routes": float(rep.residual_routes),
         **extra,
         "hermiticity_defect": float(rep.hermiticity_defect()),
-        "nakano_min_eig": float(rep.nakano_min_eig),
+        # null, not a bare NaN (strict JSON has none), when the basis is empty
+        "nakano_min_eig": float(rep.nakano_min_eig) if rep.rank else None,
         "positivity_verdict": not positive_bundle or not {"kernel_dim", "nakano"} & set(failures),
         "diagnostics": [pkg0.diagnostics()],
         "failures": failures,

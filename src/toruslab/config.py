@@ -9,6 +9,7 @@ accepted and read as a real).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -42,13 +43,22 @@ _TOP_KEYS = {
 }
 
 
+def _real(value) -> bool:
+    """A JSON number (not a bool) that is a finite float; NaN, ±inf and an
+    integer too large for a float are not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _as_complex(value, key: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise ConfigInvalid(f"{key!r} must be a number or a [re, im] pair, got {value!r}")
+    pair = value if isinstance(value, (list, tuple)) else (value, 0.0)
+    if len(pair) == 2 and all(_real(x) for x in pair):
+        return complex(float(pair[0]), float(pair[1]))
+    raise ConfigInvalid(f"{key!r} must be a finite number or a [re, im] pair, got {value!r}")
 
 
 def _as_int(value, key: str, minimum: int = 1) -> int:
@@ -58,8 +68,8 @@ def _as_int(value, key: str, minimum: int = 1) -> int:
 
 
 def _as_pos_float(value, key: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigInvalid(f"{key!r} must be a positive number, got {value!r}")
+    if not _real(value) or value <= 0:
+        raise ConfigInvalid(f"{key!r} must be a finite positive number, got {value!r}")
     return float(value)
 
 
@@ -107,7 +117,8 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "scan": {k: ([v.real, v.imag] if isinstance(v, complex) else v)
                      for k, v in sorted(self.scan.items())},
-            "bls": dict(sorted(self.bls.items())),
+            "bls": {k: ([v.real, v.imag] if isinstance(v, complex) else v)
+                    for k, v in sorted(self.bls.items())},
         }
 
 
@@ -131,9 +142,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         cfg.d = _as_int(raw["d"], "d", minimum=0)
     if "chi" in raw:
         chi = raw["chi"]
-        if not isinstance(chi, (list, tuple)) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in chi):
-            raise ConfigInvalid(f"'chi' must be a list of real characters, got {chi!r}")
+        if not isinstance(chi, (list, tuple)) or not all(_real(x) for x in chi):
+            raise ConfigInvalid(f"'chi' must be a list of finite real characters, got {chi!r}")
         cfg.chi = tuple(float(x) for x in chi)
     # the spectral backend discretizes flat bundles, the grid backend positive
     # ones (elliptic with d >= 1); the default follows the bundle
@@ -216,6 +226,6 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise ConfigInvalid(f"config {path!r} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

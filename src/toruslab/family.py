@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ExtensionNotAdmissible, HodgeUnavailable
 from .forms import (
@@ -43,6 +42,8 @@ from .forms import (
     lefschetz_L,
     lefschetz_Lambda,
     make_space,
+    _dzbar,
+    _stencil_matrix,
     _wavenumbers,
 )
 from .geometry import FamilySpec, make_flat_bundle
@@ -107,15 +108,9 @@ def _dbar_of_field(space: FormSpace, W: np.ndarray) -> np.ndarray:
             mu = space.calculus.mu_zbar
         return np.stack([np.stack([mu[c] * W[a] for c in range(n)]) for a in range(n)])
     calc = space.calculus
-    # plain periodic derivative of a periodic sample field (no automorphy)
-    N = calc.N
-    eye = sp.identity(N, format="csr", dtype=complex)
-    Dx = sp.kron(calc.D1, eye, format="csr")
-    Dy = sp.kron(eye, calc.D1, format="csr")
-    t = calc.t
-    Dzbar = (t * Dx - Dy) / (t - np.conj(t))
-    out = (Dzbar @ W[0].ravel()).reshape(N, N)
-    return out[None, None, :, :]
+    # the plain periodic derivative of a periodic sample field: degree 0
+    Dzbar = _stencil_matrix(calc.N, space.disc.order, calc.t, 0, *_dzbar(calc.t))
+    return (Dzbar @ W[0].ravel()).reshape((1, 1) + W.shape[1:])
 
 
 def trivialization_lift(family: FamilySpec, space: FormSpace,
@@ -283,10 +278,11 @@ def make_extension(family: FamilySpec, f: FormSection,
     d = space.bundle.degree
     s = t.imag
     F = f.coeffs[0]
-    Dz = calc.Dz
+    # the cached d/dz - phi_z of the fibre, applied to F as a scalar section
+    nabla = assemble_nabla10(space.sibling((0, 0))).data
     pz = calc.phi_z
-    nablaF = (Dz @ F.ravel()).reshape(F.shape) - pz * F
-    nabla2F = (Dz @ nablaF.ravel()).reshape(F.shape) - pz * nablaF
+    nablaF = (nabla @ F.ravel()).reshape(F.shape)
+    nabla2F = (nabla @ nablaF.ravel()).reshape(F.shape)
     # plain d^2/dz^2 via (nabla + phi_z)^2; the grid operators only ever touch
     # genuine sections, the polynomial-in-y factors act pointwise afterwards
     dz2F = nabla2F + 2.0 * pz * nablaF + (pz**2 - np.pi * d / s) * F

@@ -10,7 +10,9 @@ Two backends:
 * Grid (positive bundles, n=1): sections are sample arrays F[i,j] on the unit
   (x,y)-torus, periodic in x and quasi-periodic in y with the level-d factor of
   automorphy.  Derivatives are central differences (order 4 by default) with the
-  automorphy wrap; operators are scipy.sparse matrices.
+  automorphy wrap, and _stencil_matrix builds every one of them as a
+  scipy.sparse matrix: ∂̄ and ∇¹'⁰ for assemble_dbar and assemble_nabla10, and
+  ∂/∂z̄ of a periodic field (degree 0) for the Kodaira-Spencer data in family.
 
 Bidegree components are enumerated lexicographically: holomorphic index set J
 major, anti-holomorphic K minor, each in increasing order.
@@ -21,7 +23,9 @@ assemble_nabla10 and adjoint (of those two) have built, so a fibre assembles
 each of them once.  A spectral fibre keys that data by operator and bidegree.
 A grid fibre (n = 1) keeps one matrix per operator, that of its (0,0) form:
 ∇¹'⁰ on (0,1) equals ∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄ on (0,0), a
-sign the operator carries.
+sign the operator carries.  That cache is the only holder of a grid derivative
+matrix; besides it the calculus keeps dbar_hat, the y-Fourier form of ∂̄ that
+hodge factors.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from typing import Union
 
 import numpy as np
@@ -140,42 +144,23 @@ class _SpectralCalculus:
         return (M,) * len(self.mshape)
 
 
-_FD_STENCILS = {
-    4: ([-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
-    6: ([-3, -2, -1, 1, 2, 3], np.array([-1.0, 9.0, -45.0, 45.0, -9.0, 1.0]) / 60.0),
-    8: (
-        [-4, -3, -2, -1, 1, 2, 3, 4],
-        np.array([3.0, -32.0, 168.0, -672.0, 672.0, -168.0, 32.0, -3.0]) / 840.0,
-    ),
-}
-
-
 def _central_stencil(order):
-    """First-derivative central-difference offsets/coefficients of a given order."""
-    if order not in _FD_STENCILS:
-        p = order // 2
-        ks = np.arange(1, p + 1)
-        # c_k = (-1)^{k+1} (p!)^2 / (k (p-k)! (p+k)!)
-        from math import factorial
-
-        cs = np.array(
-            [
-                ((-1) ** (k + 1)) * factorial(p) ** 2 / (k * factorial(p - k) * factorial(p + k))
-                for k in ks
-            ]
-        )
-        offsets = [-k for k in ks[::-1]] + [int(k) for k in ks]
-        coeffs = np.concatenate([-cs[::-1], cs])
-        _FD_STENCILS[order] = (offsets, coeffs)
-    return _FD_STENCILS[order]
+    """First-derivative central-difference offsets and coefficients of an even
+    order: c_k = (-1)^{k+1} (p!)^2 / (k (p-k)! (p+k)!) at offset k, -c_k at -k,
+    for k = 1..p, p = order // 2."""
+    p = order // 2
+    cs = [(-1) ** (k + 1) * factorial(p) ** 2 / (k * factorial(p - k) * factorial(p + k))
+          for k in range(1, p + 1)]
+    return list(range(-p, 0)) + list(range(1, p + 1)), np.array([-c for c in cs[::-1]] + cs)
 
 
 class _GridCalculus:
-    """n=1 grid backend: derivative matrices and weight data for degree d.
+    """n=1 grid backend: sample points, gauge factor and weight data for degree d.
 
-    The sparse derivative matrices are built on first use: a theta frame or a
-    Gram matrix needs only the sample points and the weight.  Dz and Dzbar are
-    built together from the x and y stencils, which are not kept.
+    It holds no derivative matrix.  assemble_dbar and assemble_nabla10 build
+    theirs with _stencil_matrix into the operator cache, on first use; a theta
+    frame or a Gram matrix needs only the sample points and the weight.
+    dbar_hat is the ∂̄ in the y-Fourier basis, which hodge factors.
     """
 
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Grid):
@@ -195,105 +180,40 @@ class _GridCalculus:
         self.x = (idx[:, None] / N) * np.ones((1, N))
         self.y = np.ones((N, 1)) * (idx[None, :] / N)
 
-        # Differentiation is done in the Gaussian gauge H = e^theta F with
-        # theta = i pi d t y^2 + 2 pi i d x y.  H is periodic in y and Bloch
-        # quasi-periodic in x (factor e^{2 pi i d y}), and is uniformly scaled,
-        # so central differences on H converge at full stencil order even though
-        # F itself varies over many orders of magnitude across the cell:
-        #   dF/dx = e^{-theta} d/dx(e^theta F) - (2 pi i d y) F
-        #   dF/dy = e^{-theta} d/dy(e^theta F) - (2 pi i d z) F,  z = x + t y.
-        self.theta_g = 1j * np.pi * d * t * self.y**2 + 2j * np.pi * d * self.x * self.y
-
         # weight data for the translation-invariant potential phi = 2 pi d y^2 s
         y = self.y
         self.phi = 2.0 * np.pi * d * y**2 * s
         self.phi_z = -2j * np.pi * d * y           # at fixed t
-        self.phi_zbar = 2j * np.pi * d * y
         self.phi_zzbar = np.pi * d / s             # = pi d g, constant
         # t-derivatives at fixed z (holomorphic gauge)
-        self.phi_t = 1j * np.pi * d * y**2
         self.phi_tzbar = -np.pi * d * y / s
         self.phi_ztbar = -np.pi * d * y / s
         self.phi_ttbar = np.pi * d * y**2 / s
 
     @cached_property
-    def D1(self):
-        """Plain periodic 1-D stencil (no automorphy), used along y here and by
-        derivatives of periodic sample fields."""
-        N = self.N
-        offsets, coeffs = _central_stencil(self.disc.order)
-        h = 1.0 / N
-        D1 = sp.csr_matrix((N, N), dtype=complex)
-        for off, c in zip(offsets, coeffs):
-            D1 = D1 + (c / h) * _shift_matrix(N, off)
-        return D1
-
-    @cached_property
     def gauge(self):
         """The gauge factor E = e^{theta} at the sample points, (N, N)."""
-        return np.exp(self.theta_g)
-
-    def _gauged(self, per):
-        """e^{-theta} per e^{theta}: a stencil on H, moved to F."""
-        return _scaled(per, np.exp(-self.theta_g).ravel(), self.gauge.ravel())
-
-    @cached_property
-    def _dz_dzbar(self):
-        """(Dz, Dzbar) from the stencils along x and y."""
-        N, d, t = self.N, self.d, self.t
-        offsets, coeffs = _central_stencil(self.disc.order)
-        h = 1.0 / N
-        # along y (axis 1): the plain periodic stencil on H
-        Dy_per = sp.kron(sp.identity(N, format="csr", dtype=complex), self.D1, format="csr")
-        zfield = (self.x + t * self.y).ravel()
-        Dy = self._gauged(Dy_per) - sp.diags(2j * np.pi * d * zfield, format="csr")
-        # along x (axis 0): an entry that wraps w times carries the Bloch factor
-        # e^{2 pi i d y w}
-        i, j = np.arange(N)[:, None], np.arange(N)[None, :]
-        bloch = np.exp(2j * np.pi * d * j / N)
-        row = (i * N + j).ravel()
-        rows, cols, vals = [], [], []
-        for off, c in zip(offsets, coeffs):
-            wrap, ii = np.divmod(i + off, N)
-            rows.append(row)
-            cols.append((ii * N + j).ravel())
-            vals.append(((c / h) * bloch**wrap).ravel())
-        Dx_per = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N * N, N * N),
-        )
-        Dx = self._gauged(Dx_per) - sp.diags(2j * np.pi * d * self.y.ravel(), format="csr")
-        denom = t - np.conj(t)  # 2 i s
-        return ((-np.conj(t) / denom) * Dx + (1.0 / denom) * Dy,
-                (t / denom) * Dx + (-1.0 / denom) * Dy)
-
-    @property
-    def Dz(self):
-        return self._dz_dzbar[0]
-
-    @property
-    def Dzbar(self):
-        return self._dz_dzbar[1]
+        return np.exp(_gauge_exponent(self.x, self.y, self.t, self.d))
 
     @cached_property
     def dbar_hat(self):
-        """Dzbar in the Gaussian gauge and the y-Fourier basis, as a csc matrix:
-        Dzbar = E^{-1} F_y^H A F_y E with E = e^{theta}, F_y the unitary FFT
-        along y, row and column (i, k) = (x index, y frequency).
+        """The ∂̄ of assemble_dbar in the Gaussian gauge and the y-Fourier basis,
+        as a csc matrix: ∂̄ = E^{-1} F_y^H A F_y E with E = e^{theta}, F_y the
+        unitary FFT along y, row and column (i, k) = (x index, y frequency).
 
-        A = a (x-stencil) + diag(b lambda_k + (pi d / s) x_i), a = t/(t - tbar),
-        b = -1/(t - tbar), where lambda_k are the eigenvalues of D1 and the
-        diagonal gathers the gauge terms of Dx and Dy.  The Bloch factor
-        e^{2 pi i d y w} of an x-stencil entry that wraps w times shifts the
-        frequency k -> k - d w, so a row has order + 1 nonzeros, and A is
-        periodic-banded along each of the gcd(d, N) chains that the shift links.
+        A = a (x-stencil) + diag(b lambda_k + (pi d / s) x_i), (a, b) = _dzbar(t),
+        where lambda_k = sum_off c_off N e^{2 pi i off k / N} is the periodic
+        y-stencil on frequency k and the diagonal gathers the gauge terms of
+        _stencil_matrix.  The Bloch factor e^{2 pi i d y w} of an x-stencil
+        entry that wraps w times shifts the frequency k -> k - d w, so a row has
+        order + 1 nonzeros, and A is periodic-banded along each of the
+        gcd(d, N) chains that the shift links.
         """
-        N, d, t = self.N, self.d, self.t
+        N, d = self.N, self.d
         offsets, coeffs = _central_stencil(self.disc.order)
-        h = 1.0 / N
-        a, b = t / (t - np.conj(t)), -1.0 / (t - np.conj(t))
+        a, b = _dzbar(self.t)
         k = np.arange(N)
-        lam = sum((c / h) * np.exp(2j * np.pi * off * k / N) for off, c in zip(offsets, coeffs))
+        lam = sum(c * N * np.exp(2j * np.pi * off * k / N) for off, c in zip(offsets, coeffs))
         i = k[:, None]
         diag = np.broadcast_to(i * N + k, (N, N)).ravel()
         rows, cols = [diag], [diag]
@@ -302,11 +222,56 @@ class _GridCalculus:
             wrap, ii = np.divmod(i + off, N)
             rows.append(diag)
             cols.append((ii * N + (k - d * wrap) % N).ravel())
-            vals.append(np.full(N * N, a * c / h))
+            vals.append(np.full(N * N, a * c * N))
         return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(N * N, N * N),
         )
+
+
+def _gauge_exponent(x, y, t, d):
+    """theta = i pi d t y^2 + 2 pi i d x y, the Gaussian gauge of degree d.
+
+    H = e^theta F is periodic in y and Bloch quasi-periodic in x (factor
+    e^{2 pi i d y}), and is uniformly scaled, so central differences on H
+    converge at full stencil order even though a section F varies over many
+    orders of magnitude across the cell.
+    """
+    return 1j * np.pi * d * t * y**2 + 2j * np.pi * d * x * y
+
+
+def _dzbar(t):
+    """(dx/dz̄, dy/dz̄) = (t, -1) / (t - t̄) on the elliptic curve of period t."""
+    return t / (t - np.conj(t)), -1.0 / (t - np.conj(t))
+
+
+def _stencil_matrix(N, order, t, d, a, b, diag=0.0):
+    """a d/dx + b d/dy + diag(diag) on the N x N samples of a degree-d section,
+    as a csr matrix; d = 0 differentiates a plain periodic field.
+
+    Every grid derivative is built here.  The central stencils act on
+    H = e^theta F (see _gauge_exponent): along y the periodic stencil, along x
+    the Bloch one, whose entry that wraps w times carries e^{2 pi i d y w}.
+    Moved back to F,
+      dF/dx = e^{-theta} d/dx(e^theta F) - (2 pi i d y) F
+      dF/dy = e^{-theta} d/dy(e^theta F) - (2 pi i d z) F,  z = x + t y,
+    so the gauge terms join diag.
+    """
+    offsets, coeffs = _central_stencil(order)
+    row = np.arange(N * N)
+    i, j = np.divmod(row, N)  # x and y index of each sample
+    x, y = i / N, j / N
+    rows, cols = [row], [row]
+    vals = [np.ravel(diag) - 2j * np.pi * d * (a * y + b * (x + t * y))]
+    for off, c in zip(offsets, coeffs):
+        wrap, ii = np.divmod(i + off, N)
+        rows += [row, row]
+        cols += [ii * N + j, i * N + (j + off) % N]
+        vals += [a * c * N * np.exp(2j * np.pi * d * y * wrap), np.full(N * N, b * c * N)]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    theta = _gauge_exponent(x, y, t, d)
+    vals = np.exp(-theta)[rows] * np.concatenate(vals) * np.exp(theta)[cols]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
 
 
 def _scaled(m, left, right):
@@ -314,14 +279,6 @@ def _scaled(m, left, right):
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     return sp.csr_matrix((left[rows] * m.data * right[m.indices], m.indices, m.indptr),
                          shape=m.shape)
-
-
-def _shift_matrix(N, off):
-    """Periodic shift: (S F)[i] = F[i + off mod N]."""
-    idx = (np.arange(N) + off) % N
-    return sp.csr_matrix(
-        (np.ones(N), (np.arange(N), idx)), shape=(N, N), dtype=complex
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +646,9 @@ def assemble_dbar(space: FormSpace) -> OperatorMatrix:
             return data
         return _cached(space, target, "mode", ("dbar", space.bidegree), build)
     # n=1: (p,0) -> (p,1), single component each; sign (-1)^p from dz̄ past dz_J
-    return _cached(space, target, "sparse", ("dbar", (0, 0)), lambda: calc.Dzbar,
+    return _cached(space, target, "sparse", ("dbar", (0, 0)),
+                   lambda: _stencil_matrix(calc.N, calc.disc.order, calc.t, calc.d,
+                                           *_dzbar(calc.t)),
                    sign=(-1) ** p)
 
 
@@ -714,9 +673,13 @@ def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
                     data[ci, di] += sgn * calc.mu_z[a]
             return data
         return _cached(space, target, "mode", ("nabla10", space.bidegree), build)
-    # n=1: (0,q) -> (1,q), the same matrix for q = 0 and 1
+    # n=1: (0,q) -> (1,q), the same matrix d/dz - phi_z for q = 0 and 1, with
+    # (dx/dz, dy/dz) = (-t̄, 1) / (t - t̄)
+    t = calc.t
     return _cached(space, target, "sparse", ("nabla10", (0, 0)),
-                   lambda: calc.Dz - sp.diags(calc.phi_z.ravel(), format="csr"))
+                   lambda: _stencil_matrix(calc.N, calc.disc.order, t, calc.d,
+                                           -np.conj(t) / (t - np.conj(t)),
+                                           1.0 / (t - np.conj(t)), -calc.phi_z))
 
 
 _ASSEMBLERS = {"dbar": assemble_dbar, "nabla10": assemble_nabla10}

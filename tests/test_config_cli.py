@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from toruslab import cli
 from toruslab.cli import main
@@ -77,6 +78,57 @@ def test_config_rejects_bad_types():
         config_from_dict([1, 2, 3])
 
 
+_fuzz_num = st.one_of(
+    st.floats(), st.integers(min_value=-10**400, max_value=10**400),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400]))
+_fuzz_scalar = st.one_of(_fuzz_num, st.lists(_fuzz_num, min_size=2, max_size=2))
+_fuzz_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                       st.lists(st.none(), max_size=3), st.just({}))
+
+
+def _or_junk(strategy):
+    return st.one_of(strategy, _fuzz_junk)
+
+
+_fuzz_count = st.integers(min_value=-1, max_value=10**400)
+# every key of the schema, each with plausible values, non-finite and
+# overflowing numbers, and values of the wrong type
+_FUZZ_VALUES = {
+    "family": _or_junk(st.sampled_from(["elliptic", "jumping", "siegel-diagonal"])),
+    "backend": _or_junk(st.sampled_from(["grid", "spectral"])),
+    "t": _or_junk(_fuzz_scalar), "tau": _or_junk(_fuzz_scalar),
+    "d": _or_junk(st.integers(min_value=-1, max_value=3)),
+    "chi": _or_junk(st.lists(_fuzz_num, max_size=4)),
+    "N": _or_junk(_fuzz_count), "M": _or_junk(_fuzz_count),
+    "order": _or_junk(_fuzz_count), "seed": _or_junk(_fuzz_count),
+    "step": _or_junk(_fuzz_num),
+    "tolerances": _or_junk(st.dictionaries(
+        st.sampled_from(sorted(DEFAULT_TOLERANCES)), _or_junk(_fuzz_num), max_size=2)),
+    "scan": _or_junk(st.fixed_dictionaries({}, optional={
+        "center": _or_junk(_fuzz_scalar), "direction": _or_junk(_fuzz_scalar),
+        "radius": _or_junk(_fuzz_num), "samples": _or_junk(_fuzz_count)})),
+    "bls": _or_junk(st.fixed_dictionaries({}, optional={
+        "instances": _or_junk(_fuzz_count), "step": _or_junk(_fuzz_num),
+        "t": _or_junk(_fuzz_scalar)})),
+}
+# up to three keys a config, so that a fair share of them is accepted
+_fuzz_configs = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _FUZZ_VALUES[k] for k in keys}))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_fuzz_configs)
+def test_config_fuzz_only_config_invalid_escapes(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigInvalid:
+        return
+    # an accepted config is echoed as strict JSON (finite numbers only) and
+    # reads back to itself
+    text = json.dumps(cfg.as_dict(), allow_nan=False)
+    assert config_from_dict(json.loads(text)).as_dict() == cfg.as_dict()
+
+
 def test_config_scan_samples():
     cfg = config_from_dict({"scan": {"center": [0, 1], "radius": 0.05,
                                      "samples": 101}})
@@ -97,9 +149,12 @@ def test_load_config_errors(tmp_path):
 
 
 def test_as_dict_round_trips():
-    cfg = config_from_dict({"t": [0.3, 1.1], "d": 2, "seed": 7})
-    again = config_from_dict(cfg.as_dict())
-    assert again.as_dict() == cfg.as_dict()
+    # every report echoes as_dict, so it must be JSON, complex entries included
+    for raw in ({"t": [0.3, 1.1], "d": 2, "seed": 7},
+                {"scan": {"center": [0, 1]}, "bls": {"t": [0.3, 0.2], "step": 1e-4}}):
+        cfg = config_from_dict(raw)
+        again = config_from_dict(json.loads(json.dumps(cfg.as_dict())))
+        assert again.as_dict() == cfg.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +202,10 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text("{oops")
     res = run_cli(["hodge-check", "--config", str(bad)])
     assert res.exit_code == 2
+    # an integer literal longer than Python's int parser takes (4300 digits)
+    bad.write_text('{"step": 1' + "0" * 5000 + "}")
+    res = run_cli(["hodge-check", "--config", str(bad)])
+    assert res.exit_code == 2 and "config error:" in res.output
     unknown = write_cfg(tmp_path, "unknown.json", {"banana": 1})
     res = run_cli(["curvature", "--config", unknown])
     assert res.exit_code == 2
@@ -175,6 +234,15 @@ _BAD_CONFIGS = {
     "spectral-positive-bundle": {"backend": "spectral", "d": 1},
     "jumping-on-grid": {"family": "jumping", "backend": "grid"},
     "unread-tolerance": {"tolerances": {"sff_routes": 1e-6}},
+    # numbers that are not finite, written as the NaN/Infinity literals that
+    # Python's json reads, and an integer literal too large for a float
+    "step-nan": {"step": float("nan")},
+    "bls-step-inf": {"bls": {"step": float("inf")}},
+    "t-nan": {"t": [0.3, float("nan")]},
+    "tau-nan": {"tau": [float("nan"), 0]},
+    "tolerance-nan": {"tolerances": {"fd_rel": float("nan")}},
+    "chi-inf": {"d": 0, "chi": [float("-inf"), 0.0]},
+    "t-overflow": {"t": [0.3, 10**400]},
 }
 
 
@@ -241,8 +309,25 @@ def test_tolerance_failure_exits_1(tmp_path, command, payload, failure):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
     res = run_cli([command, "--config", cfg, "--out", out])
     assert res.exit_code == 1, res.output
-    report = json.loads(open(out).read())
+    report = json.loads(open(out).read(), parse_constant=_reject_constant)
     assert failure in report["failures"] and report["status"] == "fail"
+
+
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: it holds {name}")
+
+
+@pytest.mark.parametrize("N, reason", [
+    (8, "theta-flow extension of a non-holomorphic section"),
+    (16, "iota* L^{1,0} dbar u residual"),
+], ids=["N8", "N16"])
+def test_underresolved_grid_curvature_exits_1(tmp_path, N, reason):
+    # the extension misses the admissibility tolerance: a tolerance failure
+    cfg = write_cfg(tmp_path, "cfg.json", {"backend": "grid", "d": 1, "N": N})
+    res = run_cli(["curvature", "--config", cfg])
+    assert res.exit_code == 1, res.output
+    assert res.output.startswith(f"tolerance failure: admissibility: {reason}")
+    assert res.output.count("\n") == 1
 
 
 def test_scan_rank_csv(tmp_path):

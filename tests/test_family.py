@@ -61,6 +61,22 @@ def test_spectral_dbar_of_field_matches_untwisted_calculus(rng):
         assert np.array_equal(_dbar_of_field(sp, W), expect)
 
 
+def test_grid_dbar_of_field_matches_mode_multiplier(grid_setup):
+    # on the mode e^{2 pi i (kx x + ky y)}, d/dz̄ multiplies by
+    # 2 pi i (t kx - ky) / (t - t̄); the order-6 central stencil misses each
+    # derivative's symbol by about theta^6 / 140, theta = 2 pi k / N
+    fam, sp, pkg0, f, lift = grid_setup
+    calc = sp.calculus
+    t, N = calc.t, calc.N
+    for kx, ky in ((0, 0), (1, 0), (0, 1), (-1, 2), (2, -1)):
+        mode = np.exp(2j * np.pi * (kx * calc.x + ky * calc.y))
+        mu = 2j * np.pi * (t * kx - ky) / (t - np.conj(t))
+        theta = 2.0 * np.pi * max(abs(kx), abs(ky)) / N
+        bound = theta**6 / 100 * 2.0 * np.pi * (abs(t * kx) + abs(ky)) / abs(t - np.conj(t))
+        err = np.abs(_dbar_of_field(sp, mode[None])[0, 0] - mu * mode).max()
+        assert err <= bound + 1e-12, (kx, ky, err, bound)
+
+
 def test_perturbation_roundtrip(grid_setup, rng):
     fam, sp, pkg0, f, lift = grid_setup
     W = band_limited_field(sp.calculus, rng, (1,) + sp.field_shape)
