@@ -391,51 +391,91 @@ def _als_min(S: np.ndarray, m1: int, r: int, k: int, restarts: int,
     return best, best_X
 
 
+# theta rows of the CP^1 sweep evaluated together: bounds the sweep's memory
+_SWEEP_ROWS = 16
+
+
+def _smallest_eigenvalue(H) -> np.ndarray:
+    """Smallest eigenvalue of Hermitian 2x2 or 3x3 matrices given entrywise.
+
+    H[a][b] is an array holding entry (a, b) of every matrix; only the upper
+    triangle is read, and the real part of the diagonal.  r = 2 uses the
+    quadratic formula and r = 3 the trigonometric formula for the roots of the
+    characteristic polynomial of H - q·I, q = tr H / 3 (a scalar matrix gives
+    q).  Both are within a few eps of the spectral radius, except where the
+    two smallest eigenvalues of a 3x3 matrix (nearly) coincide: there arccos
+    is evaluated next to 1 and the result loses about sqrt(eps), staying
+    within 1e-7 of the spectral radius.
+    """
+    if len(H) == 2:
+        a, d, b = H[0][0].real, H[1][1].real, H[0][1]
+        return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+    q = (H[0][0].real + H[1][1].real + H[2][2].real) / 3
+    x, y, z = H[0][0].real - q, H[1][1].real - q, H[2][2].real - q
+    b, c, e = H[0][1], H[0][2], H[1][2]
+    bb, cc, ee = (np.abs(v) ** 2 for v in (b, c, e))
+    p = np.sqrt((x * x + y * y + z * z + 2 * (bb + cc + ee)) / 6)
+    det = x * y * z + 2 * (b * e * np.conj(c)).real - x * ee - y * cc - z * bb
+    p3 = 2 * p ** 3
+    half = np.divide(det, p3, out=np.zeros_like(det), where=p3 > 0)
+    angle = np.arccos(np.clip(half, -1.0, 1.0)) / 3
+    return q + 2 * p * np.cos(angle + 2 * np.pi / 3)
+
+
 def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
                       grid: int = 181) -> float:
     """Brute-force minimum of v† S v over unit rank-<=k tensors (small dims only).
 
     For k >= min(m1, r) this is the exact smallest eigenvalue.  For k = 1 with
-    m1 <= 2 the M-factor is swept over a fine (theta, phi) grid of CP^1 with the
-    exact F-side eigenvalue at each point, then polished by exact alternation.
-    The sweep runs one theta row at a time as a batch; the first strict minimum
-    in theta-major, phi-minor order starts the polish.
+    m1 = 2 and r <= 3 the M-factor xi = [cos theta, sin theta e^{i phi}] is
+    swept over a fine (theta, phi) grid of CP^1 with the exact F-side
+    eigenvalue at each point, then polished by exact alternation.  The sweep
+    builds the Hermitian part of A(xi) = sum_ij conj(xi_i) S_ij xi_j entry by
+    entry on _SWEEP_ROWS theta rows at a time and takes its smallest
+    eigenvalue in closed form; the first strict minimum in theta-major,
+    phi-minor order starts the polish.
     """
     kk = min(k, m1, r)
     if kk >= min(m1, r):
         return float(np.linalg.eigvalsh(S)[0])
-    if kk == 1 and m1 <= 2:
-        Sk = S.reshape(m1, r, m1, r)
-        best = np.inf
-        best_xi = None
-        if m1 == 1:
-            return float(np.linalg.eigvalsh(S)[0])
-        thetas = np.linspace(0, np.pi / 2, grid)
-        phis = np.linspace(0, 2 * np.pi, 2 * grid, endpoint=False)
-        phase = np.exp(1j * phis)
-        for th in thetas:
-            xis = np.stack([np.full(phis.size, np.cos(th), dtype=complex),
-                            np.sin(th) * phase], axis=1)
-            A = np.einsum("pi,iajb,pj->pab", np.conj(xis), Sk, xis)
-            lam = np.linalg.eigvalsh(_herm(A))[:, 0]
-            j = int(np.argmin(lam))
-            if lam[j] < best:
-                best = lam[j]
-                best_xi = xis[j]
-        # polish with exact alternation from the best grid point
-        xi = best_xi
-        for _ in range(_POLISH_STEPS):
-            A = np.einsum("i,iajb,j->ab", np.conj(xi), Sk, xi)
-            w, V = np.linalg.eigh((A + A.conj().T) / 2)
-            eta = V[:, 0]
-            B = np.einsum("a,iajb,b->ij", np.conj(eta), Sk, eta)
-            w2, V2 = np.linalg.eigh((B + B.conj().T) / 2)
-            xi = V2[:, 0]
-            best = min(best, float(w2[0]))
-        return best
-    raise UnsupportedDimension(
-        f"oracle supports k >= min(m1,r) or k=1 with m1 <= 2; got m1={m1}, r={r}, k={k}"
-    )
+    if kk != 1 or m1 != 2 or r > 3:
+        raise UnsupportedDimension(
+            "oracle supports k >= min(m1,r) or k=1 with m1 <= 2 and r <= 3; "
+            f"got m1={m1}, r={r}, k={k}")
+    Sk = S.reshape(m1, r, m1, r)
+    P, Q = _herm(Sk[0, :, 0, :]), _herm(Sk[1, :, 1, :])
+    U = (Sk[0, :, 1, :] + _adj(Sk[1, :, 0, :])) / 2
+    thetas = np.linspace(0, np.pi / 2, grid)
+    phis = np.linspace(0, 2 * np.pi, 2 * grid, endpoint=False)
+    phase = np.exp(1j * phis)
+    best, best_xi = np.inf, None
+    for start in range(0, grid, _SWEEP_ROWS):
+        rows = thetas[start:start + _SWEEP_ROWS, None]
+        c, s = np.cos(rows), np.sin(rows)
+        c2, s2, cs = c * c, s * s, c * s
+        # H_ab = c² P_ab + s² Q_ab + cs (e^{i phi} U_ab + e^{-i phi} conj(U_ba))
+        H = [[None] * r for _ in range(r)]
+        for a in range(r):
+            for b in range(a, r):
+                H[a][b] = (c2 * P[a, b] + s2 * Q[a, b]
+                           + cs * (phase * U[a, b] + np.conj(phase * U[b, a])))
+        lam = _smallest_eigenvalue(H)
+        i, j = np.unravel_index(np.argmin(lam), lam.shape)
+        if lam[i, j] < best:
+            th = thetas[start + i]
+            best = lam[i, j]
+            best_xi = np.array([np.cos(th), np.sin(th) * phase[j]])
+    # polish with exact alternation from the best grid point
+    xi = best_xi
+    for _ in range(_POLISH_STEPS):
+        A = np.einsum("i,iajb,j->ab", np.conj(xi), Sk, xi)
+        w, V = np.linalg.eigh((A + A.conj().T) / 2)
+        eta = V[:, 0]
+        B = np.einsum("a,iajb,b->ij", np.conj(eta), Sk, eta)
+        w2, V2 = np.linalg.eigh((B + B.conj().T) / 2)
+        xi = V2[:, 0]
+        best = min(best, float(w2[0]))
+    return best
 
 
 def schur_complement_demailly(form: HermitianFormOnTensor, k: int,

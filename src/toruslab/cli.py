@@ -147,8 +147,9 @@ def _command(name: str, defaults: dict):
     The config is loaded with the given defaults (when --config is omitted);
     ConfigInvalid exits 2 with "config error:", ExtensionNotAdmissible (a miss
     of the admissibility tolerance, as on an under-resolved grid) exits 1 with
-    "tolerance failure: admissibility:", and any other TorusLabError exits 3
-    with "numerical failure:".
+    "tolerance failure: admissibility:" and, given --out, a report that fails
+    `admissibility` with the reason, and any other TorusLabError exits 3 with
+    "numerical failure:".
     """
     def register(body):
         @main.command(name, help=body.__doc__)
@@ -156,12 +157,17 @@ def _command(name: str, defaults: dict):
         @click.pass_context
         def command(ctx, config_path, out, seed, dump_spectrum):
             try:
-                code = body(_load(config_path, seed, defaults), out, dump_spectrum)
+                cfg = _load(config_path, seed, defaults)
+                code = body(cfg, out, dump_spectrum)
             except ConfigInvalid as exc:
                 click.echo(f"config error: {exc}", err=True)
                 code = 2
             except ExtensionNotAdmissible as exc:
                 click.echo(f"tolerance failure: admissibility: {exc}", err=True)
+                if out:
+                    _emit({"command": name, "config": cfg.as_dict(),
+                           "failures": ["admissibility"], "reason": str(exc),
+                           "status": "fail"}, out)
                 code = 1
             except TorusLabError as exc:
                 click.echo(f"numerical failure: {exc}", err=True)

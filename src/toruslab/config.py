@@ -34,6 +34,13 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "rank_tol": 1e-7,
 }
 
+# Budget on the unknowns of one form space: N² (grid) or (2M+1)^{2n} (spectral)
+# samples times C(n, n//2)² components, the most any bidegree has.  It is four
+# times the largest config of the tests, the benchmark and the README: spectral
+# n = 2 at the default M = 8, whose (1,1) forms hold 4·17⁴ = 334,084 unknowns
+# (a grid at the default N = 64 holds 4,096).
+MAX_UNKNOWNS = 4 * 4 * 17 ** 4
+
 _SCAN_KEYS = {"center", "direction", "radius", "samples"}
 _BLS_KEYS = {"instances", "step", "t"}
 
@@ -165,6 +172,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("N", "M", "order"):
         if key in raw:
             setattr(cfg, key, _as_int(raw[key], key))
+    size_key = "N" if cfg.backend == "grid" else "M"
+    samples = cfg.N ** 2 if cfg.backend == "grid" else (2 * cfg.M + 1) ** (2 * n)
+    if samples * math.comb(n, n // 2) ** 2 > MAX_UNKNOWNS:
+        raise ConfigInvalid(f"{size_key!r} is too large: a {cfg.backend} form space would "
+                            f"hold more than {MAX_UNKNOWNS:,} unknowns")
     if "seed" in raw:
         cfg.seed = _as_int(raw["seed"], "seed", minimum=0)
     if "step" in raw:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from toruslab.bls import (
     FiniteBLSField,
     HermitianFormOnTensor,
+    _SWEEP_ROWS,
     _als_min,
+    _smallest_eigenvalue,
     chern_connection_fd,
     chern_curvature_fd,
     curvature_form_on_frame,
@@ -218,6 +220,49 @@ def test_oracle_rejects_large_dimensions():
     S = np.eye(9)
     with pytest.raises(UnsupportedDimension):
         rank_k_min_oracle(S, 3, 3, 1)
+    # the CP^1 sweep takes its eigenvalues in closed form, for r <= 3 only
+    with pytest.raises(UnsupportedDimension):
+        rank_k_min_oracle(np.eye(8), 2, 4, 1)
+
+
+def _entries(M):
+    r = M.shape[-1]
+    return [[M[..., a, b] for b in range(r)] for a in range(r)]
+
+
+def _with_spectrum(rng, eigenvalues, count):
+    """count Hermitian matrices U diag(eigenvalues) U† with random unitary U."""
+    r = len(eigenvalues)
+    A = rng.standard_normal((count, r, r)) + 1j * rng.standard_normal((count, r, r))
+    Q, _ = np.linalg.qr(A)
+    M = Q @ (np.asarray(eigenvalues)[:, None] * np.conj(np.swapaxes(Q, -1, -2)))
+    return (M + np.conj(np.swapaxes(M, -1, -2))) / 2
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_closed_form_smallest_eigenvalue_matches_eigvalsh(r):
+    rng = np.random.default_rng(40 + r)
+    A = rng.standard_normal((500, r, r)) + 1j * rng.standard_normal((500, r, r))
+    M = (A + np.conj(np.swapaxes(A, -1, -2))) / 2
+    w = np.linalg.eigvalsh(M)
+    rho = np.abs(w).max(axis=1)
+    assert np.all(np.abs(_smallest_eigenvalue(_entries(M)) - w[:, 0]) <= 1e-12 * rho)
+    # a scalar matrix has p = 0 in the trigonometric formula: q, not NaN
+    for c in (0.0, 1.7, -3.0):
+        lam = _smallest_eigenvalue(_entries(c * np.eye(r, dtype=complex)[None]))
+        assert lam[0] == pytest.approx(c, abs=1e-15)
+    lam = _smallest_eigenvalue(_entries(_with_spectrum(rng, [1.7] * r, 50)))
+    assert np.all(np.abs(lam - 1.7) <= 1e-12 * 1.7)
+    d = rng.standard_normal((50, r))
+    D = d[:, :, None] * np.eye(r)
+    assert np.all(np.abs(_smallest_eigenvalue(_entries(D)) - d.min(axis=1))
+                  <= 1e-12 * np.abs(d).max(axis=1))
+    # a double smallest eigenvalue: arccos next to 1 costs about sqrt(eps)
+    # for r = 3 (the bound in the docstring); a double largest one does not
+    lam = _smallest_eigenvalue(_entries(_with_spectrum(rng, [-1.0] * (r - 1) + [2.0], 500)))
+    assert np.all(np.abs(lam + 1.0) <= (1e-7 if r == 3 else 1e-12) * 2.0)
+    lam = _smallest_eigenvalue(_entries(_with_spectrum(rng, [-1.0] + [2.0] * (r - 1), 500)))
+    assert np.all(np.abs(lam + 1.0) <= 1e-12 * 2.0)
 
 
 def test_als_agrees_with_oracle_on_random_instances():
@@ -288,6 +333,14 @@ def test_batched_oracle_matches_per_point_sweep():
     for _, r, S in sweep_instances():
         assert rank_k_min_oracle(S, 2, r, 1, grid=15) == pytest.approx(
             oracle_reference(S, r, 15), abs=1e-12)
+
+
+def test_batched_oracle_matches_per_point_sweep_across_theta_blocks():
+    # three blocks of theta rows: the first strict minimum across blocks wins
+    grid = 2 * _SWEEP_ROWS + 5
+    for _, r, S in sweep_instances():
+        assert rank_k_min_oracle(S, 2, r, 1, grid=grid) == pytest.approx(
+            oracle_reference(S, r, grid), abs=1e-12)
 
 
 def test_als_matches_oracle_on_sweep_instances():

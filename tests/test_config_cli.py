@@ -323,11 +323,49 @@ def _reject_constant(name):
 ], ids=["N8", "N16"])
 def test_underresolved_grid_curvature_exits_1(tmp_path, N, reason):
     # the extension misses the admissibility tolerance: a tolerance failure
+    out = str(tmp_path / "report.json")
     cfg = write_cfg(tmp_path, "cfg.json", {"backend": "grid", "d": 1, "N": N})
-    res = run_cli(["curvature", "--config", cfg])
+    res = run_cli(["curvature", "--config", cfg, "--out", out])
     assert res.exit_code == 1, res.output
     assert res.output.startswith(f"tolerance failure: admissibility: {reason}")
     assert res.output.count("\n") == 1
+    # the run still writes a report, so `toruslab report` counts it
+    report = json.loads(open(out).read(), parse_constant=_reject_constant)
+    assert report["command"] == "curvature" and report["status"] == "fail"
+    assert report["failures"] == ["admissibility"]
+    assert report["reason"].startswith(reason) and report["config"]["N"] == N
+    summary = str(tmp_path / "summary.json")
+    res = run_cli(["report", out, "--out", summary])
+    assert res.exit_code == 1, res.output
+    assert json.loads(open(summary).read())["reports"][0]["failures"] == ["admissibility"]
+
+
+@pytest.mark.parametrize("command", ["curvature", "hodge-check"])
+@pytest.mark.parametrize("payload", [
+    {"backend": "grid", "d": 1, "N": 100000},
+    {"backend": "spectral", "d": 0, "M": 100000},
+], ids=["grid-N", "spectral-M"])
+def test_oversized_config_exits_2_before_building(tmp_path, monkeypatch, command, payload):
+    def build(cfg):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(cli, "_family", build)
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    res = run_cli([command, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error:") and res.output.count("\n") == 1
+
+
+def test_size_budget_edges():
+    # four times the spectral n = 2, M = 8 config: M = 11 fits, M = 12 does not
+    siegel = {"family": "siegel-diagonal", "t": [0.2, 0.9]}
+    assert config_from_dict(dict(siegel, M=11)).M == 11
+    with pytest.raises(ConfigInvalid, match="'M' is too large"):
+        config_from_dict(dict(siegel, M=12))
+    # grids up to N² <= 4·4·17⁴
+    assert config_from_dict({"backend": "grid", "d": 1, "N": 1156}).N == 1156
+    with pytest.raises(ConfigInvalid, match="'N' is too large"):
+        config_from_dict({"backend": "grid", "d": 1, "N": 1157})
 
 
 def test_scan_rank_csv(tmp_path):
