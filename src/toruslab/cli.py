@@ -100,9 +100,9 @@ def _failed(checks) -> list:
     return sorted(name for name, value, bound in checks if not value <= bound)
 
 
-def _kernel_check(pkg) -> tuple:
-    """The kernel_dim check: the package's harmonic basis has the expected size."""
-    return ("kernel_dim", abs(pkg.harmonic_dim - pkg.expected_kernel), 0)
+def _kernel_check(*pkgs) -> tuple:
+    """The kernel_dim check: each package's harmonic basis has the expected size."""
+    return ("kernel_dim", sum(abs(pkg.harmonic_dim - pkg.expected_kernel) for pkg in pkgs), 0)
 
 
 def _dump_spectrum_csv(packages: dict, path: str) -> None:
@@ -276,7 +276,7 @@ def cmd_hodge_check(cfg, out, dump_spectrum):
         "minimal_solution_norm": cfg.tol("minimal_solution"),
     }
     failures = _failed([(k, v, bounds[k]) for k, v in residuals.items()]
-                       + [_kernel_check(pkg) for pkg in packages.values()])
+                       + [_kernel_check(*packages.values())])
     report = {
         "command": "hodge-check",
         "config": cfg.as_dict(),
@@ -304,10 +304,15 @@ def cmd_curvature(cfg, out, dump_spectrum):
     n = fam.torus_at().n
     sp, pkg0, basis, lift = direct_image_fibre(
         fam, disc, _expected_kernel(cfg, fam, (n, 0)), rank_tol=cfg.tol("rank_tol"))
-    rep = curvature_H(fam, lift, basis, pkg0,
+    packages = {sp.bidegree: pkg0}
+    if n >= 2:
+        # the Berndtsson representative makes xi ⌟ dbar u primitive with G on (n,2)
+        packages[(n, 2)] = build_hodge(sp.sibling((n, 2)), rank_tol=cfg.tol("rank_tol"),
+                                       expected_kernel=_expected_kernel(cfg, fam, (n, 2)))
+    rep = curvature_H(fam, lift, basis, pkg0, pkg_n2=packages.get((n, 2)),
                       admissibility_tol=cfg.tol("admissibility"))
 
-    checks = [_kernel_check(pkg0)]
+    checks = [_kernel_check(*packages.values())]
     positive_bundle = not sp.bundle.is_flat
     if rep.rank > 0:
         scale = max(float(np.linalg.norm(rep.theta_H)), 1e-300)
@@ -341,13 +346,13 @@ def cmd_curvature(cfg, out, dump_spectrum):
         # null, not a bare NaN (strict JSON has none), when the basis is empty
         "nakano_min_eig": float(rep.nakano_min_eig) if rep.rank else None,
         "positivity_verdict": not positive_bundle or not {"kernel_dim", "nakano"} & set(failures),
-        "diagnostics": [pkg0.diagnostics()],
+        "diagnostics": [packages[b].diagnostics() for b in sorted(packages)],
         "failures": failures,
         "status": "pass" if not failures else "fail",
     }
     _emit(report, out)
     if dump_spectrum and out:
-        _dump_spectrum_csv({sp.bidegree: pkg0}, out + ".spectrum.csv")
+        _dump_spectrum_csv(packages, out + ".spectrum.csv")
     return 0 if not failures else 1
 
 

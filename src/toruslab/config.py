@@ -169,9 +169,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                             f"got {len(cfg.chi)}")
     if cfg.t.imag <= 0:
         raise ConfigInvalid(f"'t' must have Im t > 0, got {cfg.t}")
-    for key in ("N", "M", "order"):
+    # the grid eigensolver needs more than one unknown, so N >= 2
+    for key, minimum in (("N", 2), ("M", 1), ("order", 1)):
         if key in raw:
-            setattr(cfg, key, _as_int(raw[key], key))
+            setattr(cfg, key, _as_int(raw[key], key, minimum))
     size_key = "N" if cfg.backend == "grid" else "M"
     samples = cfg.N ** 2 if cfg.backend == "grid" else (2 * cfg.M + 1) ** (2 * n)
     if samples * math.comb(n, n // 2) ** 2 > MAX_UNKNOWNS:

@@ -43,12 +43,10 @@ from .forms import (
     Disc,
     FormSection,
     FormSpace,
-    Spectral,
     adjoint,
     assemble_dbar,
     assemble_nabla10,
     curvature_action,
-    gram,
     lefschetz_L,
     lefschetz_Lambda,
     make_space,
@@ -79,15 +77,6 @@ def _merge_sign(*index_sets) -> Tuple[int, tuple]:
     return sign, tuple(sorted(arr))
 
 
-def _scalar_mean(space: FormSpace, a: np.ndarray, b: np.ndarray) -> complex:
-    """int a conj(b) e^{-phi} dV for two coefficient fields of E-sections."""
-    if isinstance(space.disc, Spectral):
-        return complex(np.sum(a * np.conj(b)))
-    g = gram(space.sibling((0, 0)))
-    # g.w = e^{-phi} / N^2 times the scalar component metric (=1 on functions)
-    return complex(np.sum(a * np.conj(b) * g.w))
-
-
 def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> complex:
     """sqrt(-1)^{n^2} int < u ∧ conj(v) ∧ omega^r / r!, h >.
 
@@ -107,6 +96,8 @@ def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> compl
     I_n = ((-1) ** (n * (n - 1) // 2)) * (2.0 / 1j) ** n / detg
     pref = (1j ** (n * n)) * I_n * (0.5j) ** r * ((-1) ** (r * (r - 1) // 2))
     total = 0.0 + 0.0j
+    # int a conj(b) e^{-phi} dV of two components: the L2 pairing of (0,0)-sections
+    scalar = space.sibling((0, 0))
     for di, (J, K) in enumerate(space.comps):
         for dj, (Jp, Kp) in enumerate(v.space.comps):
             sgn_conj = (-1) ** (pp * qq)
@@ -122,7 +113,8 @@ def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> compl
                     minor = complex(np.linalg.det(gmat[np.ix_(A, B)])) if r else 1.0
                     sgn_r = (-1) ** (r * (q + pp))
                     coeff = sgn_conj * sgn_swap * sgn_r * s_hol * s_anti * minor
-                    total += coeff * _scalar_mean(space, u.coeffs[di], v.coeffs[dj])
+                    total += coeff * pair_l2(scalar.section(u.coeffs[di]),
+                                             scalar.section(v.coeffs[dj]))
     return complex(pref * total)
 
 
@@ -381,8 +373,8 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
 
     # pushforward route: fiber integral of the curvature-wedge top form
     # contracted with the lift, plus the xi ⌟ dbar u pairing.
-    xi_u = [rep.xi_u() for rep in reps]
-    xi_db = [rep.xi_dbar_u() for rep in reps]
+    xi_u = [rep.xi_u for rep in reps]
+    xi_db = [rep.xi_dbar_u for rep in reps]
     n = space.n
     sgn = (-1) ** (n + 1)
     ccf = [curvature_contraction_form(lift, f) for f in basis]    # (xi⌟Theta) ∧ f

@@ -32,7 +32,6 @@ from .forms import (
     FormSection,
     FormSpace,
     Spectral,
-    VerticalVectorField,
     adjoint,
     assemble_dbar,
     assemble_nabla10,
@@ -67,7 +66,6 @@ class HorizontalLift:
     family: FamilySpec
     t: complex
     tau: complex
-    kind: str                      # "trivialization" | "perturbed" | "primitive"
     space: FormSpace               # reference (n,0)-space fixing the discretization
     W: Optional[np.ndarray]        # (n, *field_shape) untwisted samples/modes or None
     K_triv: np.ndarray             # (n, n) constant
@@ -91,8 +89,7 @@ class HorizontalLift:
         target = u.space.sibling((p - 1, q))
         if self.W is None:
             return target.zeros()
-        v = VerticalVectorField(self.space.torus, self.space.disc, self.W)
-        return contract(v, u)
+        return contract(self.W, u)
 
 
 def _dbar_of_field(space: FormSpace, W: np.ndarray) -> np.ndarray:
@@ -123,20 +120,18 @@ def trivialization_lift(family: FamilySpec, space: FormSpace,
     dom = np.atleast_2d(np.asarray(family.dperiod_map(t), dtype=complex))
     K_triv = -dom @ np.linalg.inv(omega - omega.conj())
     return HorizontalLift(
-        family=family, t=t, tau=tau, kind="trivialization", space=space,
-        W=None, K_triv=K_triv, K_pert=None,
+        family=family, t=t, tau=tau, space=space, W=None, K_triv=K_triv, K_pert=None,
     )
 
 
-def perturb_lift(lift: HorizontalLift, W: np.ndarray,
-                 kind: str = "perturbed") -> HorizontalLift:
+def perturb_lift(lift: HorizontalLift, W: np.ndarray) -> HorizontalLift:
     """Add a smooth periodic vertical field to a lift (same base tangent)."""
     W = np.asarray(W, dtype=complex)
     W_total = W if lift.W is None else lift.W + W
     K_pert = _dbar_of_field(lift.space, W_total)
     return HorizontalLift(
-        family=lift.family, t=lift.t, tau=lift.tau, kind=kind, space=lift.space,
-        W=W_total, K_triv=lift.K_triv, K_pert=K_pert,
+        family=lift.family, t=lift.t, tau=lift.tau, space=lift.space, W=W_total,
+        K_triv=lift.K_triv, K_pert=K_pert,
     )
 
 
@@ -159,10 +154,7 @@ def primitive_lift(family: FamilySpec, theta0: HorizontalLift,
     space = theta0.space
     n = space.n
     if n == 1:
-        return HorizontalLift(
-            family=family, t=theta0.t, tau=theta0.tau, kind="primitive",
-            space=space, W=theta0.W, K_triv=theta0.K_triv, K_pert=theta0.K_pert,
-        )
+        return theta0
     if hodge02 is None:
         raise HodgeUnavailable("primitive_lift needs the (0,2) Hodge package")
     torus = space.torus
@@ -190,8 +182,8 @@ def primitive_lift(family: FamilySpec, theta0: HorizontalLift,
     W_new = W0 - eta_vec
     K_pert = _dbar_of_field(space, W_new)
     return HorizontalLift(
-        family=family, t=theta0.t, tau=theta0.tau, kind="primitive", space=space,
-        W=W_new, K_triv=theta0.K_triv, K_pert=K_pert,
+        family=family, t=theta0.t, tau=theta0.tau, space=space, W=W_new,
+        K_triv=theta0.K_triv, K_pert=K_pert,
     )
 
 
@@ -209,32 +201,19 @@ def primitivity_residual(lift: HorizontalLift, f: FormSection) -> float:
 # extensions of harmonic (n,0)-sections
 
 
-@dataclass
+@dataclass(frozen=True)
 class Extension:
-    """Fiber data of the canonical extension of a harmonic (n,0)-section f.
+    """Fiber data of the canonical extension u of a harmonic (n,0)-section f.
 
     alpha0: dt-component of dbar u on the fiber (= kappa_triv f).
     phi0:   dt-component of nabla^{1,0} u on the fiber.
     psi:    fiberwise (n,1)-part of dbar u (dbar f; ~0 for harmonic f).
-    v:      representative shift (n-1,0)-form (u -> u + dt ^ v), default zero.
     """
 
     f: FormSection
-    kind: str
     alpha0: FormSection
     phi0: FormSection
     psi: FormSection
-    v: Optional[FormSection] = None
-
-    def alpha(self) -> FormSection:
-        if self.v is None:
-            return self.alpha0
-        return self.alpha0 - assemble_dbar(self.v.space).apply(self.v)
-
-    def phi(self) -> FormSection:
-        if self.v is None:
-            return self.phi0
-        return self.phi0 - assemble_nabla10(self.v.space).apply(self.v)
 
 
 def make_extension(family: FamilySpec, f: FormSection,
@@ -266,7 +245,7 @@ def make_extension(family: FamilySpec, f: FormSection,
             )
         trace = complex(np.trace(dom @ A))
         phi0 = trace * f
-        return Extension(f=f, kind="constant", alpha0=alpha0, phi0=phi0, psi=psi)
+        return Extension(f=f, alpha0=alpha0, phi0=phi0, psi=psi)
     # positive bundle (n=1): theta-flow extension, holomorphic in t; it is only
     # defined on holomorphic sections (the heat flow extends the theta frame)
     if psi.norm() > admissibility_tol * nf:
@@ -290,7 +269,7 @@ def make_extension(family: FamilySpec, f: FormSection,
     y = calc.y
     S_tot = y * nablaF + F / (t - np.conj(t)) + heat - 1j * np.pi * d * y**2 * F
     phi0 = space.section(S_tot[None])
-    return Extension(f=f, kind="theta", alpha0=alpha0, phi0=phi0, psi=psi)
+    return Extension(f=f, alpha0=alpha0, phi0=phi0, psi=psi)
 
 
 def _plain_gradient_norm(f: FormSection) -> float:
@@ -304,26 +283,7 @@ def _plain_gradient_norm(f: FormSection) -> float:
 
 
 # ---------------------------------------------------------------------------
-# restricted contractions and the Lie derivative
-
-
-def xi_contract_u(lift: HorizontalLift, ext: Extension) -> FormSection:
-    """iota*(xi ⌟ u), an (n-1,0)-form."""
-    out = lift.tau * lift.vertical_contract(ext.f)
-    if ext.v is not None:
-        out = out + lift.tau * ext.v
-    return out
-
-
-def xi_contract_dbar_u(lift: HorizontalLift, ext: Extension) -> FormSection:
-    """iota*(xi ⌟ dbar u) = gamma + alpha, an (n-1,1)-form."""
-    gamma = lift.tau * lift.vertical_contract(ext.psi)
-    return gamma + lift.tau * ext.alpha()
-
-
-def xi_contract_nabla_u(lift: HorizontalLift, ext: Extension) -> FormSection:
-    """iota*(xi ⌟ nabla^{1,0} u) = tau (phi0 - nabla v), an (n,0)-form."""
-    return lift.tau * ext.phi()
+# the Lie derivative
 
 
 def lie_derivative_10(lift: HorizontalLift, ext: Extension) -> FormSection:
@@ -340,29 +300,22 @@ def lie_derivative_10(lift: HorizontalLift, ext: Extension) -> FormSection:
 # representatives
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepresentativeSet:
-    """Berndtsson representative data of one harmonic section at the base point."""
+    """Berndtsson representative data of one harmonic section at the base point.
+
+    The canonical extension u is shifted to u + dt ^ v; the three restricted
+    contractions of the shifted extension are stored.
+    """
 
     f: FormSection
     lift: HorizontalLift
-    ext: Extension                  # with the correction v = V1 + V2 installed
-    alpha: FormSection              # dt-component of dbar u on the fiber
-    phi: FormSection                # dt-component of nabla u on the fiber
-    gamma: FormSection              # iota*(xi ⌟ psi)
-    v1: FormSection
-    v2: FormSection
-    primitive_ok: bool = False
-    orthogonality_ok: bool = False
-
-    def xi_u(self) -> FormSection:
-        return xi_contract_u(self.lift, self.ext)
-
-    def xi_dbar_u(self) -> FormSection:
-        return xi_contract_dbar_u(self.lift, self.ext)
-
-    def xi_nabla_u(self) -> FormSection:
-        return xi_contract_nabla_u(self.lift, self.ext)
+    ext: Extension                  # the canonical extension, without the shift v
+    xi_u: FormSection               # iota*(xi ⌟ u), an (n-1,0)-form
+    xi_dbar_u: FormSection          # iota*(xi ⌟ dbar u), an (n-1,1)-form
+    xi_nabla_u: FormSection         # iota*(xi ⌟ nabla^{1,0} u), an (n,0)-form
+    primitive_ok: bool
+    orthogonality_ok: bool
 
 
 def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
@@ -372,6 +325,10 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
     """Correct the canonical extension so that (a) xi ⌟ dbar u is primitive,
     (b) iota*(xi ⌟ nabla u) is orthogonal to the non-holomorphic part, and
     (c) the Dolbeault class matches (dbar xi) ⌟ f.
+
+    With the shift v = V1 + V2 (tau included) and gamma = tau W ⌟ psi:
+    xi ⌟ u = tau W ⌟ f + v, xi ⌟ dbar u = gamma + tau alpha0 - dbar v and
+    xi ⌟ nabla^{1,0} u = tau phi0 - nabla^{1,0} v.
     """
     space = f.space
     n = space.n
@@ -400,28 +357,21 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
     v2 = adjoint(assemble_nabla10(sp_lower)).apply(pkg_n0.green(p_perp_phi))
 
     v = v1 + v2
-    # install the correction, undoing the tau factor carried above
-    ext.v = (1.0 / lift.tau) * v if lift.tau != 0 else v
+    xi_u = lift.tau * lift.vertical_contract(f) + v
+    xi_dbar_u = gamma + alpha0 - assemble_dbar(sp_lower).apply(v)
+    xi_nabla_u = phi0 - assemble_nabla10(sp_lower).apply(v)
 
-    rep = RepresentativeSet(
-        f=f, lift=lift, ext=ext,
-        alpha=lift.tau * ext.alpha(), phi=lift.tau * ext.phi(),
-        gamma=gamma, v1=v1, v2=v2,
-    )
     nf = max(f.norm(), 1e-300)
-    prim = rep.xi_dbar_u()
-    if n == 1:
-        rep.primitive_ok = True
-    else:
-        rep.primitive_ok = lefschetz_L(prim.space).apply(prim).norm() <= tol * nf
-    orth = rep.xi_nabla_u()
-    rep.orthogonality_ok = (orth - pkg_n0.harmonic_project(orth)).norm() <= tol * nf
-    return rep
+    primitive_ok = n == 1 or lefschetz_L(xi_dbar_u.space).apply(xi_dbar_u).norm() <= tol * nf
+    orthogonality_ok = (xi_nabla_u - pkg_n0.harmonic_project(xi_nabla_u)).norm() <= tol * nf
+    return RepresentativeSet(f=f, lift=lift, ext=ext, xi_u=xi_u, xi_dbar_u=xi_dbar_u,
+                             xi_nabla_u=xi_nabla_u, primitive_ok=primitive_ok,
+                             orthogonality_ok=orthogonality_ok)
 
 
 def class_match_residual(rep: RepresentativeSet, pkg_n11: HodgePackage) -> float:
     """Harmonic part of (dbar xi) ⌟ f - xi ⌟ dbar u (property c), relative to ||f||."""
     kf = kappa(rep.lift, rep.f)
-    diff = kf - rep.xi_dbar_u()
+    diff = kf - rep.xi_dbar_u
     nf = max(rep.f.norm(), 1e-300)
     return pkg_n11.harmonic_project(diff).norm() / nf

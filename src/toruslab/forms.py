@@ -14,6 +14,12 @@ Two backends:
   scipy.sparse matrix: ∂̄ and ∇¹'⁰ for assemble_dbar and assemble_nabla10, and
   ∂/∂z̄ of a periodic field (degree 0) for the Kodaira-Spencer data in family.
 
+Pointwise products (multiply, contract, contract_ks) go through _pointwise.  A
+grid section multiplies sample by sample.  A spectral product with a
+non-constant field is taken on a (3M+1)^{2n} sample grid, 3/2 of the mode grid
+per direction, where no product mode (|k| <= 2M) aliases onto a kept mode
+(|k| <= M), so back on the modes it is the full convolution, cropped.
+
 Bidegree components are enumerated lexicographically: holomorphic index set J
 major, anti-holomorphic K minor, each in increasing order.
 
@@ -425,19 +431,6 @@ def _same_space(u, v):
         )
 
 
-@dataclass(frozen=True)
-class VerticalVectorField:
-    """Section of T^{1,0} of the fiber: components of sum v_a d/dz_a.
-
-    Coefficients are untwisted: Fourier modes without character shift (spectral)
-    or plain periodic samples (grid).
-    """
-
-    torus: LatticeTorus
-    disc: Disc
-    comps: np.ndarray  # (n, *field_shape)
-
-
 class OperatorMatrix:
     """Linear map between two FormSpaces: sign times data.
 
@@ -485,12 +478,11 @@ class OperatorMatrix:
         return self.compose(other)
 
     def __add__(self, other):
-        if self.kind == "mode":
-            a, b = _bc(self.data, self.domain), _bc(other.data, other.domain)
-        else:
-            a, b = self.data, other.data
+        """Sum of two mode operators: only flat (spectral) fibres have a Laplacian
+        or curvature commutator of two terms, as a grid fibre has n = 1."""
+        a, b = _bc(self.data, self.domain), _bc(other.data, other.domain)
         data = (a if self.sign == 1 else -a) + (b if other.sign == 1 else -b)
-        return OperatorMatrix(self.domain, self.codomain, self.kind, data)
+        return OperatorMatrix(self.domain, self.codomain, "mode", data)
 
     def __mul__(self, scalar):
         return OperatorMatrix(self.domain, self.codomain, self.kind,
@@ -751,47 +743,66 @@ def curvature_action(space: FormSpace) -> OperatorMatrix:
 # pointwise products and contraction
 
 
-def _convolve_modes(a, b):
-    """Product of two mode-coefficient arrays (full convolution cropped to the cutoff)."""
-    from scipy.signal import fftconvolve
+def _pointwise(space: FormSpace, field):
+    """(to, back): maps of coefficient arrays to samples on which a product with
+    field is pointwise, and back; each maps only the trailing field axes.
 
-    full = fftconvolve(a, b, mode="full")
-    # crop the central (2M+1)^... window
-    slices = tuple(
-        slice((fs - 1) // 2 - (ms - 1) // 2, (fs - 1) // 2 + (ms - 1) // 2 + 1)
-        for fs, ms in zip(full.shape, a.shape)
-    )
-    return full[slices]
+    Grid samples, and a constant field (trailing axes all 1), multiply as they
+    are, so both maps are the identity.  Otherwise the field and a section of
+    the spectral space have modes |k| <= M, and their product modes |k| <= 2M.
+    to() samples modes on L = 3M + 1 points per direction and back() takes the
+    modes |k| <= M of samples.  A product mode k lands on a kept mode only if
+    k = j (mod L) with |j| <= M, and |k - j| <= 3M < L, so k = j: back() of the
+    sampled product is the full convolution cropped to |k| <= M.
+    """
+    dims = len(space.field_shape)
+    if isinstance(space.disc, Grid) or all(s == 1 for s in np.shape(field)[-dims:]):
+        return (lambda a: a), (lambda a: a)
+    M = space.disc.M
+    L = 3 * M + 1
+    axes = tuple(range(-dims, 0))
+    keep = (Ellipsis,) + np.ix_(*[np.arange(-M, M + 1) % L] * dims)
+
+    def to(a):
+        samples = np.zeros(np.shape(a)[:-dims] + (L,) * dims, dtype=complex)
+        samples[keep] = a
+        return np.fft.ifftn(samples, axes=axes, norm="forward")
+
+    def back(samples):
+        return np.fft.fftn(samples, axes=axes, norm="forward")[keep]
+
+    return to, back
 
 
 def multiply(field: np.ndarray, u: FormSection) -> FormSection:
-    """Multiply a section by a scalar field (mode array or grid samples)."""
-    if isinstance(u.space.disc, Spectral):
-        out = np.stack([_convolve_modes(field, u.coeffs[c]) for c in range(u.space.ncomp)])
-        return FormSection(u.space, out)
-    return FormSection(u.space, field * u.coeffs)
+    """Multiply a section by a scalar field (untwisted modes or grid samples)."""
+    to, back = _pointwise(u.space, field)
+    return FormSection(u.space, back(to(field) * to(u.coeffs)))
 
 
-def contract(v: VerticalVectorField, u: FormSection) -> FormSection:
-    """Interior product of a (1,0) vector field into the holomorphic slots of u."""
+def contract(W: np.ndarray, u: FormSection) -> FormSection:
+    """Interior product of the (1,0) vector field sum_a W[a] d/dz_a into the
+    holomorphic slots of u.
+
+    W has shape (n, *field_shape) and is untwisted: Fourier modes without
+    character shift (spectral) or plain periodic samples (grid).
+    """
     p, q = u.space.bidegree
     if p < 1:
         raise BidegreeUnderflow("contraction needs p >= 1")
     target = u.space.sibling((p - 1, q))
-    out = target.zeros()
+    to, back = _pointwise(u.space, W)
+    Ws, us = to(W), to(u.coeffs)
+    out = np.zeros((target.ncomp,) + us.shape[1:], dtype=complex)
     cidx = {c: i for i, c in enumerate(target.comps)}
     for di, (J, K) in enumerate(u.space.comps):
         for a in J:
             sgn, Jnew = _remove(J, a)
-            ci = cidx[(Jnew, K)]
-            if isinstance(u.space.disc, Spectral):
-                out.coeffs[ci] += sgn * _convolve_modes(v.comps[a], u.coeffs[di])
-            else:
-                out.coeffs[ci] += sgn * v.comps[a] * u.coeffs[di]
-    return out
+            out[cidx[(Jnew, K)]] += sgn * Ws[a] * us[di]
+    return FormSection(target, back(out))
 
 
-def contract_ks(K_field: np.ndarray, u: FormSection, space_hint=None) -> FormSection:
+def contract_ks(K_field: np.ndarray, u: FormSection) -> FormSection:
     """Contract a T^{1,0}-valued (0,1)-form K = sum K[a,c] dz̄_c ⊗ d/dz_a into u.
 
     Computes sum_c dz̄_c ^ (K[a,c] d/dz_a ⌟ u); bidegree (p,q) -> (p-1,q+1).
@@ -804,9 +815,10 @@ def contract_ks(K_field: np.ndarray, u: FormSection, space_hint=None) -> FormSec
     if q + 1 > n:
         raise BidegreeOverflow("K-contraction overflows antiholomorphic degree")
     target = u.space.sibling((p - 1, q + 1))
-    out = target.zeros()
+    to, back = _pointwise(u.space, K_field)
+    Ks, us = to(K_field), to(u.coeffs)
+    out = np.zeros((target.ncomp,) + us.shape[1:], dtype=complex)
     cidx = {c: i for i, c in enumerate(target.comps)}
-    spectral = isinstance(u.space.disc, Spectral)
     for di, (J, Kk) in enumerate(u.space.comps):
         for a in J:
             s_rm, Jnew = _remove(J, a)
@@ -816,14 +828,5 @@ def contract_ks(K_field: np.ndarray, u: FormSection, space_hint=None) -> FormSec
                     continue
                 # dz̄_c ^ dz_{Jnew} ^ dz̄_K = (-1)^{p-1} dz_{Jnew} ^ dz̄_c ^ dz̄_K
                 sgn = s_rm * s_ins * ((-1) ** (p - 1))
-                ci = cidx[(Jnew, Knew)]
-                field = K_field[a, c]
-                if spectral:
-                    if np.ndim(field) == 0 or field.size == 1:
-                        out.coeffs[ci] += sgn * complex(np.ravel(field)[0]) * u.coeffs[di]
-                    else:
-                        out.coeffs[ci] += sgn * _convolve_modes(field, u.coeffs[di])
-                else:
-                    out.coeffs[ci] += sgn * field * u.coeffs[di]
-    return out
-
+                out[cidx[(Jnew, Knew)]] += sgn * Ks[a, c] * us[di]
+    return FormSection(target, back(out))

@@ -201,7 +201,7 @@ def test_representatives_properties(pipeline):
     pkg0, pkg01 = pipeline["pkg0"], pipeline["pkg01"]
     for f, rep in zip(pipeline["basis"], pipeline["reps"]):
         assert rep.primitive_ok
-        orth = rep.xi_nabla_u()
+        orth = rep.xi_nabla_u
         res_orth = (orth - pkg0.harmonic_project(orth)).norm() / f.norm()
         assert res_orth <= 1e-6
         assert class_match_residual(rep, pkg01) <= 1e-6

@@ -243,6 +243,7 @@ _BAD_CONFIGS = {
     "tolerance-nan": {"tolerances": {"fd_rel": float("nan")}},
     "chi-inf": {"d": 0, "chi": [float("-inf"), 0.0]},
     "t-overflow": {"t": [0.3, 10**400]},
+    "grid-N-1": {"backend": "grid", "d": 1, "N": 1},
 }
 
 
@@ -394,6 +395,20 @@ def test_primitive_lift_command(tmp_path):
     assert report["rank"] == 1
     assert report["primitivity_residual"] <= 1e-8
     assert report["hr_equality_residual"] <= 1e-7
+
+
+def test_curvature_command_on_surface_family(tmp_path):
+    # the n = 2 corrected representative needs the (2,2) Hodge package
+    out = str(tmp_path / "curv.json")
+    cfg = write_cfg(tmp_path, "cfg.json", {"family": "siegel-diagonal", "t": [0.2, 0.9]})
+    res = run_cli(["curvature", "--config", cfg, "--out", out])
+    assert res.exit_code == 0, res.output
+    report = json.loads(open(out).read())
+    assert report["status"] == "pass" and report["rank"] == 1
+    assert report["residual_routes"] <= 1e-12
+    assert [diag["bidegree"] for diag in report["diagnostics"]] == [[2, 0], [2, 2]]
+    assert all(diag["kernel_found"] == diag["kernel_expected"] == 1
+               for diag in report["diagnostics"])
 
 
 def test_bls_command_small_battery(tmp_path):

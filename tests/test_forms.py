@@ -1,12 +1,18 @@
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.signal import fftconvolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toruslab
 from toruslab.errors import BidegreeOverflow, ShapeMismatch
 from toruslab.forms import (
     Grid,
@@ -14,6 +20,8 @@ from toruslab.forms import (
     adjoint,
     assemble_dbar,
     assemble_nabla10,
+    contract,
+    contract_ks,
     curvature_action,
     gram,
     lefschetz_L,
@@ -247,6 +255,73 @@ def test_multiply_shifts_spectral_modes(flat_torus, flat_bundle):
     nz = np.argwhere(np.abs(prod.coeffs[0]) > 1e-14)
     assert [tuple(r) for r in nz] == [(5, 4)]
     assert prod.coeffs[0, 5, 4] == pytest.approx(2.0)
+
+
+def _cropped_convolution(a, b, M):
+    """The modes |k| <= M of the full convolution of two mode arrays."""
+    return fftconvolve(a, b)[(slice(M, 3 * M + 1),) * a.ndim]
+
+
+@pytest.mark.parametrize("torus, bundle, M", [("flat_torus", "flat_bundle", 3),
+                                               ("torus2", "flat_bundle2", 2)],
+                         ids=["n1-M3", "n2-M2"])
+def test_spectral_products_are_cropped_convolutions(request, torus, bundle, M):
+    # full-band random factors: their product has modes up to |k| = 2M, which
+    # a sample grid of fewer than 3M + 1 points per direction aliases onto
+    # the kept modes
+    torus, bundle = request.getfixturevalue(torus), request.getfixturevalue(bundle)
+    rng = np.random.default_rng(23)
+    n = torus.n
+    sp = make_space(torus, bundle, (n, 0), Spectral(M=M))
+    const = (1,) * len(sp.field_shape)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    u = sp.section(noise((1,) + sp.field_shape))
+    field = noise(sp.field_shape)
+    assert close(multiply(field, u).coeffs[0], _cropped_convolution(field, u.coeffs[0], M))
+
+    # the reference of a contraction convolves each coefficient field with the
+    # contraction by the constant unit field of its slot, which is exact
+    K = noise((n, n) + sp.field_shape)
+    want = 0
+    for a in range(n):
+        for c in range(n):
+            unit = np.zeros((n, n) + const, dtype=complex)
+            unit[a, c] = 1.0
+            want = want + np.stack([_cropped_convolution(K[a, c], comp, M)
+                                    for comp in contract_ks(unit, u).coeffs])
+    assert close(contract_ks(K, u).coeffs, want)
+
+    W = noise((n,) + sp.field_shape)
+    want = 0
+    for a in range(n):
+        unit = np.zeros((n,) + const, dtype=complex)
+        unit[a] = 1.0
+        want = want + np.stack([_cropped_convolution(W[a], comp, M)
+                                for comp in contract(unit, u).coeffs])
+    assert close(contract(W, u).coeffs, want)
+
+
+def test_primitive_lift_does_not_import_scipy_signal(tmp_path):
+    # the primitive surface lift carries a non-constant Kodaira-Spencer field,
+    # so the command takes spectral products, which need numpy.fft only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "siegel-diagonal", "t": [0.2, 0.9],
+                               "backend": "spectral", "d": 0, "M": 4}))
+    args = ["primitive-lift", "--config", str(cfg), "--out", str(tmp_path / "out.json")]
+    script = ("import sys\nfrom toruslab import cli\n"
+              f"code = cli.main.main({args!r}, standalone_mode=False)\n"
+              "print(code, 'scipy.signal' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(toruslab.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 @settings(max_examples=25, deadline=None)
