@@ -300,7 +300,7 @@ def schur_complement(form: HermitianFormOnTensor) -> np.ndarray:
     return (S + S.conj().T) / 2.0
 
 
-# exact alternation steps after the best start, in the oracle and in ALS
+# cap on the exact alternation steps after the best start, in the oracle and ALS
 _POLISH_STEPS = 200
 
 
@@ -314,36 +314,23 @@ def _herm(A: np.ndarray) -> np.ndarray:
     return (A + _adj(A)) / 2
 
 
-def _min_gen_eigvecs(B: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Smallest eigenvectors of B v = lambda N v for a stack of pencils.
-
-    N is positive semidefinite; each pencil is regularized by a jitter relative
-    to the mean diagonal of N, reduced by the Cholesky factor L of N + jitter·I
-    to the standard problem L^{-1} B L^{-H} y = lambda y, and solved with
-    v = L^{-H} y, so v† (N + jitter·I) v = 1.
-    """
-    n = N.shape[-1]
-    jitter = 1e-12 * np.maximum(np.trace(N, axis1=-2, axis2=-1).real / max(n, 1), 1.0)
-    Li = np.linalg.inv(np.linalg.cholesky(N + jitter[:, None, None] * np.eye(n)))
-    _, Y = np.linalg.eigh(_herm(Li @ B @ _adj(Li)))
-    return (_adj(Li) @ Y[:, :, :1])[:, :, 0]
-
-
 def _als_step(Sk: np.ndarray, U: np.ndarray, W: np.ndarray):
     """One alternation on stacked factors X = U W^T: best U for W, then best W for U.
 
-    U has shape (R, m1, k) and W (R, r, k); the R stacked problems are independent.
+    U is (R, m1, k) and W (R, r, k): R independent problems.  Each half-step
+    orthonormalizes the fixed factor (same tensors U W^T, whose norm is then
+    the free factor's) and keeps the lowest eigenvector of one eigh.
     """
     R, m1, kk = U.shape
     r = W.shape[1]
     # fix W, minimize over U: q = U*_{is} B[(is),(jt)] U_{jt}
+    W, _ = np.linalg.qr(W)
     B = np.einsum("iajb,Ras,Rbt->Risjt", Sk, np.conj(W), W).reshape(R, m1 * kk, m1 * kk)
-    N = np.einsum("ij,Rst->Risjt", np.eye(m1), _adj(W) @ W).reshape(R, m1 * kk, m1 * kk)
-    U = _min_gen_eigvecs(_herm(B), N).reshape(R, m1, kk)
+    U = np.linalg.eigh(_herm(B))[1][:, :, 0].reshape(R, m1, kk)
     # fix U, minimize over W: q = W*_{as} C[(as),(bt)] W_{bt}
+    U, _ = np.linalg.qr(U)
     C = np.einsum("iajb,Ris,Rjt->Rasbt", Sk, np.conj(U), U).reshape(R, r * kk, r * kk)
-    N2 = np.einsum("ab,Rst->Rasbt", np.eye(r), _adj(U) @ U).reshape(R, r * kk, r * kk)
-    W = _min_gen_eigvecs(_herm(C), N2).reshape(R, r, kk)
+    W = np.linalg.eigh(_herm(C))[1][:, :, 0].reshape(R, r, kk)
     return U, W
 
 
@@ -360,7 +347,7 @@ def _als_min(S: np.ndarray, m1: int, r: int, k: int, restarts: int,
              iters: int, rng) -> Tuple[float, np.ndarray]:
     """Minimize v† S v over unit tensors of rank <= k by alternating eigenproblems.
 
-    v = vec(X) with X = U V† of shape (m1, r), rank(X) <= k.  All restarts
+    v = vec(X) with X = U W^T of shape (m1, r), rank(X) <= k.  All restarts
     alternate together as one stack; the best one is then alternated alone
     until a step no longer lowers the value, for at most as many steps as the
     oracle's polish.
@@ -422,32 +409,20 @@ def _smallest_eigenvalue(H) -> np.ndarray:
     return q + 2 * p * np.cos(angle + 2 * np.pi / 3)
 
 
-def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
-                      grid: int = 181) -> float:
-    """Brute-force minimum of v† S v over unit rank-<=k tensors (small dims only).
+def _cp1_sweep(Sk: np.ndarray, grid: int) -> Tuple[float, np.ndarray]:
+    """Smallest rank-1 value of Sk (S as (2, r, 2, r), r <= 3) on a CP^1 grid.
 
-    For k >= min(m1, r) this is the exact smallest eigenvalue.  For k = 1 with
-    m1 = 2 and r <= 3 the M-factor xi = [cos theta, sin theta e^{i phi}] is
-    swept over a fine (theta, phi) grid of CP^1 with the exact F-side
-    eigenvalue at each point, then polished by exact alternation.  The sweep
-    builds the Hermitian part of A(xi) = sum_ij conj(xi_i) S_ij xi_j entry by
-    entry on _SWEEP_ROWS theta rows at a time and takes its smallest
-    eigenvalue in closed form; the first strict minimum in theta-major,
-    phi-minor order starts the polish.
+    xi = [cos theta, sin theta e^{i phi}] runs over a (grid x 2·grid) grid; on
+    each block of _SWEEP_ROWS theta rows the Hermitian part of
+    A(xi) = sum_ij conj(xi_i) S_ij xi_j is built entrywise and its smallest
+    eigenvalue taken in closed form.  Returns (value, xi) at the first minimum
+    in theta-major order: argmin within a block, a strict < across blocks.
     """
-    kk = min(k, m1, r)
-    if kk >= min(m1, r):
-        return float(np.linalg.eigvalsh(S)[0])
-    if kk != 1 or m1 != 2 or r > 3:
-        raise UnsupportedDimension(
-            "oracle supports k >= min(m1,r) or k=1 with m1 <= 2 and r <= 3; "
-            f"got m1={m1}, r={r}, k={k}")
-    Sk = S.reshape(m1, r, m1, r)
+    r = Sk.shape[1]
     P, Q = _herm(Sk[0, :, 0, :]), _herm(Sk[1, :, 1, :])
     U = (Sk[0, :, 1, :] + _adj(Sk[1, :, 0, :])) / 2
     thetas = np.linspace(0, np.pi / 2, grid)
-    phis = np.linspace(0, 2 * np.pi, 2 * grid, endpoint=False)
-    phase = np.exp(1j * phis)
+    phase = np.exp(1j * np.linspace(0, 2 * np.pi, 2 * grid, endpoint=False))
     best, best_xi = np.inf, None
     for start in range(0, grid, _SWEEP_ROWS):
         rows = thetas[start:start + _SWEEP_ROWS, None]
@@ -465,16 +440,39 @@ def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
             th = thetas[start + i]
             best = lam[i, j]
             best_xi = np.array([np.cos(th), np.sin(th) * phase[j]])
-    # polish with exact alternation from the best grid point
-    xi = best_xi
+    return best, best_xi
+
+
+def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
+                      grid: int = 181) -> float:
+    """Brute-force minimum of v† S v over unit rank-<=k tensors (small dims only).
+
+    For k >= min(m1, r) this is the exact smallest eigenvalue.  For k = 1 with
+    m1 = 2 and r <= 3 the minimum of _cp1_sweep is polished by exact
+    alternation from its xi until xi repeats bit for bit: a step is a function
+    of xi alone, so this is bitwise the value of all _POLISH_STEPS steps.
+    """
+    kk = min(k, m1, r)
+    if kk >= min(m1, r):
+        return float(np.linalg.eigvalsh(S)[0])
+    if kk != 1 or m1 != 2 or r > 3:
+        raise UnsupportedDimension(
+            "oracle supports k >= min(m1,r) or k=1 with m1 <= 2 and r <= 3; "
+            f"got m1={m1}, r={r}, k={k}")
+    Sk = S.reshape(m1, r, m1, r)
+    best, xi = _cp1_sweep(Sk, grid)
+    # polish with exact alternation from the best grid point, up to a cycle
+    seen = {xi.tobytes()}
     for _ in range(_POLISH_STEPS):
         A = np.einsum("i,iajb,j->ab", np.conj(xi), Sk, xi)
-        w, V = np.linalg.eigh((A + A.conj().T) / 2)
-        eta = V[:, 0]
+        eta = np.linalg.eigh((A + A.conj().T) / 2)[1][:, 0]
         B = np.einsum("a,iajb,b->ij", np.conj(eta), Sk, eta)
         w2, V2 = np.linalg.eigh((B + B.conj().T) / 2)
         xi = V2[:, 0]
         best = min(best, float(w2[0]))
+        if xi.tobytes() in seen:
+            break
+        seen.add(xi.tobytes())
     return best
 
 

@@ -148,8 +148,8 @@ def _command(name: str, defaults: dict):
     ConfigInvalid exits 2 with "config error:", ExtensionNotAdmissible (a miss
     of the admissibility tolerance, as on an under-resolved grid) exits 1 with
     "tolerance failure: admissibility:" and, given --out, a report that fails
-    `admissibility` with the reason, and any other TorusLabError exits 3 with
-    "numerical failure:".
+    `admissibility` with the reason, and any other exception exits 3 with one
+    line "numerical failure:" (the type first unless it is a TorusLabError).
     """
     def register(body):
         @main.command(name, help=body.__doc__)
@@ -169,8 +169,9 @@ def _command(name: str, defaults: dict):
                            "failures": ["admissibility"], "reason": str(exc),
                            "status": "fail"}, out)
                 code = 1
-            except TorusLabError as exc:
-                click.echo(f"numerical failure: {exc}", err=True)
+            except Exception as exc:
+                kind = "" if isinstance(exc, TorusLabError) else f"{type(exc).__name__}: "
+                click.echo(f"numerical failure: {kind}{exc}", err=True)
                 code = 3
             ctx.exit(code)
         return command

@@ -8,6 +8,7 @@ from toruslab.bls import (
     HermitianFormOnTensor,
     _SWEEP_ROWS,
     _als_min,
+    _cp1_sweep,
     _smallest_eigenvalue,
     chern_connection_fd,
     chern_curvature_fd,
@@ -298,6 +299,8 @@ def test_minimum_is_monotone_in_rank(seed):
 
 # random_demailly_instance seeds with m1 = 2 and r in {2, 3}: the CP^1 sweep
 SWEEP_SEEDS = (0, 4, 5, 7, 13)
+# an instance on which the ALS restarts alone stop short of the minimum
+SLOW_SEED = 78653459536
 
 
 def sweep_instances():
@@ -318,10 +321,15 @@ def oracle_reference(S, r, grid):
             lam = np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
             if lam < best:
                 best, best_xi = lam, xi
-    xi = best_xi
+    return polish_reference(Sk, best, best_xi)
+
+
+def polish_reference(Sk, best, xi):
+    """All 200 steps of the oracle's exact alternation, with no early stop."""
     for _ in range(200):
         A = np.einsum("i,iajb,j->ab", np.conj(xi), Sk, xi)
-        eta = np.linalg.eigh((A + A.conj().T) / 2)[1][:, 0]
+        w, V = np.linalg.eigh((A + A.conj().T) / 2)
+        eta = V[:, 0]
         B = np.einsum("a,iajb,b->ij", np.conj(eta), Sk, eta)
         w2, V2 = np.linalg.eigh((B + B.conj().T) / 2)
         xi = V2[:, 0]
@@ -356,9 +364,71 @@ def test_als_matches_oracle_on_sweep_instances():
 def test_als_converges_on_slow_instance():
     # without the polish, 50 restarts x 40 alternations stop 2.5e-6 above
     # the minimum here
-    seed = 78653459536
+    seed = SLOW_SEED
     form, _, S = random_demailly_instance(seed)
     m1 = form.split[0]
     val, _ = _als_min(S, m1, form.r, 1, restarts=50, iters=40,
                       rng=np.random.default_rng(seed + 7))
     assert val == pytest.approx(rank_k_min_oracle(S, m1, form.r, 1), abs=1e-10)
+
+
+def test_sweep_keeps_the_first_grid_point_on_ties():
+    # S = P (+) P with zero off-diagonal blocks makes A(xi) = (c² + s²) P; with
+    # these P the closed form gives exactly 0 at every grid point, so all
+    # twelve theta blocks tie and the strict < keeps theta = phi = 0
+    for P in (np.diag([0.0, 1.0]), np.zeros((3, 3))):
+        r = len(P)
+        S = np.kron(np.eye(2), P).astype(complex)
+        best, xi = _cp1_sweep(S.reshape(2, r, 2, r), 181)
+        assert best == 0.0
+        assert np.array_equal(xi, [1.0, 0.0])
+        assert rank_k_min_oracle(S, 2, r, 1) == 0.0
+
+
+
+def test_oracle_polish_stop_is_bitwise_exact():
+    # the polish stops once an iterate repeats; the value must be the one
+    # all 200 steps give, to the last bit
+    for seed in (*SWEEP_SEEDS, SLOW_SEED):
+        form, _, S = random_demailly_instance(seed)
+        assert form.split[0] == 2
+        r = form.r
+        Sk = S.reshape(2, r, 2, r)
+        best, xi = _cp1_sweep(Sk, 181)
+        assert rank_k_min_oracle(S, 2, r, 1) == polish_reference(Sk, best, xi)
+
+
+def _unitary_with_first_column(rng, x):
+    n = len(x)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M[:, 0] = x
+    Q, _ = np.linalg.qr(M)
+    return Q
+
+
+def test_als_at_rank_two():
+    # m1 = r = 3 and k = 2: two columns per ALS factor
+    for seed in range(6):
+        rng = np.random.default_rng(900 + seed)
+        A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        S = (A + A.conj().T) / 2.0
+        val, X = _als_min(S, 3, 3, 2, restarts=50, iters=40,
+                          rng=np.random.default_rng(seed))
+        val1, _ = _als_min(S, 3, 3, 1, restarts=50, iters=40,
+                           rng=np.random.default_rng(seed))
+        assert np.linalg.matrix_rank(X) <= 2
+        x = X.ravel()
+        assert np.real(np.vdot(x, S @ x)) == pytest.approx(val, abs=1e-12)
+        assert np.linalg.eigvalsh(S)[0] - 1e-12 <= val <= val1 + 1e-12
+    # a form whose lowest eigenvector is a rank-2 tensor: ALS reaches it
+    rng = np.random.default_rng(950)
+    U = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    x0 = (U @ W.T).ravel()
+    Q = _unitary_with_first_column(rng, x0 / np.linalg.norm(x0))
+    S = Q @ np.diag([-1.0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4]) @ Q.conj().T
+    S = (S + S.conj().T) / 2.0
+    val, X = _als_min(S, 3, 3, 2, restarts=50, iters=40,
+                      rng=np.random.default_rng(0))
+    assert val == pytest.approx(np.linalg.eigvalsh(S)[0], abs=1e-10)
+    assert np.linalg.matrix_rank(X) == 2

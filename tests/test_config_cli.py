@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -266,6 +267,17 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     res = run_cli(["hodge-check", "--config", cfg])
     assert res.exit_code == 3
     assert "numerical failure: ARPACK did not converge" in res.output
+
+
+def test_other_exception_exits_3_with_one_line(monkeypatch):
+    def fail(cfg):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "bls_battery", fail)
+    res = run_cli(["bls"])
+    assert res.exit_code == 3
+    assert res.stderr.splitlines() == [
+        "numerical failure: LinAlgError: Eigenvalues did not converge"]
 
 
 def test_curvature_report_contents(tmp_path):
