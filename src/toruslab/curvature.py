@@ -322,7 +322,6 @@ def _hermitize(M: np.ndarray) -> np.ndarray:
 def curvature_H(family: FamilySpec, lift: HorizontalLift,
                 basis: Sequence[FormSection],
                 pkg_n0: HodgePackage,
-                pkg_n1: Optional[HodgePackage] = None,
                 pkg_n2: Optional[HodgePackage] = None,
                 reps: Optional[Sequence[RepresentativeSet]] = None,
                 admissibility_tol: float = 1e-5,

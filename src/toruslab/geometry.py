@@ -58,6 +58,15 @@ class BundleData:
     def is_flat(self) -> bool:
         return self.kind == "flat"
 
+    @property
+    def is_trivial(self) -> bool:
+        """Flat with chi in Z^{2n} to 1e-9: the one rule for the kernel of a
+        flat fibre.  Its box is lambda(kappa) Id on the mode kappa = k + chi,
+        zero only at kappa = 0, so every bidegree has harmonic forms (all of
+        the kappa = 0 mode) exactly when the bundle is trivial."""
+        dist = np.minimum(self.chi, 1.0 - self.chi)   # chi is kept in [0, 1)
+        return self.is_flat and bool(np.all(dist <= 1e-9))
+
 
 def make_torus(n: int, period) -> LatticeTorus:
     """Build a torus from its period matrix; the Kaehler matrix is (Im Omega)^{-1}.

@@ -1,8 +1,10 @@
 """Laplacians, harmonic spaces, Green operators, and Bergman projections.
 
-Spectral backend: the Laplacian is mode-diagonal, so the full eigendecomposition
-is a vectorized batch of tiny Hermitian problems and the Green operator is again
-a mode-diagonal OperatorMatrix (exact arithmetic up to rounding).
+Spectral backend (flat bundles): the Laplacian is lambda(kappa) Id on each
+shifted mode kappa = k + chi, so the solver reads lambda off the box diagonal
+and needs no eigensolve.  Its kernel follows one rule, BundleData.is_trivial:
+the whole kappa = 0 mode when chi is integral, nothing otherwise, with no
+eigenvalue cut; Green and the projector are multiplications mode by mode.
 
 Grid backend (n = 1): the Laplacian is Dt^H Dt or Dt Dt^H for the weighted
 sparse dbar Dt, so Dt is factored, not the Laplacian.  In the Gaussian gauge
@@ -13,10 +15,10 @@ it finds both kernels, and a Green apply is two solves with it between kernel
 deflations.  The low spectrum is computed only on demand.
 
 Both solvers share one interface: green(u), project(u), eigenvalues(),
-lambda1(), harmonic_sections() and diagnostics().  A package assembles its
-Laplacian box on first use: the spectral solver needs it at once, the grid
-solver never, so a grid box is built only when something applies it or a
-report asks for its nnz.
+lambda1(), harmonic_sections() and diagnostics().  rank_tol sets only the grid
+kernel cut.  A package assembles its Laplacian box on first use: the spectral
+solver reads it at once, the grid solver never, so a grid box is built only
+when something applies it or a report asks for its nnz.
 """
 
 from __future__ import annotations
@@ -70,75 +72,57 @@ def laplacian(space: FormSpace, kind: str) -> OperatorMatrix:
 
 
 class _SpectralSolver:
-    """Eigendata of a mode-diagonal G-self-adjoint PSD operator."""
+    """Closed-form Hodge data of a flat fibre, with no eigensolve and no cut.
 
-    def __init__(self, space: FormSpace, box: OperatorMatrix, rank_tol: float):
-        g = gram(space)
-        R = np.linalg.cholesky(g.P).conj().T      # P = R^H R
-        Rinv = np.linalg.inv(R)
-        nc = space.ncomp
-        nm = int(np.prod(space.field_shape))
-        blocks = np.broadcast_to(box.data, (nc, nc) + space.field_shape)
-        B = np.moveaxis(blocks.reshape(nc, nc, nm), 2, 0)      # (nm, nc, nc)
-        Bt = R[None] @ B @ Rinv[None]
-        Bt = (Bt + np.conj(np.swapaxes(Bt, 1, 2))) / 2.0
-        lam, U = np.linalg.eigh(Bt)
-        self.space, self.R, self.Rinv = space, R, Rinv
-        self.lam, self.U = lam, U                              # (nm, nc), (nm, nc, nc)
-        self.lam_max = float(lam.max()) if lam.size else 0.0
-        self.cut = rank_tol * max(self.lam_max, 1.0)
-        self.null_mask = lam < self.cut
+    With the constant Kaehler metric the box of a flat bundle is lambda(kappa) Id
+    on each mode kappa = k + chi, so lambda is read off the box diagonal.  The
+    kernel is the whole kappa = 0 mode when the bundle is trivial
+    (BundleData.is_trivial) and empty otherwise.  Green multiplies by 1/lambda
+    off the kernel, the projector by the kernel mask, and the harmonic basis is
+    the kernel mode with the columns of R^{-1} (P = R^H R), orthonormal for P.
+    """
 
-    def _assemble(self, diag) -> OperatorMatrix:
-        """Mode operator R^{-1} U diag U^H R for a (nm, nc) spectral multiplier."""
-        nc = self.space.ncomp
-        M = self.U @ (diag[..., None] * np.conj(np.swapaxes(self.U, 1, 2)))
-        M = self.Rinv[None] @ M @ self.R[None]
-        data = np.moveaxis(M, 0, 2).reshape((nc, nc) + self.space.field_shape)
-        return OperatorMatrix(self.space, self.space, "mode", data)
-
-    @cached_property
-    def _green_op(self) -> OperatorMatrix:
-        inv = np.where(self.null_mask, 0.0, 1.0 / np.where(self.null_mask, 1.0, self.lam))
-        return self._assemble(inv)
-
-    @cached_property
-    def _projector(self) -> OperatorMatrix:
-        return self._assemble(self.null_mask.astype(float))
+    def __init__(self, space: FormSpace, box: OperatorMatrix):
+        self.space = space
+        self.lam = np.broadcast_to(box.data[0, 0].real, space.field_shape)
+        self.null_mask = np.zeros(space.field_shape, dtype=bool)
+        if space.bundle.is_trivial:
+            # kappa = 0 is the mode k = -chi, and chi in [0, 1) rounds to 0 or 1
+            self.null_mask[tuple(space.disc.M - np.rint(space.bundle.chi).astype(int))] = True
+        self._inv = np.divide(1.0, self.lam, out=np.zeros(space.field_shape),
+                              where=~self.null_mask)
 
     def green(self, u: FormSection) -> FormSection:
-        return self._green_op.apply(u)
+        return FormSection(self.space, u.coeffs * self._inv)
 
     def project(self, u: FormSection) -> FormSection:
-        return self._projector.apply(u)
+        return FormSection(self.space, u.coeffs * self.null_mask)
 
     def harmonic_sections(self) -> List[FormSection]:
+        if not self.null_mask.any():
+            return []
+        Rinv = np.linalg.inv(np.linalg.cholesky(gram(self.space).P).conj().T)
         out = []
-        idx = np.argwhere(self.null_mask)
-        for mode_flat, j in idx:
-            vec = self.Rinv @ self.U[mode_flat, :, j]
-            coeffs = np.zeros((self.space.ncomp,) + self.space.field_shape, dtype=complex)
-            mode_idx = np.unravel_index(mode_flat, self.space.field_shape)
-            for c in range(self.space.ncomp):
-                coeffs[(c,) + mode_idx] = vec[c]
-            out.append(FormSection(self.space, coeffs))
+        for column in Rinv.T:
+            f = self.space.zeros()
+            f.coeffs[:, self.null_mask] = column[:, None]
+            out.append(f)
         return out
 
     def eigenvalues(self) -> np.ndarray:
-        return np.sort(self.lam.ravel())
+        return np.sort(np.tile(self.lam.ravel(), self.space.ncomp))
 
     def diagnostics(self) -> dict:
         return {
-            "dim": int(self.lam.size),
-            "kernel_found": int(self.null_mask.sum()),
+            "dim": self.space.dim,
+            "kernel_found": self.space.ncomp * int(self.null_mask.sum()),
             "lambda1": _lambda1_or_none(self),
-            "cut": self.cut,
         }
 
     def lambda1(self) -> float:
         pos = self.lam[~self.null_mask]
         if pos.size == 0:
-            raise EmptySpectrum("no eigenvalue above the kernel threshold")
+            raise EmptySpectrum("no eigenvalue off the kernel")
         return float(pos.min())
 
 
@@ -342,18 +326,19 @@ class HodgePackage:
     """Hodge data of one FormSpace: harmonic basis, Green operator, projector,
     and the box, assembled on first use.
 
-    The spectral solver diagonalizes the box, so a spectral package assembles
-    it at once; the grid solver factors dbar, and a grid package assembles the
+    The spectral solver reads the box's scalar mode blocks, so a spectral
+    package assembles it at once, and its kernel is the kappa = 0 mode of a
+    trivial bundle (BundleData.is_trivial), with no cut.  The grid solver
+    factors dbar and cuts its kernel at rank_tol; a grid package assembles the
     box only when something applies it or reads its nnz.
     """
 
     def __init__(self, space: FormSpace, rank_tol: float = 1e-7,
                  expected_kernel: int = 4):
         self.space = space
-        self.rank_tol = rank_tol
         self.expected_kernel = expected_kernel
         if isinstance(space.disc, Spectral):
-            self._solver = _SpectralSolver(space, self.laplacian, rank_tol)
+            self._solver = _SpectralSolver(space, self.laplacian)
         else:
             self._solver = _GridSolver(space, rank_tol, expected_kernel)
         self.harmonic_basis = self._solver.harmonic_sections()

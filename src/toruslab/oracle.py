@@ -199,7 +199,8 @@ def exact_landau_spectrum(d: int, bidegree: Tuple[int, int], count: int) -> np.n
 
 
 def is_jump_point(t: complex, target: complex = 1j, tol: float = 1e-9) -> bool:
-    """Decide target in Z + t Z by solving the 2x2 real system for (m, n)."""
+    """Decide target in Z + t Z by solving the 2x2 real system for (m, n): an
+    independent reference for BundleData.is_trivial on the jumping family."""
     s = t.imag
     nn = target.imag / s
     mm = target.real - nn * t.real
@@ -212,20 +213,17 @@ def rank_scan(family: FamilySpec, t_samples: Sequence[complex],
 
     Returns rows (t, rank, lambda1) with rank = dim of the holomorphic canonical
     sections on the fiber (kernel of the dbar-Laplacian on top-degree forms) and
-    lambda1 the smallest positive closed-form eigenvalue.
+    lambda1 the lowest closed-form eigenvalue off the kernel.
     """
     rows = []
     for t in t_samples:
         torus = family.torus_at(t)
         bundle = family.bundle_at(t)
         lam = exact_flat_spectrum(torus, bundle.chi, (torus.n, 0), M=M)
-        # the kernel is exact: a shifted mode sits at zero iff kappa = 0 exactly
-        chi = bundle.chi
-        dist = np.minimum(chi, 1.0 - chi)
-        rank = 1 if np.all(dist <= 1e-9) else 0
-        positive = lam[lam > max(1e-9, 1e-9 * lam.max())]
-        lam1 = float(positive.min()) if positive.size else float("nan")
-        rows.append((complex(t), rank, lam1))
+        # the one kernel rule of a flat fibre: the kappa = 0 mode, present
+        # exactly when the bundle is trivial, and lambda1 the next eigenvalue
+        rank = int(bundle.is_trivial)
+        rows.append((complex(t), rank, float(lam[rank])))
     return rows
 
 

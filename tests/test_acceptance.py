@@ -166,6 +166,20 @@ def test_jumping_family_rank_scan():
     assert elapsed < 30.0
 
 
+def test_hodge_kernel_agrees_with_rank_scan_on_default_scan():
+    # the Hodge package, rank_scan and the independent lattice test give one
+    # rank on every sample of the default scan-rank segment, including the
+    # samples next to the jump at t = i
+    cfg = config_from_dict({"family": "jumping", "t": [0.0, 1.0]})
+    ts = cfg.scan_samples()
+    rows = rank_scan(jumping_family(cfg.t), ts, M=cfg.M)
+    assert len(rows) == 101
+    for t, (_, rank, _) in zip(ts, rows):
+        _, pkg, _, _ = direct_image_fibre(jumping_family(t), Spectral(M=cfg.M),
+                                          expected_kernel=rank)
+        assert pkg.harmonic_dim == rank == int(is_jump_point(t)), t
+
+
 # ---------------------------------------------------------------------------
 # 4. primitive horizontal lift on an abelian surface
 

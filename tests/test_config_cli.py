@@ -188,7 +188,7 @@ def test_hodge_check_passes_on_spectral_flat(tmp_path):
     diag, = report["diagnostics"]
     assert diag["bidegree"] == [1, 1]
     assert diag["kernel_found"] == diag["kernel_expected"] == 1
-    assert diag["lambda1"] > diag["cut"] > 0
+    assert diag["lambda1"] > 0 and "cut" not in diag
 
 
 def test_hodge_check_flags_underresolved_grid(tmp_path):
@@ -278,6 +278,33 @@ def test_other_exception_exits_3_with_one_line(monkeypatch):
     assert res.exit_code == 3
     assert res.stderr.splitlines() == [
         "numerical failure: LinAlgError: Eigenvalues did not converge"]
+
+
+def test_overflow_exits_3_with_one_line(tmp_path):
+    # a floating-point overflow or invalid value raises instead of warning, so
+    # the run prints one line; a fresh process shows warnings as a user sees them
+    cfg = write_cfg(tmp_path, "cfg.json", {"t": [1e300, 1], "N": 16})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "toruslab.cli", "curvature", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 3
+    line, = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: FloatingPointError: ")
+
+
+def test_curvature_next_to_the_jump_has_rank_zero(tmp_path):
+    # at t = 0.001 + i the bundle is not trivial, so the fibre has no section:
+    # the package finds no kernel, though its lowest eigenvalue is only 2e-5
+    out = str(tmp_path / "curv.json")
+    cfg = write_cfg(tmp_path, "cfg.json",
+                    {"family": "jumping", "backend": "spectral", "t": [0.001, 1]})
+    res = run_cli(["curvature", "--config", cfg, "--out", out])
+    assert res.exit_code == 0, res.output
+    report = json.loads(open(out).read())
+    assert report["rank"] == 0 and report["at_jump_locus"] is False
+    diag, = report["diagnostics"]
+    assert diag["kernel_found"] == diag["kernel_expected"] == 0
+    assert 0 < diag["lambda1"] < 1e-4
 
 
 def test_curvature_report_contents(tmp_path):

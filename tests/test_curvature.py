@@ -23,7 +23,7 @@ from toruslab.family import (
     primitive_lift,
 )
 from toruslab.forms import Grid, Spectral, lefschetz_L, make_space, pair_l2
-from toruslab.geometry import elliptic_family, siegel_diagonal_family
+from toruslab.geometry import elliptic_family, jumping_family, siegel_diagonal_family
 from toruslab.hodge import build_hodge
 from toruslab.oracle import fd_chern_curvature_H
 
@@ -90,16 +90,18 @@ def test_lefschetz_decomposition_roundtrip(torus2, flat_bundle2, spec_disc, rng)
 
 
 def test_flat_family_curvature_closed_form():
-    fam = elliptic_family(0.2 + 0.8j, d=0, chi=(0.0, 0.0))
-    s = fam.t.imag
-    _, pkg, basis, lift = direct_image_fibre(fam, Spectral(M=6), expected_kernel=1)
-    report = curvature_H(fam, lift, basis, pkg)
-    expect = 1.0 / (4.0 * s * s)
-    assert report.theta_H[0, 0].real == pytest.approx(expect, rel=1e-12)
-    assert report.residual_routes <= 1e-12
-    assert abs(curvature_L_theta(lift, basis[0], basis[0]) - expect) <= 1e-12
-    with pytest.raises(CurvatureNotInvertible):
-        xu_wang_bound(fam, lift, basis, pkg)
+    # a flat elliptic fibre and two jump points of the jumping family
+    for fam in (elliptic_family(0.2 + 0.8j, d=0, chi=(0.0, 0.0)),
+                jumping_family(1j), jumping_family((1j - 1) / 2)):
+        s = fam.t.imag
+        _, pkg, basis, lift = direct_image_fibre(fam, Spectral(M=6), expected_kernel=1)
+        report = curvature_H(fam, lift, basis, pkg)
+        expect = 1.0 / (4.0 * s * s)
+        assert report.theta_H[0, 0].real == pytest.approx(expect, rel=1e-12)
+        assert report.residual_routes <= 1e-12
+        assert abs(curvature_L_theta(lift, basis[0], basis[0]) - expect) <= 1e-12
+        with pytest.raises(CurvatureNotInvertible):
+            xu_wang_bound(fam, lift, basis, pkg)
 
 
 def test_route_agreement_and_positivity(grid_curv):

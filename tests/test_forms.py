@@ -84,7 +84,7 @@ def test_grid_fibre_is_freed_by_reference_counting():
         torus = sp10.torus
         ref = weakref.ref(torus)
         pkg11 = build_hodge(sp10.sibling((1, 1)), expected_kernel=0)
-        rep = curvature_H(fam, lift, basis, pkg10, pkg_n1=pkg11)
+        rep = curvature_H(fam, lift, basis, pkg10)
         assert rep.rank == 2
         rng = np.random.default_rng(3)
         alpha = assemble_dbar(sp10).apply(band_limited(sp10, rng))

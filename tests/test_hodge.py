@@ -17,6 +17,7 @@ from toruslab.geometry import make_flat_bundle, make_positive_bundle, make_torus
 from toruslab.hodge import (
     bergman_project,
     build_hodge,
+    laplacian,
     minimal_solution,
 )
 from toruslab.oracle import exact_flat_spectrum
@@ -56,13 +57,36 @@ def test_flat_spectrum_matches_closed_form(flat01):
     assert np.allclose(lam[:m], lam_exact[:m], atol=1e-10)
 
 
+@pytest.mark.parametrize("n, period, chi", [
+    (1, [[T0]], (0.25, 0.5)),
+    (2, [[0.2 + 0.9j, 0.0], [0.0, 0.4 + 1.8j]], (0.0, 0.0, 0.0, 0.0)),
+], ids=["elliptic", "siegel"])
+def test_flat_box_is_scalar_per_mode(n, period, chi):
+    # the spectral solver reads the box as lambda(kappa) Id on each mode
+    torus = make_torus(n, period)
+    fibre = make_space(torus, make_flat_bundle(torus, chi), (0, 0), Spectral(M=4))
+    for p in range(n + 1):
+        for q in range(n + 1):
+            sp = fibre.sibling((p, q))
+            blocks = np.broadcast_to(laplacian(sp, "dbar").data,
+                                     (sp.ncomp, sp.ncomp) + sp.field_shape)
+            lam = blocks[0, 0].real
+            eye = np.eye(sp.ncomp).reshape(blocks.shape[:2] + (1,) * len(sp.field_shape))
+            dev = np.abs(blocks - eye * lam).max(axis=(0, 1))
+            assert np.all(dev <= 1e-13 * lam), (p, q)
+
+
 def test_flat_kernel_dims_match_character():
     torus = make_torus(1, [[T0]])
-    for chi, dim in [((0.0, 0.0), 1), ((0.5, 0.0), 0), ((0.0, 0.5), 0)]:
+    # chi = 1 - 1e-12 is trivial too, with its kappa = 0 mode at k = -1
+    for chi, dim in [((0.0, 0.0), 1), ((0.5, 0.0), 0), ((0.0, 0.5), 0),
+                     ((1.0 - 1e-12, 0.0), 1)]:
         bundle = make_flat_bundle(torus, chi)
         sp = make_space(torus, bundle, (1, 0), Spectral(M=4))
         pkg = build_hodge(sp, expected_kernel=dim)
         assert pkg.harmonic_dim == dim
+        for f in pkg.harmonic_basis:
+            assert pkg.laplacian.apply(f).norm() <= 1e-9 * f.norm()
 
 
 def test_positive_bundle_kernel_dim_is_degree(rng):
