@@ -14,6 +14,7 @@ small dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -77,18 +78,19 @@ def _check_step(step: float) -> None:
 
 
 def _fd_holo(values: dict, step: float):
-    """(d/dt, d/dtbar) from a 3x3 stencil dict {(px,py): matrix}."""
+    """(d/dt, d/dtbar) from a stencil dict {(px,py): matrix}."""
     dX = (values[(1, 0)] - values[(-1, 0)]) / (2 * step)
     dY = (values[(0, 1)] - values[(0, -1)]) / (2 * step)
     return (dX - 1j * dY) / 2.0, (dX + 1j * dY) / 2.0
 
 
+# the points every derivative here reads: t and t +- step, t +- i step
+_AXES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 def _stencil(fn, t: complex, step: float) -> dict:
-    out = {}
-    for px in (-1, 0, 1):
-        for py in (-1, 0, 1):
-            out[(px, py)] = fn(t + step * (px + 1j * py))
-    return out
+    """fn at t + step (px + i py) for each offset (px, py) of _AXES."""
+    return {(px, py): fn(t + step * (px + 1j * py)) for px, py in _AXES}
 
 
 def chern_connection_fd(bfield: FiniteBLSField, t: complex, step: float) -> np.ndarray:
@@ -104,7 +106,7 @@ def chern_connection_fd(bfield: FiniteBLSField, t: complex, step: float) -> np.n
 
 def chern_curvature_fd(bfield: FiniteBLSField, t: complex, step: float,
                        herm_tol: Optional[float] = None) -> np.ndarray:
-    """Curvature coefficient Theta = -dbar(h^{-1} d h), by a nested 3x3 stencil.
+    """Curvature coefficient Theta = -dbar(h^{-1} d h), by nested 5-point stencils.
 
     The sign makes a metric h = e^{-phi} Id carry Theta = (d dbar phi) Id, so a
     plurisubharmonic weight has nonnegative curvature.  Verifies that h·Theta
@@ -112,7 +114,6 @@ def chern_curvature_fd(bfield: FiniteBLSField, t: complex, step: float,
     herm_tol, default 10·step².
     """
     _check_step(step)
-    H = _stencil(bfield.h, t, step)
 
     def conn(tt: complex) -> np.ndarray:
         sub = _stencil(bfield.h, tt, step)
@@ -122,7 +123,7 @@ def chern_curvature_fd(bfield: FiniteBLSField, t: complex, step: float,
     A = _stencil(conn, t, step)
     _, dbarA = _fd_holo(A, step)
     theta = -dbarA
-    h0 = H[(0, 0)]
+    h0 = bfield.h(t)
     lowered = h0 @ theta
     defect = np.linalg.norm(lowered - lowered.conj().T)
     tol = (10 * step**2 if herm_tol is None else herm_tol) * max(np.linalg.norm(h0), 1.0)
@@ -195,14 +196,14 @@ def gauss_griffiths_check(bfield: FiniteBLSField, t: complex, step: float) -> fl
 
     All three terms are evaluated by central differences at t; the expected
     residual for smooth data is O(step²).  Raises RankJump when the projector
-    rank varies across the stencil.
+    rank varies across the 3x3 stencil around t.
     """
     _check_step(step)
     if bfield.projector is None:
         raise ValueError("gauss_griffiths_check needs a subfield projector")
     ranks = {
-        pt: int(round(np.trace(P).real))
-        for pt, P in _stencil(bfield.pi, t, step).items()
+        (px, py): int(round(np.trace(bfield.pi(t + step * (px + 1j * py))).real))
+        for px, py in product((-1, 0, 1), repeat=2)
     }
     r = ranks[(0, 0)]
     if len(set(ranks.values())) != 1:

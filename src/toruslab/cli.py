@@ -40,7 +40,7 @@ from .forms import (
 )
 from .geometry import catalog_family
 from .hodge import build_hodge, laplacian, minimal_solution
-from .oracle import fd_chern_curvature_H, rank_scan, write_rank_scan_csv
+from .oracle import exact_landau_spectrum, fd_chern_curvature_H, rank_scan, write_rank_scan_csv
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,17 @@ def cmd_hodge_check(cfg, out, dump_spectrum):
 # curvature
 
 
+def _landau_rel_err(entry: dict, d: int):
+    """|lambda1 - 2 pi d| / (2 pi d) of a grid diagnostics entry: the lowest
+    positive Landau level of a degree-d fibre on either bidegree, or None
+    when the package found no lambda1."""
+    if entry["lambda1"] is None:
+        return None
+    levels = exact_landau_spectrum(d, tuple(entry["bidegree"]), d + 1)
+    exact = float(levels[levels > 0][0])
+    return abs(entry["lambda1"] - exact) / exact
+
+
 @_command("curvature", {})
 def cmd_curvature(cfg, out, dump_spectrum):
     """Curvature of the direct-image field: both routes, the FD Gram oracle on
@@ -329,6 +340,10 @@ def cmd_curvature(cfg, out, dump_spectrum):
         extra["fd_rel"] = float(np.linalg.norm(rep.theta_H - fd)
                                 / max(float(np.linalg.norm(fd)), 1e-300))
         checks.append(("fd_rel", extra["fd_rel"], cfg.tol("fd_rel")))
+    diagnostics = [packages[b].diagnostics() for b in sorted(packages)]
+    if isinstance(disc, Grid):
+        for entry in diagnostics:
+            entry["lambda1_rel_err"] = _landau_rel_err(entry, cfg.d)
     failures = _failed(checks)
 
     report = {
@@ -348,7 +363,7 @@ def cmd_curvature(cfg, out, dump_spectrum):
         # null, not a bare NaN (strict JSON has none), when the basis is empty
         "nakano_min_eig": float(rep.nakano_min_eig) if rep.rank else None,
         "positivity_verdict": not positive_bundle or not {"kernel_dim", "nakano"} & set(failures),
-        "diagnostics": [packages[b].diagnostics() for b in sorted(packages)],
+        "diagnostics": diagnostics,
         "failures": failures,
         "status": "pass" if not failures else "fail",
     }

@@ -10,9 +10,10 @@ Grid backend (n = 1): the Laplacian is Dt^H Dt or Dt Dt^H for the weighted
 sparse dbar Dt, so Dt is factored, not the Laplacian.  In the Gaussian gauge
 and the Fourier basis along y, Dt is diagonal scalings around a matrix with
 order + 1 nonzeros a row, banded along its Bloch chains; its sparse LU, kept
-by the fibre calculus, serves all four bidegrees: inverse iteration through
-it finds both kernels, and a Green apply is two solves with it between kernel
-deflations.  The low spectrum is computed only on demand.
+by the fibre calculus, serves all four bidegrees: one block inverse iteration
+through it finds the near-null blocks of both Dt and Dt^H, and a Green apply
+is two solves with it between kernel deflations.  The low spectrum is computed
+only on demand.
 
 Both solvers share one interface: green(u), project(u), eigenvalues(),
 lambda1(), harmonic_sections() and diagnostics().  rank_tol sets only the grid
@@ -146,6 +147,9 @@ class _DbarFactor:
     differ by the same constant for p = 0 and 1; inverse iteration and Green
     use solves in pairs, so one factor serves all four bidegrees.  Dt is not
     normal, so inverse iteration runs with Dt^{-1} Dt^{-H}, not Dt^{-1} alone.
+    Dt is square, so Dt and Dt^H share their singular values, and one
+    iteration gives both blocks: its iterates V span Dt's block, and its
+    half-steps Dt^{-H} V span Dt^H's.
     """
 
     def __init__(self, space: FormSpace, rank_tol: float, block: int):
@@ -172,7 +176,7 @@ class _DbarFactor:
             self.lu = spla.splu(self.A)
         except RuntimeError as exc:
             raise EigenFailure(str(exc)) from exc
-        self.null = [self._near_null(("H", "N"), block), self._near_null(("N", "H"), block)]
+        self.null = self._near_null(block)
 
     def _in_fourier(self, v, op, left, right):
         """left F_y^H op(F_y right v), left and right diagonal, for a vector or
@@ -192,25 +196,36 @@ class _DbarFactor:
         left, right = self._scales[trans]
         return self._in_fourier(r, lambda b: self.lu.solve(b, trans=trans), 1 / right, 1 / left)
 
-    def _near_null(self, trans, block: int):
-        """Near-null vectors of A = Dt (trans ("H", "N")) or Dt^H (("N", "H"))
-        and their Ritz values, below the cut: block inverse iteration with
-        (A^H A)^{-1}, then Rayleigh-Ritz; the block doubles until a Ritz value
-        lies above the cut."""
-        inner, outer = trans
+    def _near_null(self, block: int):
+        """Near-null vectors of Dt (null[0]) and of Dt^H (null[1]) and their
+        Ritz values, below the cut, from one block inverse iteration with
+        (Dt^H Dt)^{-1} = Dt^{-1} Dt^{-H}: its last half-step Y = Dt^{-H} V spans
+        Dt^H's block, since Dt^{-H} maps right singular vectors of Dt to left
+        ones with the same singular value (Y has had three half-steps, V four).
+        Rayleigh-Ritz on each side; the block doubles until a Ritz value of
+        each side lies above the cut."""
         n = self.A.shape[0]
         while True:
             V = _seeded_block(n, block, 2)
             for _ in range(2):
                 V, _ = np.linalg.qr(V)
-                V = self.solve(self.solve(V, inner), outer)
-            V, _ = np.linalg.qr(V)
-            _, s, Wh = np.linalg.svd(self.apply(V, outer), full_matrices=False)
-            ritz = s[::-1] ** 2
-            if ritz[-1] >= self.cut or block == n:
-                keep = int(np.sum(ritz < self.cut))
-                return V @ Wh[::-1][:keep].conj().T, ritz[:keep]
+                Y = self.solve(V, "H")
+                V = self.solve(Y, "N")
+            sides = [self._ritz(V, "N"), self._ritz(Y, "H")]
+            if all(ritz[-1] >= self.cut for _, _, ritz in sides) or block == n:
+                null = []
+                for Q, Wh, ritz in sides:
+                    keep = int(np.sum(ritz < self.cut))
+                    null.append((Q @ Wh[::-1][:keep].conj().T, ritz[:keep]))
+                return null
             block = min(2 * block, n)
+
+    def _ritz(self, V, trans):
+        """An orthonormal basis Q of span V, the right singular vectors Wh of
+        Dt Q (or Dt^H Q for trans "H"), and the Ritz values, ascending."""
+        Q, _ = np.linalg.qr(V)
+        _, s, Wh = np.linalg.svd(self.apply(Q, trans), full_matrices=False)
+        return Q, Wh, s[::-1] ** 2
 
 
 class _GridSolver:

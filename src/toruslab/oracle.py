@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,17 +96,16 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
                          step: float = 1e-3,
                          harmonic_basis: Optional[Sequence[FormSection]] = None,
                          ) -> np.ndarray:
-    """Curvature of the L2 metric on the holomorphic frame, by a 3x3 Gram stencil.
+    """Curvature of the L2 metric on the holomorphic frame, by a 5-point Gram
+    stencil: the base point t and t +- step, t +- i step.
 
     Returns the Hermitian matrix of the curvature form in the direction tau,
     expressed in the orthonormal harmonic frame at the base point when
     `harmonic_basis` is given (otherwise in the theta frame itself).
     """
     t = family.t
-    G = {}
-    for px, py in product((-1, 0, 1), repeat=2):
-        tp = t + step * (px + 1j * py)
-        G[(px, py)] = _frame_gram(tp, d, disc)
+    G = {(px, py): _frame_gram(t + step * (px + 1j * py), d, disc)
+         for px, py in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))}
     G0 = G[(0, 0)]
     cond = np.linalg.cond(G0)
     if not np.isfinite(cond) or cond > 1e12:

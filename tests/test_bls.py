@@ -58,8 +58,12 @@ def rotating_line_field(rate=0.8):
 def test_curvature_of_scalar_weight():
     # h = e^{|t|^2} Id has Theta = -Id for this sign convention
     bf = scalar_weight_field(1.0)
+    metric, evaluations = bf.metric, []
+    bf.metric = lambda t: evaluations.append(t) or metric(t)
     theta = chern_curvature_fd(bf, T1, STEP)
     assert np.linalg.norm(theta + np.eye(2)) <= 10 * STEP**2
+    # h at t, and h on a 5-point stencil around each of the 5 points of A
+    assert len(evaluations) == 26
 
 
 def test_curvature_of_diagonal_weights():
@@ -127,6 +131,17 @@ def test_gauss_griffiths_constant_subfield_is_exact():
 def test_gauss_griffiths_detects_rank_jump():
     def proj(t):
         return np.eye(2) if t.real > 0.0 else np.zeros((2, 2))
+
+    bf = FiniteBLSField(2, lambda t: np.eye(2), projector=proj)
+    with pytest.raises(RankJump):
+        gauss_griffiths_check(bf, 0.0 + 0.0j, STEP)
+
+
+def test_gauss_griffiths_rank_check_covers_the_corners():
+    # the rank jumps only at the corner t + step (1 + i) of the 3x3 stencil,
+    # which no derivative reads
+    def proj(t):
+        return np.eye(2) if min(t.real, t.imag) > 0.0 else np.zeros((2, 2))
 
     bf = FiniteBLSField(2, lambda t: np.eye(2), projector=proj)
     with pytest.raises(RankJump):

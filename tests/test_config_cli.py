@@ -304,7 +304,18 @@ def test_curvature_next_to_the_jump_has_rank_zero(tmp_path):
     assert report["rank"] == 0 and report["at_jump_locus"] is False
     diag, = report["diagnostics"]
     assert diag["kernel_found"] == diag["kernel_expected"] == 0
-    assert 0 < diag["lambda1"] < 1e-4
+    assert 0 < diag["lambda1"] < 1e-4 and "lambda1_rel_err" not in diag
+
+
+def test_grid_curvature_reports_the_lambda1_error(tmp_path):
+    # a degree-d fibre's lowest positive Landau level is 2 pi d, whatever t
+    out = str(tmp_path / "curv.json")
+    cfg = write_cfg(tmp_path, "cfg.json", {"backend": "grid", "d": 2, "N": 64})
+    res = run_cli(["curvature", "--config", cfg, "--out", out])
+    assert res.exit_code == 0, res.output
+    diag, = json.loads(open(out).read())["diagnostics"]
+    assert diag["lambda1_rel_err"] == abs(diag["lambda1"] - 4 * np.pi) / (4 * np.pi)
+    assert diag["lambda1_rel_err"] <= 1e-9
 
 
 def test_curvature_report_contents(tmp_path):

@@ -4,6 +4,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruslab import hodge
 from toruslab.errors import NotCoexact
 from toruslab.forms import (
     Grid,
@@ -138,6 +139,39 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
         r = V - Q @ (Q.conj().T @ V)
         x = factor.solve(r, trans)
         assert np.linalg.norm(A @ x - r) <= 1e-11 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("bidegree", [(1, 0), (1, 1)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_inverse_iteration_gives_both_near_null_blocks(monkeypatch, d, bidegree):
+    # Dt is square and Dt^{-H} maps its right near-null vectors onto its left
+    # ones, so the iteration with Dt^{-1} Dt^{-H} yields the block of Dt^H too
+    solve = hodge._DbarFactor.solve
+    solves = []
+
+    def counted(self, r, trans="N"):
+        solves.append(trans)
+        return solve(self, r, trans)
+
+    monkeypatch.setattr(hodge._DbarFactor, "solve", counted)
+    torus = make_torus(1, [[T0]])
+    sp = make_space(torus, make_positive_bundle(torus, d), bidegree, Grid(N=32, order=10))
+    factor = build_hodge(sp, expected_kernel=d)._solver.factor
+    assert len(solves) == 4   # two iterations at the block d + 2, which does not double
+    (_, kernel_ritz), (C, cokernel_ritz) = factor.null
+    assert len(kernel_ritz) == len(cokernel_ritz) == d
+    # an independent inverse iteration with (Dt Dt^H)^{-1} from another start
+    n = factor.A.shape[0]
+    rng = np.random.default_rng(d)
+    V = rng.standard_normal((n, d + 2)) + 1j * rng.standard_normal((n, d + 2))
+    for _ in range(3):
+        V, _ = np.linalg.qr(V)
+        V = solve(factor, solve(factor, V, "N"), "H")
+    V, _ = np.linalg.qr(V)
+    _, s, Wh = np.linalg.svd(factor.apply(V, "H"), full_matrices=False)
+    assert int(np.sum(s ** 2 < factor.cut)) == d
+    ref = V @ Wh[::-1][:d].conj().T
+    assert np.abs(C @ C.conj().T - ref @ ref.conj().T).max() <= 1e-10
 
 
 def test_one_dbar_factor_per_fibre(rng):

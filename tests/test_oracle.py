@@ -60,14 +60,21 @@ def test_fd_curvature_flat_character_closed_form():
     assert M[0, 0].real > 0  # positive direct-image curvature in rank one
 
 
-def test_fd_curvature_in_harmonic_basis_is_hermitian():
+def test_fd_curvature_in_harmonic_basis_is_hermitian(monkeypatch):
+    import toruslab.oracle as oracle
+
     disc = Grid(N=32, order=6)
     fam = elliptic_family(T0, d=2)
     torus, bundle = fam.torus_at(), fam.bundle_at()
     sp = make_space(torus, bundle, (1, 0), disc)
     pkg = build_hodge(sp, expected_kernel=2)
     basis = [f * (1.0 / f.norm()) for f in pkg.harmonic_basis]
+    frames = []
+    monkeypatch.setattr(oracle, "theta_frame",
+                        lambda *args: frames.append(args) or theta_frame(*args))
     M = fd_chern_curvature_H(fam, 2, disc, step=1e-3, harmonic_basis=basis)
+    # the 5 Grams the stencil reads, and the base frame for the basis change
+    assert len(frames) == 6
     assert M.shape == (2, 2)
     assert np.linalg.norm(M - M.conj().T) <= 1e-12
     assert np.linalg.eigvalsh(M).min() > 0
