@@ -315,23 +315,79 @@ def _herm(A: np.ndarray) -> np.ndarray:
     return (A + _adj(A)) / 2
 
 
+def _orthonormal(F: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning each factor of a stack (R, n, k).
+
+    One column is divided by its norm: QR gives the same column up to a phase,
+    which no half-step matrix sees, and the column is zero only if the factor
+    is.  Two or more columns keep QR, which stays exact on a rank-deficient
+    factor.
+    """
+    if F.shape[-1] == 1:
+        return F / np.linalg.norm(F, axis=1, keepdims=True)
+    return np.linalg.qr(F)[0]
+
+
+def _restricted(Sk: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Sk[i,a,j,b] on the tensors X = G F^T of each fixed F, as a form in G:
+    B[R,(is),(jt)] = sum_ab conj(F[R,a,s]) Sk[i,a,j,b] F[R,b,t].
+
+    Two pairwise contractions: a tensordot over a, then one batched matmul
+    over b.  Sk.transpose(1, 0, 3, 2) gives the form in W for a fixed U.
+    """
+    R, n, kk = F.shape
+    m = Sk.shape[0]
+    T = np.tensordot(np.conj(F), Sk, axes=([1], [1]))         # (R, s, i, j, b)
+    T = T.transpose(0, 2, 1, 3, 4).reshape(R, m * kk * m, n)  # (R, (isj), b)
+    return (T @ F).reshape(R, m * kk, m * kk)
+
+
+def _half_gap(a, d, b):
+    """delta = (a - d)/2 and h = hypot(delta, |b|) for the Hermitian matrices
+    [[a, b], [conj b, d]], whose eigenvalues are (a + d)/2 -+ h."""
+    delta = (a - d) / 2
+    return delta, np.hypot(delta, np.abs(b))
+
+
+def _lowest_eigenvector(B: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the smallest eigenvalue of the Hermitian parts of a
+    stack (R, n, n).
+
+    n = 2 is closed form: with g = h + |delta| (see _half_gap), (-b, g) for
+    delta > 0 and (g, -conj b) otherwise, so no component cancels; a scalar
+    block (h = 0) gives e0, as eigh does.  Larger blocks take eigh.
+    """
+    if B.shape[-1] != 2:
+        return np.linalg.eigh(_herm(B))[1][:, :, 0]
+    a, d = B[:, 0, 0].real, B[:, 1, 1].real
+    b = (B[:, 0, 1] + np.conj(B[:, 1, 0])) / 2
+    delta, h = _half_gap(a, d, b)
+    up = delta > 0
+    g = np.where(h > 0, h + np.abs(delta), 1.0)
+    v = np.empty((len(B), 2), dtype=complex)
+    v[:, 0] = np.where(up, -b, g)
+    v[:, 1] = np.where(up, g, -np.conj(b))
+    v /= np.hypot(np.abs(b), g)[:, None]
+    return v
+
+
 def _als_step(Sk: np.ndarray, U: np.ndarray, W: np.ndarray):
     """One alternation on stacked factors X = U W^T: best U for W, then best W for U.
 
     U is (R, m1, k) and W (R, r, k): R independent problems.  Each half-step
     orthonormalizes the fixed factor (same tensors U W^T, whose norm is then
-    the free factor's) and keeps the lowest eigenvector of one eigh.
+    the free factor's), restricts Sk to it by two pairwise contractions, and
+    keeps the lowest eigenvector of the restricted form: in closed form when
+    it is 2x2, by eigh otherwise.
     """
     R, m1, kk = U.shape
     r = W.shape[1]
     # fix W, minimize over U: q = U*_{is} B[(is),(jt)] U_{jt}
-    W, _ = np.linalg.qr(W)
-    B = np.einsum("iajb,Ras,Rbt->Risjt", Sk, np.conj(W), W).reshape(R, m1 * kk, m1 * kk)
-    U = np.linalg.eigh(_herm(B))[1][:, :, 0].reshape(R, m1, kk)
+    W = _orthonormal(W)
+    U = _lowest_eigenvector(_restricted(Sk, W)).reshape(R, m1, kk)
     # fix U, minimize over W: q = W*_{as} C[(as),(bt)] W_{bt}
-    U, _ = np.linalg.qr(U)
-    C = np.einsum("iajb,Ris,Rjt->Rasbt", Sk, np.conj(U), U).reshape(R, r * kk, r * kk)
-    W = np.linalg.eigh(_herm(C))[1][:, :, 0].reshape(R, r, kk)
+    U = _orthonormal(U)
+    W = _lowest_eigenvector(_restricted(Sk.transpose(1, 0, 3, 2), U)).reshape(R, r, kk)
     return U, W
 
 
@@ -396,8 +452,8 @@ def _smallest_eigenvalue(H) -> np.ndarray:
     within 1e-7 of the spectral radius.
     """
     if len(H) == 2:
-        a, d, b = H[0][0].real, H[1][1].real, H[0][1]
-        return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+        a, d = H[0][0].real, H[1][1].real
+        return (a + d) / 2 - _half_gap(a, d, H[0][1])[1]
     q = (H[0][0].real + H[1][1].real + H[2][2].real) / 3
     x, y, z = H[0][0].real - q, H[1][1].real - q, H[2][2].real - q
     b, c, e = H[0][1], H[0][2], H[1][2]

@@ -152,7 +152,7 @@ class _DbarFactor:
     half-steps Dt^{-H} V span Dt^H's.
     """
 
-    def __init__(self, space: FormSpace, rank_tol: float, block: int):
+    def __init__(self, space: FormSpace, rank_tol: float):
         calc = space.calculus
         self.N = calc.N
         E = calc.gauge.ravel()[:, None]
@@ -176,7 +176,9 @@ class _DbarFactor:
             self.lu = spla.splu(self.A)
         except RuntimeError as exc:
             raise EigenFailure(str(exc)) from exc
-        self.null = self._near_null(block)
+        # Dt has a d-dimensional kernel on a degree-d fibre, so the block is
+        # the fibre's, whichever package on it is built first
+        self.null = self._near_null(space.bundle.degree + 2)
 
     def _in_fourier(self, v, op, left, right):
         """left F_y^H op(F_y right v), left and right diagonal, for a vector or
@@ -248,7 +250,7 @@ class _GridSolver:
         self._hishell = np.maximum.outer(k1, k1) >= calc.N / 3.0
         factors = calc.dbar_factors
         if rank_tol not in factors:
-            factors[rank_tol] = _DbarFactor(space, rank_tol, expected_kernel + 2)
+            factors[rank_tol] = _DbarFactor(space, rank_tol)
         self.factor = factors[rank_tol]
         self.kernel, self._kernel_ritz = self.factor.null[q]
         self._cokernel = self.factor.null[1 - q][0]

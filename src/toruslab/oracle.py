@@ -87,11 +87,6 @@ def theta_frame(t: complex, d: int, disc: Grid) -> ThetaFrame:
 # finite-difference Chern curvature of the L2 metric
 
 
-def _frame_gram(t: complex, d: int, disc: Grid) -> np.ndarray:
-    frame = theta_frame(t, d, disc)
-    return frame.gram()
-
-
 def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
                          step: float = 1e-3,
                          harmonic_basis: Optional[Sequence[FormSection]] = None,
@@ -104,8 +99,11 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
     `harmonic_basis` is given (otherwise in the theta frame itself).
     """
     t = family.t
-    G = {(px, py): _frame_gram(t + step * (px + 1j * py), d, disc)
-         for px, py in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))}
+    # the base frame serves G0 and the basis change; the other four only a Gram
+    frame = theta_frame(t, d, disc)
+    G = {(0, 0): frame.gram()}
+    for px, py in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        G[(px, py)] = theta_frame(t + step * (px + 1j * py), d, disc).gram()
     G0 = G[(0, 0)]
     cond = np.linalg.cond(G0)
     if not np.isfinite(cond) or cond > 1e12:
@@ -133,7 +131,6 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
     if harmonic_basis is None:
         return M
     # transition to the (orthonormal) harmonic basis u_i = sum_a C[a,i] theta_a
-    frame = theta_frame(t, d, disc)
     B = np.zeros((d, len(harmonic_basis)), dtype=complex)
     for a in range(d):
         for i, u in enumerate(harmonic_basis):

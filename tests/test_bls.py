@@ -8,7 +8,11 @@ from toruslab.bls import (
     HermitianFormOnTensor,
     _SWEEP_ROWS,
     _als_min,
+    _als_step,
     _cp1_sweep,
+    _herm,
+    _lowest_eigenvector,
+    _restricted,
     _smallest_eigenvalue,
     chern_connection_fd,
     chern_curvature_fd,
@@ -279,6 +283,90 @@ def test_closed_form_smallest_eigenvalue_matches_eigvalsh(r):
     assert np.all(np.abs(lam + 1.0) <= (1e-7 if r == 3 else 1e-12) * 2.0)
     lam = _smallest_eigenvalue(_entries(_with_spectrum(rng, [-1.0] + [2.0] * (r - 1), 500)))
     assert np.all(np.abs(lam + 1.0) <= 1e-12 * 2.0)
+
+
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_closed_form_lowest_eigenvector_matches_eigh():
+    rng = np.random.default_rng(44)
+
+    def check(B):
+        # unit vectors with eigh's residual, for the Hermitian part of B
+        H = _herm(B)
+        v = _lowest_eigenvector(B)
+        w = np.linalg.eigvalsh(H)
+        rho = np.abs(w).max(axis=1)
+        resid = np.linalg.norm(np.einsum("Rij,Rj->Ri", H, v) - w[:, :1] * v, axis=1)
+        assert np.all(resid <= 1e-12 * rho)
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= 1e-15)
+        return v
+
+    check(_complex_normal(rng, 500, 2, 2))
+    # diagonal blocks: the smaller diagonal entry's basis vector
+    v = check(np.array([np.diag([1.0, 2.0]), np.diag([-3.0, -0.5])], dtype=complex))
+    assert np.array_equal(np.abs(v), [[1, 0], [1, 0]])
+    v = check(np.array([np.diag([2.0, 1.0]), np.diag([0.5, -4.0])], dtype=complex))
+    assert np.array_equal(np.abs(v), [[0, 1], [0, 1]])
+    # scalar blocks give e0, as eigh does, never NaN
+    for c in (0.0, 1.7, -3.0):
+        assert np.array_equal(_lowest_eigenvector(c * np.eye(2, dtype=complex)[None]),
+                              [[1, 0]])
+    # |b| far below and far above |a - d|, on either side of a = d
+    for scale in (1e-14, 1e-9, 1e9, 1e14):
+        B = np.zeros((200, 2, 2), dtype=complex)
+        B[:, 0, 0], B[:, 1, 1] = rng.standard_normal(200), rng.standard_normal(200)
+        B[:, 0, 1] = scale * np.abs(B[:, 0, 0] - B[:, 1, 1]) * np.exp(2j * np.pi * rng.random(200))
+        B[:, 1, 0] = np.conj(B[:, 0, 1])
+        check(B)
+    # larger blocks are eigh's
+    B = _complex_normal(rng, 50, 3, 3)
+    assert np.array_equal(_lowest_eigenvector(B), np.linalg.eigh(_herm(B))[1][:, :, 0])
+
+
+def reference_als_step(Sk, U, W):
+    """One alternation with QR, the 3-operand einsum and eigh on every block."""
+    R, m1, kk = U.shape
+    r = W.shape[1]
+    W, _ = np.linalg.qr(W)
+    B = np.einsum("iajb,Ras,Rbt->Risjt", Sk, np.conj(W), W).reshape(R, m1 * kk, m1 * kk)
+    U = np.linalg.eigh(_herm(B))[1][:, :, 0].reshape(R, m1, kk)
+    U, _ = np.linalg.qr(U)
+    C = np.einsum("iajb,Ris,Rjt->Rasbt", Sk, np.conj(U), U).reshape(R, r * kk, r * kk)
+    W = np.linalg.eigh(_herm(C))[1][:, :, 0].reshape(R, r, kk)
+    return U, W
+
+
+def _up_to_phase(X, Y):
+    """max over restarts of min over phases c of |X - c Y|, for unit X and Y."""
+    x, y = X.reshape(len(X), -1), Y.reshape(len(Y), -1)
+    ip = np.einsum("Ri,Ri->R", np.conj(y), x)
+    return np.abs(x - (ip / np.abs(ip))[:, None] * y).max()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_als_step_matches_reference_at_rank_one(r):
+    rng = np.random.default_rng(60 + r)
+    A = _complex_normal(rng, 2 * r, 2 * r)
+    Sk = ((A + A.conj().T) / 2).reshape(2, r, 2, r)
+    U0, W0 = _complex_normal(rng, 50, 2, 1), _complex_normal(rng, 50, r, 1)
+    U, W = _als_step(Sk, U0, W0)
+    U_ref, W_ref = reference_als_step(Sk, U0, W0)
+    assert _up_to_phase(U, U_ref) <= 1e-12
+    assert _up_to_phase(W, W_ref) <= 1e-12
+
+
+def test_pairwise_contractions_match_einsum_at_rank_two():
+    rng = np.random.default_rng(70)
+    A = _complex_normal(rng, 9, 9)
+    Sk = ((A + A.conj().T) / 2).reshape(3, 3, 3, 3)
+    U, _ = np.linalg.qr(_complex_normal(rng, 50, 3, 2))
+    W, _ = np.linalg.qr(_complex_normal(rng, 50, 3, 2))
+    B = np.einsum("iajb,Ras,Rbt->Risjt", Sk, np.conj(W), W).reshape(50, 6, 6)
+    C = np.einsum("iajb,Ris,Rjt->Rasbt", Sk, np.conj(U), U).reshape(50, 6, 6)
+    assert np.abs(_restricted(Sk, W) - B).max() <= 1e-13
+    assert np.abs(_restricted(Sk.transpose(1, 0, 3, 2), U) - C).max() <= 1e-13
 
 
 def test_als_agrees_with_oracle_on_random_instances():

@@ -174,6 +174,30 @@ def test_one_inverse_iteration_gives_both_near_null_blocks(monkeypatch, d, bideg
     assert np.abs(C @ C.conj().T - ref @ ref.conj().T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_near_null_block_belongs_to_the_fibre(monkeypatch, d):
+    # a (1,1) package built first (expected kernel 0) starts the fibre's block
+    # at d + 2 too: 4 block solves, and the same (1,0) kernel to the bit
+    solve = hodge._DbarFactor.solve
+    solves = []
+
+    def counted(self, r, trans="N"):
+        solves.append(trans)
+        return solve(self, r, trans)
+
+    monkeypatch.setattr(hodge._DbarFactor, "solve", counted)
+    torus = make_torus(1, [[T0]])
+    bundle = make_positive_bundle(torus, d)
+    disc = Grid(N=32, order=6)
+    sp11 = make_space(torus, bundle, (1, 1), disc)
+    build_hodge(sp11, expected_kernel=0)
+    assert len(solves) == 4
+    after11 = build_hodge(sp11.sibling((1, 0)), expected_kernel=d)
+    alone = build_hodge(make_space(torus, bundle, (1, 0), disc), expected_kernel=d)
+    assert len(solves) == 8   # the sibling reuses the fibre's factor
+    assert np.array_equal(after11._solver.kernel, alone._solver.kernel)
+
+
 def test_one_dbar_factor_per_fibre(rng):
     torus = make_torus(1, [[T0]])
     bundle = make_positive_bundle(torus, 2)

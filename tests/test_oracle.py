@@ -73,8 +73,8 @@ def test_fd_curvature_in_harmonic_basis_is_hermitian(monkeypatch):
     monkeypatch.setattr(oracle, "theta_frame",
                         lambda *args: frames.append(args) or theta_frame(*args))
     M = fd_chern_curvature_H(fam, 2, disc, step=1e-3, harmonic_basis=basis)
-    # the 5 Grams the stencil reads, and the base frame for the basis change
-    assert len(frames) == 6
+    # one frame per stencil point: the base frame also serves the basis change
+    assert len(frames) == 5
     assert M.shape == (2, 2)
     assert np.linalg.norm(M - M.conj().T) <= 1e-12
     assert np.linalg.eigvalsh(M).min() > 0
@@ -134,7 +134,8 @@ def test_fd_curvature_rejects_degenerate_gram(monkeypatch):
 
     disc = Grid(N=16, order=4)
     fam = elliptic_family(T0, d=1)
-    monkeypatch.setattr(oracle, "_frame_gram",
-                        lambda t, d, disc: np.zeros((1, 1), dtype=complex))
+    # every Gram the stencil reads is degenerate
+    monkeypatch.setattr(oracle.ThetaFrame, "gram",
+                        lambda self: np.zeros((1, 1), dtype=complex))
     with pytest.raises(StencilQuadratureFailure):
         fd_chern_curvature_H(fam, 1, disc, step=1e-3)
