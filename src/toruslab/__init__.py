@@ -3,7 +3,8 @@
 Subpackage map:
 
 - ``geometry``  -- tori, Hermitian line bundles, one-parameter families
-- ``forms``     -- discrete (p,q)-forms and first-order operators
+- ``forms``     -- discrete (p,q)-forms, first-order operators, spectral backend
+- ``grid``      -- stencil backend and its Hodge solver, the only user of scipy
 - ``hodge``     -- Laplacians, harmonic spaces, Green operators, projections
 - ``family``    -- horizontal lifts, Kodaira-Spencer calculus, representatives
 - ``curvature`` -- curvature of the direct-image Hilbert field, positivity checks

@@ -408,8 +408,9 @@ def cmd_primitive_lift(cfg, out, dump_spectrum):
 
     # np.max, unlike max, keeps a NaN, so the check below fails on it
     prim_res = float(np.max([0.0] + [primitivity_residual(lifted, f) for f in basis]))
-    kfs = [kappa(lifted, f) for f in basis]
-    hr_res = float(np.max([0.0] + [abs(wedge_pair(k, k) + pair_l2(k, k)) for k in kfs]))
+    # |wedge_pair(kf, kf) + ||kf||^2| relative to ||kf||^2, free of the scale of f
+    pairs = [(wedge_pair(k, k), pair_l2(k, k)) for k in (kappa(lifted, f) for f in basis)]
+    hr_res = float(np.max([0.0] + [abs(w + p) / max(p.real, 1e-300) for w, p in pairs]))
 
     failures = _failed([_kernel_check(pkg0),
                         ("primitivity", prim_res, cfg.tol("primitivity")),

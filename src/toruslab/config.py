@@ -30,7 +30,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "nakano": 1e-6,
     "sff_psd": 1e-10,
     "primitivity": 1e-8,
-    "hr_equality": 1e-7,
+    "hr_equality": 1e-12,
     "rank_tol": 1e-7,
 }
 
@@ -170,9 +170,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if cfg.t.imag <= 0:
         raise ConfigInvalid(f"'t' must have Im t > 0, got {cfg.t}")
     # the grid eigensolver needs more than one unknown, so N >= 2
-    for key, minimum in (("N", 2), ("M", 1), ("order", 1)):
+    for key, minimum in (("N", 2), ("M", 1), ("order", 2)):
         if key in raw:
             setattr(cfg, key, _as_int(raw[key], key, minimum))
+    if cfg.order % 2:   # a central stencil of an odd order does not exist
+        raise ConfigInvalid(f"'order' must be even, got {cfg.order}")
     size_key = "N" if cfg.backend == "grid" else "M"
     samples = cfg.N ** 2 if cfg.backend == "grid" else (2 * cfg.M + 1) ** (2 * n)
     if samples * math.comb(n, n // 2) ** 2 > MAX_UNKNOWNS:

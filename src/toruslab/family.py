@@ -31,19 +31,14 @@ from .errors import ExtensionNotAdmissible, HodgeUnavailable
 from .forms import (
     FormSection,
     FormSpace,
-    Spectral,
     adjoint,
     assemble_dbar,
     assemble_nabla10,
     contract,
     contract_ks,
-    dzbar_multiplier,
     lefschetz_L,
     lefschetz_Lambda,
     make_space,
-    _dzbar,
-    _stencil_matrix,
-    _wavenumbers,
 )
 from .geometry import FamilySpec, make_flat_bundle
 from .hodge import HodgePackage
@@ -92,24 +87,6 @@ class HorizontalLift:
         return contract(self.W, u)
 
 
-def _dbar_of_field(space: FormSpace, W: np.ndarray) -> np.ndarray:
-    """Componentwise dbar of an untwisted vertical field: K[a,c] = d W_a / d z̄_c."""
-    n = space.n
-    torus = space.torus
-    if isinstance(space.disc, Spectral):
-        # differentiate untwisted modes: the multiplier with chi = 0, which is
-        # the calculus' own when the bundle is untwisted
-        if np.any(space.bundle.chi):
-            mu = dzbar_multiplier(torus.period, *_wavenumbers(n, space.disc.M, np.zeros(2 * n)))
-        else:
-            mu = space.calculus.mu_zbar
-        return np.stack([np.stack([mu[c] * W[a] for c in range(n)]) for a in range(n)])
-    calc = space.calculus
-    # the plain periodic derivative of a periodic sample field: degree 0
-    Dzbar = _stencil_matrix(calc.N, space.disc.order, calc.t, 0, *_dzbar(calc.t))
-    return (Dzbar @ W[0].ravel()).reshape((1, 1) + W.shape[1:])
-
-
 def trivialization_lift(family: FamilySpec, space: FormSpace,
                         t: Optional[complex] = None,
                         tau: Optional[complex] = None) -> HorizontalLift:
@@ -128,7 +105,7 @@ def perturb_lift(lift: HorizontalLift, W: np.ndarray) -> HorizontalLift:
     """Add a smooth periodic vertical field to a lift (same base tangent)."""
     W = np.asarray(W, dtype=complex)
     W_total = W if lift.W is None else lift.W + W
-    K_pert = _dbar_of_field(lift.space, W_total)
+    K_pert = lift.space.calculus.dbar_of_field(lift.space, W_total)
     return HorizontalLift(
         family=lift.family, t=lift.t, tau=lift.tau, space=lift.space, W=W_total,
         K_triv=lift.K_triv, K_pert=K_pert,
@@ -180,7 +157,7 @@ def primitive_lift(family: FamilySpec, theta0: HorizontalLift,
             eta_vec[a] += (2.0 / 1j) * ginvT[a, b] * eta_form.coeffs[b]
     W0 = theta0.W if theta0.W is not None else np.zeros(shape, dtype=complex)
     W_new = W0 - eta_vec
-    K_pert = _dbar_of_field(space, W_new)
+    K_pert = space.calculus.dbar_of_field(space, W_new)
     return HorizontalLift(
         family=family, t=theta0.t, tau=theta0.tau, space=space, W=W_new,
         K_triv=theta0.K_triv, K_pert=K_pert,

@@ -1,49 +1,38 @@
 """Discrete E-valued (p,q)-forms on a fiber and the first-order operator algebra.
 
-Two backends:
+Each fibre has one calculus, shared by the spaces of all its bidegrees, and the
+calculus is the backend.  make_space is the one place that reads the
+discretization: it builds a _SpectralCalculus for a Spectral disc and, importing
+toruslab.grid (the only module that needs scipy) only then, a
+grid._GridCalculus for a Grid.  Every step that differs between backends (field
+shape, random sections, Gram data, ∂̄, ∇¹'⁰, the (1,1)-wedge, adjoint data,
+pointwise products, ∂̄ of a vertical field and the Hodge solver) is a method
+of the calculus; the functions here do the bidegree bookkeeping around it.
 
-* Spectral (flat bundles): sections are expanded in the shifted Fourier basis
-  e_k(x,y) = exp(2 pi i ((k_x + chi_x).x + (k_y + chi_y).y)) on the universal
-  trivialization z = x + Omega y.  Every operator is mode-diagonal with a small
-  component block per mode, so assembly and solves are exact and cheap.
-
-* Grid (positive bundles, n=1): sections are sample arrays F[i,j] on the unit
-  (x,y)-torus, periodic in x and quasi-periodic in y with the level-d factor of
-  automorphy.  Derivatives are central differences (order 4 by default) with the
-  automorphy wrap, and _stencil_matrix builds every one of them as a
-  scipy.sparse matrix: ∂̄ and ∇¹'⁰ for assemble_dbar and assemble_nabla10, and
-  ∂/∂z̄ of a periodic field (degree 0) for the Kodaira-Spencer data in family.
-
-Pointwise products (multiply, contract, contract_ks) go through _pointwise.  A
-grid section multiplies sample by sample.  A spectral product with a
-non-constant field is taken on a (3M+1)^{2n} sample grid, 3/2 of the mode grid
-per direction, where no product mode (|k| <= 2M) aliases onto a kept mode
-(|k| <= M), so back on the modes it is the full convolution, cropped.
+This module holds the spectral backend (flat bundles): sections are expanded in
+the shifted Fourier basis e_k(x,y) = exp(2 pi i ((k_x + chi_x).x + (k_y +
+chi_y).y)) on the universal trivialization z = x + Omega y.  Every operator is
+mode-diagonal with a small component block per mode, so assembly and solves are
+exact and cheap.  A product with a non-constant field is the full
+convolution, cropped (see _SpectralCalculus.pointwise).
 
 Bidegree components are enumerated lexicographically: holomorphic index set J
 major, anti-holomorphic K minor, each in increasing order.
 
-Each fibre has one calculus, shared by the spaces of all its bidegrees.  Besides
-the Gram data it keeps the data of every operator assemble_dbar,
-assemble_nabla10 and adjoint (of those two) have built, so a fibre assembles
-each of them once.  A spectral fibre keys that data by operator and bidegree.
-A grid fibre (n = 1) keeps one matrix per operator, that of its (0,0) form:
-∇¹'⁰ on (0,1) equals ∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄ on (0,0), a
-sign the operator carries.  That cache is the only holder of a grid derivative
-matrix; besides it the calculus keeps dbar_hat, the y-Fourier form of ∂̄ that
-hodge factors.
+Besides the Gram data the calculus keeps the data of every operator
+assemble_dbar, assemble_nabla10 and adjoint (of those two) have built, so a
+fibre assembles each of them once; a spectral fibre keys that data by operator
+and bidegree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     BidegreeOverflow,
@@ -132,7 +121,7 @@ class _SpectralCalculus:
         self.disc = disc
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
         self.operators = {}  # operator key -> mode array, filled by _operator_data()
-        self.mshape = (2 * M + 1,) * (2 * n)
+        self.field_shape = (2 * M + 1,) * (2 * n)
         kappa_x, kappa_y = _wavenumbers(n, M, bundle.chi)
         omega = torus.period
         A = np.linalg.inv(omega - omega.conj())
@@ -146,145 +135,87 @@ class _SpectralCalculus:
         self.mu_zbar = dzbar_multiplier(omega, kappa_x, kappa_y)
 
     def zero_mode_index(self):
-        M = self.disc.M
-        return (M,) * len(self.mshape)
+        return (self.disc.M,) * len(self.field_shape)
 
+    # -- the backend methods that forms, hodge and family call --------------
 
-def _central_stencil(order):
-    """First-derivative central-difference offsets and coefficients of an even
-    order: c_k = (-1)^{k+1} (p!)^2 / (k (p-k)! (p+k)!) at offset k, -c_k at -k,
-    for k = 1..p, p = order // 2."""
-    p = order // 2
-    cs = [(-1) ** (k + 1) * factorial(p) ** 2 / (k * factorial(p - k) * factorial(p + k))
-          for k in range(1, p + 1)]
-    return list(range(-p, 0)) + list(range(1, p + 1)), np.array([-c for c in cs[::-1]] + cs)
+    def random_coeffs(self, space: "FormSpace", rng, nmodes: int) -> np.ndarray:
+        """Random coefficients on every mode."""
+        shape = (space.ncomp,) + self.field_shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    def gram_matrix(self, space: "FormSpace") -> "GramMatrix":
+        return GramMatrix(space)
 
-class _GridCalculus:
-    """n=1 grid backend: sample points, gauge factor and weight data for degree d.
+    def first_order(self, space: "FormSpace", target: "FormSpace", name: str) -> "OperatorMatrix":
+        """The mode operator of dbar (mu_zbar into the K slots, with the sign
+        (-1)^p of dz̄ past dz_J) or of nabla10 (mu_z into the J slots)."""
+        dbar = name == "dbar"
+        mu, sign = (self.mu_zbar, (-1) ** space.bidegree[0]) if dbar else (self.mu_z, 1)
 
-    It holds no derivative matrix.  assemble_dbar and assemble_nabla10 build
-    theirs with _stencil_matrix into the operator cache, on first use; a theta
-    frame or a Gram matrix needs only the sample points and the weight.
-    dbar_hat is the ∂̄ in the y-Fourier basis, which hodge factors.
-    """
+        def build():
+            data = np.zeros((target.ncomp, space.ncomp) + self.field_shape, dtype=complex)
+            cidx = {c: i for i, c in enumerate(target.comps)}
+            for di, (J, K) in enumerate(space.comps):
+                for a in range(space.n):
+                    sgn, new = _insert(K if dbar else J, a)
+                    if sgn != 0:
+                        data[cidx[(J, new) if dbar else (new, K)], di] += sign * sgn * mu[a]
+            return data
+        return _cached(space, target, "mode", (name, space.bidegree), build)
 
-    def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Grid):
-        if torus.n != 1:
-            raise DiscMismatch("grid backend supports n=1 only")
-        self.disc = disc
-        self.grams = {}  # bidegree -> GramMatrix, filled by gram()
-        self.operators = {}  # operator key -> sparse matrix, filled by _operator_data()
-        self.dbar_factors = {}  # rank_tol -> factor of dbar, filled by hodge
-        N = disc.N
-        t = complex(torus.period[0, 0])
-        d = bundle.degree
-        self.t, self.d, self.N = t, d, N
-        s = t.imag
-        self.s = s
-        idx = np.arange(N)
-        self.x = (idx[:, None] / N) * np.ones((1, N))
-        self.y = np.ones((N, 1)) * (idx[None, :] / N)
+    def wedge(self, space: "FormSpace", target: "FormSpace", block) -> "OperatorMatrix":
+        data = block.reshape(block.shape + (1,) * len(self.field_shape)).astype(complex)
+        return OperatorMatrix(space, target, "mode", data)
 
-        # weight data for the translation-invariant potential phi = 2 pi d y^2 s
-        y = self.y
-        self.phi = 2.0 * np.pi * d * y**2 * s
-        self.phi_z = -2j * np.pi * d * y           # at fixed t
-        self.phi_zzbar = np.pi * d / s             # = pi d g, constant
-        # t-derivatives at fixed z (holomorphic gauge)
-        self.phi_tzbar = -np.pi * d * y / s
-        self.phi_ztbar = -np.pi * d * y / s
-        self.phi_ttbar = np.pi * d * y**2 / s
+    def adjoint_data(self, op: "OperatorMatrix", gd: "GramMatrix", gc: "GramMatrix"):
+        # A* = P_dom^{-1} A^H P_cod per mode
+        AH = np.conj(np.swapaxes(_bc(op.data, op.domain), 0, 1))
+        return np.einsum("de,ef...,fc->dc...", gd.Pinv, AH, gc.P)
 
-    @cached_property
-    def gauge(self):
-        """The gauge factor E = e^{theta} at the sample points, (N, N)."""
-        return np.exp(_gauge_exponent(self.x, self.y, self.t, self.d))
+    def pointwise(self, field):
+        """(to, back): maps of coefficient arrays to samples on which a product
+        with field is pointwise, and back; each maps only the trailing field axes.
 
-    @cached_property
-    def dbar_hat(self):
-        """The ∂̄ of assemble_dbar in the Gaussian gauge and the y-Fourier basis,
-        as a csc matrix: ∂̄ = E^{-1} F_y^H A F_y E with E = e^{theta}, F_y the
-        unitary FFT along y, row and column (i, k) = (x index, y frequency).
-
-        A = a (x-stencil) + diag(b lambda_k + (pi d / s) x_i), (a, b) = _dzbar(t),
-        where lambda_k = sum_off c_off N e^{2 pi i off k / N} is the periodic
-        y-stencil on frequency k and the diagonal gathers the gauge terms of
-        _stencil_matrix.  The Bloch factor e^{2 pi i d y w} of an x-stencil
-        entry that wraps w times shifts the frequency k -> k - d w, so a row has
-        order + 1 nonzeros, and A is periodic-banded along each of the
-        gcd(d, N) chains that the shift links.
+        A constant field (trailing axes all 1) multiplies the modes as they
+        are, so both maps are the identity.  Otherwise the field and a section
+        have modes |k| <= M, and their product modes |k| <= 2M.  to() samples
+        modes on L = 3M + 1 points per direction and back() takes the modes
+        |k| <= M of samples.  A product mode k lands on a kept mode only if
+        k = j (mod L) with |j| <= M, and |k - j| <= 3M < L, so k = j: back() of
+        the sampled product is the full convolution cropped to |k| <= M.
         """
-        N, d = self.N, self.d
-        offsets, coeffs = _central_stencil(self.disc.order)
-        a, b = _dzbar(self.t)
-        k = np.arange(N)
-        lam = sum(c * N * np.exp(2j * np.pi * off * k / N) for off, c in zip(offsets, coeffs))
-        i = k[:, None]
-        diag = np.broadcast_to(i * N + k, (N, N)).ravel()
-        rows, cols = [diag], [diag]
-        vals = [(b * lam + (np.pi * d / self.s) * self.x).ravel()]
-        for off, c in zip(offsets, coeffs):
-            wrap, ii = np.divmod(i + off, N)
-            rows.append(diag)
-            cols.append((ii * N + (k - d * wrap) % N).ravel())
-            vals.append(np.full(N * N, a * c * N))
-        return sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N * N, N * N),
-        )
+        dims = len(self.field_shape)
+        if all(s == 1 for s in np.shape(field)[-dims:]):
+            return (lambda a: a), (lambda a: a)
+        M = self.disc.M
+        L = 3 * M + 1
+        axes = tuple(range(-dims, 0))
+        keep = (Ellipsis,) + np.ix_(*[np.arange(-M, M + 1) % L] * dims)
 
+        def to(a):
+            samples = np.zeros(np.shape(a)[:-dims] + (L,) * dims, dtype=complex)
+            samples[keep] = a
+            return np.fft.ifftn(samples, axes=axes, norm="forward")
 
-def _gauge_exponent(x, y, t, d):
-    """theta = i pi d t y^2 + 2 pi i d x y, the Gaussian gauge of degree d.
+        def back(samples):
+            return np.fft.fftn(samples, axes=axes, norm="forward")[keep]
 
-    H = e^theta F is periodic in y and Bloch quasi-periodic in x (factor
-    e^{2 pi i d y}), and is uniformly scaled, so central differences on H
-    converge at full stencil order even though a section F varies over many
-    orders of magnitude across the cell.
-    """
-    return 1j * np.pi * d * t * y**2 + 2j * np.pi * d * x * y
+        return to, back
 
+    def dbar_of_field(self, space: "FormSpace", W: np.ndarray) -> np.ndarray:
+        """Componentwise dbar of an untwisted vertical field, K[a,c] = d W_a / d z̄_c:
+        the multiplier with chi = 0, the calculus' own when the bundle is untwisted."""
+        n = space.n
+        mu = self.mu_zbar
+        if np.any(space.bundle.chi):
+            kappa = _wavenumbers(n, self.disc.M, np.zeros(2 * n))
+            mu = dzbar_multiplier(space.torus.period, *kappa)
+        return np.stack([np.stack([mu[c] * W[a] for c in range(n)]) for a in range(n)])
 
-def _dzbar(t):
-    """(dx/dz̄, dy/dz̄) = (t, -1) / (t - t̄) on the elliptic curve of period t."""
-    return t / (t - np.conj(t)), -1.0 / (t - np.conj(t))
-
-
-def _stencil_matrix(N, order, t, d, a, b, diag=0.0):
-    """a d/dx + b d/dy + diag(diag) on the N x N samples of a degree-d section,
-    as a csr matrix; d = 0 differentiates a plain periodic field.
-
-    Every grid derivative is built here.  The central stencils act on
-    H = e^theta F (see _gauge_exponent): along y the periodic stencil, along x
-    the Bloch one, whose entry that wraps w times carries e^{2 pi i d y w}.
-    Moved back to F,
-      dF/dx = e^{-theta} d/dx(e^theta F) - (2 pi i d y) F
-      dF/dy = e^{-theta} d/dy(e^theta F) - (2 pi i d z) F,  z = x + t y,
-    so the gauge terms join diag.
-    """
-    offsets, coeffs = _central_stencil(order)
-    row = np.arange(N * N)
-    i, j = np.divmod(row, N)  # x and y index of each sample
-    x, y = i / N, j / N
-    rows, cols = [row], [row]
-    vals = [np.ravel(diag) - 2j * np.pi * d * (a * y + b * (x + t * y))]
-    for off, c in zip(offsets, coeffs):
-        wrap, ii = np.divmod(i + off, N)
-        rows += [row, row]
-        cols += [ii * N + j, i * N + (j + off) % N]
-        vals += [a * c * N * np.exp(2j * np.pi * d * y * wrap), np.full(N * N, b * c * N)]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    theta = _gauge_exponent(x, y, t, d)
-    vals = np.exp(-theta)[rows] * np.concatenate(vals) * np.exp(theta)[cols]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
-
-
-def _scaled(m, left, right):
-    """diag(left) m diag(right) for a csr matrix m, in one pass over its entries."""
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return sp.csr_matrix((left[rows] * m.data * right[m.indices], m.indices, m.indptr),
-                         shape=m.shape)
+    def hodge_solver(self, space: "FormSpace", rank_tol: float, expected_kernel: int):
+        from .hodge import _SpectralSolver   # hodge imports this module
+        return _SpectralSolver(space)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +234,7 @@ class FormSpace:
     bundle: BundleData
     bidegree: tuple
     disc: Disc
-    calculus: Union[_SpectralCalculus, _GridCalculus] = field(compare=False, repr=False)
+    calculus: object = field(compare=False, repr=False)  # _SpectralCalculus or grid._GridCalculus
 
     @property
     def n(self):
@@ -321,9 +252,7 @@ class FormSpace:
 
     @property
     def field_shape(self):
-        if isinstance(self.disc, Spectral):
-            return self.calculus.mshape
-        return (self.disc.N, self.disc.N)
+        return self.calculus.field_shape
 
     @property
     def dim(self):
@@ -342,7 +271,7 @@ class FormSpace:
         """The space of another bidegree on the same fibre, sharing this calculus."""
         return replace(self, bidegree=_checked_bidegree(self.n, bidegree))
 
-    # pointwise metric on components (spectral: constant; grid: n=1 scalar)
+    # pointwise metric on components (constant; a scalar on the n = 1 grid)
     def comp_metric(self) -> np.ndarray:
         """Hermitian ncomp x ncomp matrix P with P[c,c'] = <e_{c'}, e_c> pointwise."""
         g = self.torus.kaehler
@@ -365,7 +294,11 @@ def _checked_bidegree(n, bidegree):
 
 
 def make_space(torus, bundle, bidegree, disc) -> FormSpace:
-    """A form space with a fresh fibre calculus; use sibling() for the same fibre."""
+    """A form space with a fresh fibre calculus; use sibling() for the same fibre.
+
+    The one backend dispatch: the calculus chosen here carries every step that
+    differs between the spectral and the grid discretization.
+    """
     bidegree = _checked_bidegree(torus.n, bidegree)
     if isinstance(disc, Spectral):
         if not bundle.is_flat:
@@ -374,6 +307,7 @@ def make_space(torus, bundle, bidegree, disc) -> FormSpace:
     elif isinstance(disc, Grid):
         if bundle.is_flat:
             raise DiscMismatch("grid discretization requires a positive bundle")
+        from .grid import _GridCalculus   # the only module that imports scipy
         calc = _GridCalculus(torus, bundle, disc)
     else:
         raise DiscMismatch(f"unknown discretization {disc!r}")
@@ -381,23 +315,9 @@ def make_space(torus, bundle, bidegree, disc) -> FormSpace:
 
 
 def band_limited(space: FormSpace, rng, nmodes: int = 6) -> "FormSection":
-    """A smooth random unit section: a handful of low Fourier modes.
-
-    Spectral spaces get random coefficients on every mode; grid spaces get
-    nmodes modes with |k_x|, |k_y| <= 2 per component.  Grid stencil operators
-    satisfy composite identities only on resolved fields like these.
-    """
-    coeffs = np.zeros((space.ncomp,) + space.field_shape, dtype=complex)
-    if isinstance(space.disc, Spectral):
-        coeffs = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
-    else:
-        calc = space.calculus
-        for ci in range(space.ncomp):
-            for _ in range(nmodes):
-                kx, ky = rng.integers(-2, 3, size=2)
-                c = rng.standard_normal() + 1j * rng.standard_normal()
-                coeffs[ci] += c * np.exp(2j * np.pi * (kx * calc.x + ky * calc.y))
-    u = space.section(coeffs)
+    """A smooth random unit section, on coefficients from the calculus'
+    random_coeffs: every mode (spectral), or nmodes low modes (grid)."""
+    u = space.section(space.calculus.random_coeffs(space, rng, nmodes))
     nu = u.norm()
     return u * (1.0 / nu) if nu > 0 else u
 
@@ -436,7 +356,8 @@ class OperatorMatrix:
 
     kind "mode":   data has shape (ncomp_cod, ncomp_dom, *mshape) and acts
                    mode-diagonally (broadcastable trailing dims allowed).
-    kind "sparse": data is a scipy sparse matrix of shape (cod.dim, dom.dim).
+    kind "sparse": data is a scipy sparse matrix of shape (cod.dim, dom.dim)
+                   (grid fibres).
 
     An operator from assemble_dbar or assemble_nabla10 carries the key of its
     data in the fibre calculus' operator cache, so that adjoint() caches too.
@@ -513,44 +434,27 @@ def zero_operator(domain: FormSpace, codomain: FormSpace) -> OperatorMatrix:
 
 
 class GramMatrix:
-    """Inner-product data of a FormSpace.
-
-    Spectral: constant component matrix P (modes are orthonormal).
-    Grid:     pointwise positive weight per component sample (n=1: scalar
-              component metric x e^{-phi} x quadrature weight 1/N^2).
-    """
+    """Inner-product data of a spectral FormSpace: the constant component
+    matrix P (modes are orthonormal).  A grid space has a grid._GridGram."""
 
     def __init__(self, space: FormSpace):
         # no reference back to the space: the calculus keeps this object, and
         # without a cycle a fibre is freed as soon as its last space goes
-        self.ncomp = space.ncomp
-        if isinstance(space.disc, Spectral):
-            self.kind = "spectral"
-            self.P = space.comp_metric()
-            self.Pinv = np.linalg.inv(self.P)
-        else:
-            self.kind = "grid"
-            calc = space.calculus
-            P = space.comp_metric()
-            if P.shape != (1, 1):
-                raise ShapeMismatch("grid backend expects scalar components")
-            scale = P[0, 0].real
-            self.w = scale * np.exp(-calc.phi) / calc.disc.N**2
+        self.P = space.comp_metric()
+        self.Pinv = np.linalg.inv(self.P)
 
     def inner(self, u: FormSection, v: FormSection) -> complex:
-        if self.kind == "spectral":
-            nc = self.ncomp
-            uf = u.coeffs.reshape(nc, -1)
-            vf = v.coeffs.reshape(nc, -1)
-            return complex(np.einsum("ck,cd,dk->", vf.conj(), self.P, uf))
-        return complex(np.sum(v.coeffs.conj() * self.w * u.coeffs))
+        nc = len(self.P)
+        uf = u.coeffs.reshape(nc, -1)
+        vf = v.coeffs.reshape(nc, -1)
+        return complex(np.einsum("ck,cd,dk->", vf.conj(), self.P, uf))
 
 
-def gram(space: FormSpace) -> GramMatrix:
+def gram(space: FormSpace):
     """The Gram data of space, kept by its calculus for every sibling."""
     grams = space.calculus.grams
     if space.bidegree not in grams:
-        grams[space.bidegree] = GramMatrix(space)
+        grams[space.bidegree] = space.calculus.gram_matrix(space)
     return grams[space.bidegree]
 
 
@@ -580,17 +484,7 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
 
 def _adjoint_data(op: OperatorMatrix):
     """The data of the adjoint of op's data (its sign left aside)."""
-    gd = gram(op.domain)
-    gc = gram(op.codomain)
-    if op.kind == "mode":
-        # A* = P_dom^{-1} A^H P_cod per mode
-        blocks = _bc(op.data, op.domain)
-        AH = np.conj(np.swapaxes(blocks, 0, 1))
-        return np.einsum("de,ef...,fc->dc...", gd.Pinv, AH, gc.P)
-    # W_dom^{-1} A^H W_cod, the transpose of W_cod conj(A) W_dom^{-1}
-    wd = np.tile(gd.w.ravel(), op.domain.ncomp)
-    wc = np.tile(gc.w.ravel(), op.codomain.ncomp)
-    return _scaled(op.data.tocsr().conj(), wc, 1.0 / wd).T
+    return op.domain.calculus.adjoint_data(op, gram(op.domain), gram(op.codomain))
 
 
 # ---------------------------------------------------------------------------
@@ -619,59 +513,17 @@ def _operator_data(space: FormSpace, key, build):
 def assemble_dbar(space: FormSpace) -> OperatorMatrix:
     """dbar: (p,q) -> (p,q+1)."""
     p, q = space.bidegree
-    n = space.n
-    if q + 1 > n:
-        raise BidegreeOverflow(f"dbar out of (p,{q}) with n={n}")
-    target = space.sibling((p, q + 1))
-    calc = space.calculus
-    if isinstance(space.disc, Spectral):
-        def build():
-            data = np.zeros((target.ncomp, space.ncomp) + calc.mshape, dtype=complex)
-            cidx = {c: i for i, c in enumerate(target.comps)}
-            for di, (J, K) in enumerate(space.comps):
-                for c in range(n):
-                    sgn, Knew = _insert(K, c)
-                    if sgn == 0:
-                        continue
-                    ci = cidx[(J, Knew)]
-                    data[ci, di] += ((-1) ** p) * sgn * calc.mu_zbar[c]
-            return data
-        return _cached(space, target, "mode", ("dbar", space.bidegree), build)
-    # n=1: (p,0) -> (p,1), single component each; sign (-1)^p from dz̄ past dz_J
-    return _cached(space, target, "sparse", ("dbar", (0, 0)),
-                   lambda: _stencil_matrix(calc.N, calc.disc.order, calc.t, calc.d,
-                                           *_dzbar(calc.t)),
-                   sign=(-1) ** p)
+    if q + 1 > space.n:
+        raise BidegreeOverflow(f"dbar out of (p,{q}) with n={space.n}")
+    return space.calculus.first_order(space, space.sibling((p, q + 1)), "dbar")
 
 
 def assemble_nabla10(space: FormSpace) -> OperatorMatrix:
     """Chern-connection (1,0)-part: (p,q) -> (p+1,q)."""
     p, q = space.bidegree
-    n = space.n
-    if p + 1 > n:
-        raise BidegreeOverflow(f"nabla10 out of ({p},q) with n={n}")
-    target = space.sibling((p + 1, q))
-    calc = space.calculus
-    if isinstance(space.disc, Spectral):
-        def build():
-            data = np.zeros((target.ncomp, space.ncomp) + calc.mshape, dtype=complex)
-            cidx = {c: i for i, c in enumerate(target.comps)}
-            for di, (J, K) in enumerate(space.comps):
-                for a in range(n):
-                    sgn, Jnew = _insert(J, a)
-                    if sgn == 0:
-                        continue
-                    ci = cidx[(Jnew, K)]
-                    data[ci, di] += sgn * calc.mu_z[a]
-            return data
-        return _cached(space, target, "mode", ("nabla10", space.bidegree), build)
-    # n=1: (0,q) -> (1,q), the same matrix d/dz - phi_z for q = 0 and 1, with
-    # (dx/dz, dy/dz) = (-t̄, 1) / (t - t̄)
-    t = calc.t
-    return _cached(space, target, "sparse", ("nabla10", (0, 0)),
-                   lambda: _stencil_matrix(calc.N, calc.disc.order, t, calc.d,
-                                           -np.conj(t) / (t - np.conj(t)),
-                                           1.0 / (t - np.conj(t)), -calc.phi_z))
+    if p + 1 > space.n:
+        raise BidegreeOverflow(f"nabla10 out of ({p},q) with n={space.n}")
+    return space.calculus.first_order(space, space.sibling((p + 1, q)), "nabla10")
 
 
 _ASSEMBLERS = {"dbar": assemble_dbar, "nabla10": assemble_nabla10}
@@ -704,13 +556,7 @@ def _wedge11(space: FormSpace, C: np.ndarray) -> OperatorMatrix:
     """Wedge with the (1,1)-form sum C_ab dz_a ^ dz̄_b: (p,q) -> (p+1,q+1)."""
     block = _wedge11_block(space, C)
     target = space.sibling((space.bidegree[0] + 1, space.bidegree[1] + 1))
-    if isinstance(space.disc, Spectral):
-        data = block.reshape(block.shape + (1,) * len(space.field_shape)).astype(complex)
-        return OperatorMatrix(space, target, "mode", data)
-    N = space.disc.N
-    eye = sp.identity(N * N, dtype=complex, format="csr")
-    mats = [[block[i, j] * eye for j in range(block.shape[1])] for i in range(block.shape[0])]
-    return OperatorMatrix(space, target, "sparse", sp.bmat(mats, format="csr"))
+    return space.calculus.wedge(space, target, block)
 
 
 def lefschetz_L(space: FormSpace) -> OperatorMatrix:
@@ -743,40 +589,9 @@ def curvature_action(space: FormSpace) -> OperatorMatrix:
 # pointwise products and contraction
 
 
-def _pointwise(space: FormSpace, field):
-    """(to, back): maps of coefficient arrays to samples on which a product with
-    field is pointwise, and back; each maps only the trailing field axes.
-
-    Grid samples, and a constant field (trailing axes all 1), multiply as they
-    are, so both maps are the identity.  Otherwise the field and a section of
-    the spectral space have modes |k| <= M, and their product modes |k| <= 2M.
-    to() samples modes on L = 3M + 1 points per direction and back() takes the
-    modes |k| <= M of samples.  A product mode k lands on a kept mode only if
-    k = j (mod L) with |j| <= M, and |k - j| <= 3M < L, so k = j: back() of the
-    sampled product is the full convolution cropped to |k| <= M.
-    """
-    dims = len(space.field_shape)
-    if isinstance(space.disc, Grid) or all(s == 1 for s in np.shape(field)[-dims:]):
-        return (lambda a: a), (lambda a: a)
-    M = space.disc.M
-    L = 3 * M + 1
-    axes = tuple(range(-dims, 0))
-    keep = (Ellipsis,) + np.ix_(*[np.arange(-M, M + 1) % L] * dims)
-
-    def to(a):
-        samples = np.zeros(np.shape(a)[:-dims] + (L,) * dims, dtype=complex)
-        samples[keep] = a
-        return np.fft.ifftn(samples, axes=axes, norm="forward")
-
-    def back(samples):
-        return np.fft.fftn(samples, axes=axes, norm="forward")[keep]
-
-    return to, back
-
-
 def multiply(field: np.ndarray, u: FormSection) -> FormSection:
     """Multiply a section by a scalar field (untwisted modes or grid samples)."""
-    to, back = _pointwise(u.space, field)
+    to, back = u.space.calculus.pointwise(field)
     return FormSection(u.space, back(to(field) * to(u.coeffs)))
 
 
@@ -791,7 +606,7 @@ def contract(W: np.ndarray, u: FormSection) -> FormSection:
     if p < 1:
         raise BidegreeUnderflow("contraction needs p >= 1")
     target = u.space.sibling((p - 1, q))
-    to, back = _pointwise(u.space, W)
+    to, back = u.space.calculus.pointwise(W)
     Ws, us = to(W), to(u.coeffs)
     out = np.zeros((target.ncomp,) + us.shape[1:], dtype=complex)
     cidx = {c: i for i, c in enumerate(target.comps)}
@@ -815,7 +630,7 @@ def contract_ks(K_field: np.ndarray, u: FormSection) -> FormSection:
     if q + 1 > n:
         raise BidegreeOverflow("K-contraction overflows antiholomorphic degree")
     target = u.space.sibling((p - 1, q + 1))
-    to, back = _pointwise(u.space, K_field)
+    to, back = u.space.calculus.pointwise(K_field)
     Ks, us = to(K_field), to(u.coeffs)
     out = np.zeros((target.ncomp,) + us.shape[1:], dtype=complex)
     cidx = {c: i for i, c in enumerate(target.comps)}

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from toruslab.errors import ExtensionNotAdmissible
 from toruslab.family import (
-    _dbar_of_field,
     berndtsson_representative,
     class_match_residual,
     kappa,
@@ -58,7 +57,7 @@ def test_spectral_dbar_of_field_matches_untwisted_calculus(rng):
         flat0 = make_flat_bundle(torus, np.zeros(4))
         mu = make_space(torus, flat0, (0, 0), sp.disc).calculus.mu_zbar
         expect = np.stack([np.stack([mu[c] * W[a] for c in range(2)]) for a in range(2)])
-        assert np.array_equal(_dbar_of_field(sp, W), expect)
+        assert np.array_equal(sp.calculus.dbar_of_field(sp, W), expect)
 
 
 def test_grid_dbar_of_field_matches_mode_multiplier(grid_setup):
@@ -73,7 +72,7 @@ def test_grid_dbar_of_field_matches_mode_multiplier(grid_setup):
         mu = 2j * np.pi * (t * kx - ky) / (t - np.conj(t))
         theta = 2.0 * np.pi * max(abs(kx), abs(ky)) / N
         bound = theta**6 / 100 * 2.0 * np.pi * (abs(t * kx) + abs(ky)) / abs(t - np.conj(t))
-        err = np.abs(_dbar_of_field(sp, mode[None])[0, 0] - mu * mode).max()
+        err = np.abs(sp.calculus.dbar_of_field(sp, mode[None])[0, 0] - mu * mode).max()
         assert err <= bound + 1e-12, (kx, ky, err, bound)
 
 

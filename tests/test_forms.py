@@ -126,6 +126,10 @@ def test_operator_data_is_assembled_once_per_fibre(which, flat_torus, flat_bundl
                    @ sparse.diags(gc_.w.ravel()))
             diff = abs(adjA - ref).max()
         assert diff <= 1e-15 * abs(ref).max()
+    if which == "spectral":
+        # the solver reads lambda off the fibre's (0,0) box, not its own
+        pkg = build_hodge(sp00.sibling((1, 0)), expected_kernel=1)
+        assert "laplacian" not in pkg.__dict__
     if which == "grid":
         # one matrix per operator and one per adjoint: the (0,1) nabla10 and the
         # (1,0) dbar (with sign -1) share the data of the (0,0) ones
@@ -307,21 +311,41 @@ def test_spectral_products_are_cropped_convolutions(request, torus, bundle, M):
     assert close(contract(W, u).coeffs, want)
 
 
-def test_primitive_lift_does_not_import_scipy_signal(tmp_path):
+_SIEGEL = {"family": "siegel-diagonal", "t": [0.2, 0.9], "backend": "spectral", "d": 0,
+           "M": 4}
+_SCIPY_CASES = {
     # the primitive surface lift carries a non-constant Kodaira-Spencer field,
     # so the command takes spectral products, which need numpy.fft only
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "siegel-diagonal", "t": [0.2, 0.9],
-                               "backend": "spectral", "d": 0, "M": 4}))
-    args = ["primitive-lift", "--config", str(cfg), "--out", str(tmp_path / "out.json")]
+    "primitive-lift": ("primitive-lift", _SIEGEL),
+    "curvature-siegel": ("curvature", _SIEGEL),
+    "curvature-elliptic-flat": ("curvature", {"backend": "spectral", "d": 0}),
+    "scan-rank": ("scan-rank", None),
+    "bls": ("bls", None),
+    "hodge-check-siegel": ("hodge-check", _SIEGEL),
+    "curvature-grid": ("curvature", {"backend": "grid", "d": 1, "N": 32}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCIPY_CASES))
+def test_only_grid_runs_import_scipy(tmp_path, case):
+    # toruslab.grid is the only module that imports scipy, and make_space
+    # imports it only for a Grid
+    command, payload = _SCIPY_CASES[case]
+    args = [command, "--out", str(tmp_path / "out.json")]
+    if payload is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        args += ["--config", str(cfg)]
     script = ("import sys\nfrom toruslab import cli\n"
               f"code = cli.main.main({args!r}, standalone_mode=False)\n"
-              "print(code, 'scipy.signal' in sys.modules)\n")
+              "print(code, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules),"
+              " 'toruslab.grid' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(toruslab.__file__))
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    grid = str(case == "curvature-grid")
+    assert proc.stdout.splitlines()[-1].split() == ["0", grid, grid]
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab import hodge
+from toruslab import grid
 from toruslab.errors import NotCoexact
 from toruslab.forms import (
     Grid,
@@ -146,14 +146,14 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
 def test_one_inverse_iteration_gives_both_near_null_blocks(monkeypatch, d, bidegree):
     # Dt is square and Dt^{-H} maps its right near-null vectors onto its left
     # ones, so the iteration with Dt^{-1} Dt^{-H} yields the block of Dt^H too
-    solve = hodge._DbarFactor.solve
+    solve = grid._DbarFactor.solve
     solves = []
 
     def counted(self, r, trans="N"):
         solves.append(trans)
         return solve(self, r, trans)
 
-    monkeypatch.setattr(hodge._DbarFactor, "solve", counted)
+    monkeypatch.setattr(grid._DbarFactor, "solve", counted)
     torus = make_torus(1, [[T0]])
     sp = make_space(torus, make_positive_bundle(torus, d), bidegree, Grid(N=32, order=10))
     factor = build_hodge(sp, expected_kernel=d)._solver.factor
@@ -178,14 +178,14 @@ def test_one_inverse_iteration_gives_both_near_null_blocks(monkeypatch, d, bideg
 def test_near_null_block_belongs_to_the_fibre(monkeypatch, d):
     # a (1,1) package built first (expected kernel 0) starts the fibre's block
     # at d + 2 too: 4 block solves, and the same (1,0) kernel to the bit
-    solve = hodge._DbarFactor.solve
+    solve = grid._DbarFactor.solve
     solves = []
 
     def counted(self, r, trans="N"):
         solves.append(trans)
         return solve(self, r, trans)
 
-    monkeypatch.setattr(hodge._DbarFactor, "solve", counted)
+    monkeypatch.setattr(grid._DbarFactor, "solve", counted)
     torus = make_torus(1, [[T0]])
     bundle = make_positive_bundle(torus, d)
     disc = Grid(N=32, order=6)
