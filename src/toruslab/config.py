@@ -41,6 +41,11 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 # (a grid at the default N = 64 holds 4,096).
 MAX_UNKNOWNS = 4 * 4 * 17 ** 4
 
+# Budget on the nonzeros of one grid derivative matrix, N² samples times the
+# 2·order + 1 entries of a stencil row: the largest grid MAX_UNKNOWNS admits,
+# at the default order 10.  It bounds the order before any stencil is built.
+MAX_STENCIL_NNZ = MAX_UNKNOWNS * 21
+
 _SCAN_KEYS = {"center", "direction", "radius", "samples"}
 _BLS_KEYS = {"instances", "step", "t"}
 
@@ -180,6 +185,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if samples * math.comb(n, n // 2) ** 2 > MAX_UNKNOWNS:
         raise ConfigInvalid(f"{size_key!r} is too large: a {cfg.backend} form space would "
                             f"hold more than {MAX_UNKNOWNS:,} unknowns")
+    if cfg.backend == "grid" and samples * (2 * cfg.order + 1) > MAX_STENCIL_NNZ:
+        raise ConfigInvalid(f"'order' is too large: a grid derivative would hold more "
+                            f"than {MAX_STENCIL_NNZ:,} nonzeros")
     if "seed" in raw:
         cfg.seed = _as_int(raw["seed"], "seed", minimum=0)
     if "step" in raw:

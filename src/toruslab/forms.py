@@ -121,6 +121,7 @@ class _SpectralCalculus:
         self.disc = disc
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
         self.operators = {}  # operator key -> mode array, filled by _operator_data()
+        self.box_lambda = None  # lambda(kappa) of the box, filled by hodge._SpectralSolver
         self.field_shape = (2 * M + 1,) * (2 * n)
         kappa_x, kappa_y = _wavenumbers(n, M, bundle.chi)
         omega = torus.period

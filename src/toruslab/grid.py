@@ -15,12 +15,21 @@ Dt, so _DbarFactor factors Dt, not the Laplacian, once per fibre for all four
 bidegrees, and _GridSolver cuts its kernel at rank_tol.  The low spectrum is
 computed only on demand.
 
+Set-up runs in two phases, as in sparse direct solvers.  The symbolic phase
+depends on the sparsity pattern only: the csr structure of a stencil matrix
+per (N, order) (_stencil_pattern), the csc structure of dbar_hat and SuperLU's
+COLAMD column order of it per (N, order, d) (_dbar_hat_pattern).  It runs once
+and is kept in two small bounded caches of read-only arrays.  The numeric
+phase, per fibre, computes values only and gathers them into that structure,
+so a fibre's matrices, factor and results are the same to the bit whatever
+ran before it.
+
 forms.make_space imports this module for a Grid; no other module imports scipy.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import List
 
@@ -94,26 +103,16 @@ class _GridCalculus:
         _stencil_matrix.  The Bloch factor e^{2 pi i d y w} of an x-stencil
         entry that wraps w times shifts the frequency k -> k - d w, so a row has
         order + 1 nonzeros, and A is periodic-banded along each of the
-        gcd(d, N) chains that the shift links.
+        gcd(d, N) chains that the shift links.  Its pattern is _dbar_hat_pattern's.
         """
         N, d = self.N, self.d
         offsets, coeffs = _central_stencil(self.disc.order)
         a, b = _dzbar(self.t)
         k = np.arange(N)
         lam = sum(c * N * np.exp(2j * np.pi * off * k / N) for off, c in zip(offsets, coeffs))
-        i = k[:, None]
-        diag = np.broadcast_to(i * N + k, (N, N)).ravel()
-        rows, cols = [diag], [diag]
         vals = [(b * lam + (np.pi * d / self.s) * self.x).ravel()]
-        for off, c in zip(offsets, coeffs):
-            wrap, ii = np.divmod(i + off, N)
-            rows.append(diag)
-            cols.append((ii * N + (k - d * wrap) % N).ravel())
-            vals.append(np.full(N * N, a * c * N))
-        return sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N * N, N * N),
-        )
+        vals += [np.full(N * N, a * c * N) for c in coeffs]
+        return _dbar_hat_pattern(N, self.disc.order, d).matrix(np.concatenate(vals))
 
     # -- the backend methods that forms, hodge and family call --------------
 
@@ -186,33 +185,95 @@ def _dzbar(t):
     return t / (t - np.conj(t)), -1.0 / (t - np.conj(t))
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: cached patterns are shared by every fibre."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+class _Pattern:
+    """The symbolic phase of an n x n sparse matrix whose entries are listed as
+    (major, minor) index pairs in a fixed order, major the row of a csr matrix
+    or the column of a csc one: its compressed indices and indptr, and the
+    gather that sorts values listed in that order.  matrix(vals) is the numeric
+    phase.  Repeated pairs (a stencil wider than the grid) are summed in list
+    order.  Patterns are cached and shared by every fibre of the same shape,
+    so their arrays are read-only.
+    """
+
+    def __init__(self, fmt, major, minor, n):
+        key = major * n + minor
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.diff(key, prepend=-1) != 0
+        self.gather, self.repeats = order[first], order[~first]
+        self.repeat_to = np.cumsum(first)[~first] - 1
+        major, minor = np.divmod(key[first], n)
+        self.indices = minor.astype(np.int32)
+        self.indptr = np.searchsorted(major, np.arange(n + 1)).astype(np.int32)
+        _frozen(self.gather, self.repeats, self.repeat_to, self.indices, self.indptr)
+        self.fmt, self.shape = fmt, (n, n)
+
+    def matrix(self, vals):
+        data = vals[self.gather]
+        np.add.at(data, self.repeat_to, vals[self.repeats])
+        return self.fmt((data, self.indices, self.indptr), shape=self.shape)
+
+
+@lru_cache(maxsize=4)
+def _stencil_pattern(N, order):
+    """The symbolic phase of _stencil_matrix, once per (N, order): the sample
+    coordinates, the x-stencil entries that wrap (flat index and wrap count)
+    and the column of every entry, listed as the diagonal, then the x-stencil
+    and then the y-stencil entries of each offset."""
+    offsets = np.array(_central_stencil(order)[0])[:, None]
+    row = np.arange(N * N)
+    i, j = np.divmod(row, N)  # x and y index of each sample
+    wrap, ii = np.divmod(i + offsets, N)
+    cols = np.concatenate([row[None], ii * N + j, i * N + (j + offsets) % N])
+    wrapped = np.flatnonzero(wrap)
+    return (*_frozen(i / N, j / N, wrapped, wrap.ravel()[wrapped], cols),
+            _Pattern(sp.csr_matrix, np.tile(row, len(cols)), cols.ravel(), N * N))
+
+
+@lru_cache(maxsize=4)
+def _dbar_hat_pattern(N, order, d):
+    """The symbolic phase of _GridCalculus.dbar_hat, once per (N, order, d): its
+    csc pattern, listed as the diagonal and then each offset's x-stencil
+    entries, and column_order, SuperLU's COLAMD column order q of it and its
+    inverse, which the first _DbarFactor of the pattern fills in."""
+    offsets = np.array(_central_stencil(order)[0])[:, None]
+    i, k = np.divmod(np.arange(N * N), N)
+    wrap, ii = np.divmod(i + offsets, N)
+    cols = np.concatenate([i * N + k, (ii * N + (k - d * wrap) % N).ravel()])
+    pattern = _Pattern(sp.csc_matrix, cols, np.tile(i * N + k, len(offsets) + 1), N * N)
+    pattern.column_order = None
+    return pattern
+
+
 def _stencil_matrix(N, order, t, d, a, b, diag=0.0):
     """a d/dx + b d/dy + diag(diag) on the N x N samples of a degree-d section,
     as a csr matrix; d = 0 differentiates a plain periodic field.
 
-    Every grid derivative is built here.  The central stencils act on
-    H = e^theta F (see _gauge_exponent): along y the periodic stencil, along x
-    the Bloch one, whose entry that wraps w times carries e^{2 pi i d y w}.
-    Moved back to F,
+    Every grid derivative is built here, on the pattern of _stencil_pattern.
+    The central stencils act on H = e^theta F (see _gauge_exponent): along y
+    the periodic stencil, along x the Bloch one, whose entry that wraps w times
+    carries e^{2 pi i d y w}.  Moved back to F,
       dF/dx = e^{-theta} d/dx(e^theta F) - (2 pi i d y) F
       dF/dy = e^{-theta} d/dy(e^theta F) - (2 pi i d z) F,  z = x + t y,
     so the gauge terms join diag.
     """
-    offsets, coeffs = _central_stencil(order)
-    row = np.arange(N * N)
-    i, j = np.divmod(row, N)  # x and y index of each sample
-    x, y = i / N, j / N
-    rows, cols = [row], [row]
+    x, y, wrapped, wrap, cols, pattern = _stencil_pattern(N, order)
+    coeffs = _central_stencil(order)[1]
+    bloch = np.ones((len(coeffs), N * N), dtype=complex)
+    bloch.flat[wrapped] = np.exp(2j * np.pi * d * y[wrapped % (N * N)] * wrap)
     vals = [np.ravel(diag) - 2j * np.pi * d * (a * y + b * (x + t * y))]
-    for off, c in zip(offsets, coeffs):
-        wrap, ii = np.divmod(i + off, N)
-        rows += [row, row]
-        cols += [ii * N + j, i * N + (j + off) % N]
-        vals += [a * c * N * np.exp(2j * np.pi * d * y * wrap), np.full(N * N, b * c * N)]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals += [a * c * N * row for c, row in zip(coeffs, bloch)]
+    vals += [np.full(N * N, b * c * N) for c in coeffs]
     theta = _gauge_exponent(x, y, t, d)
-    vals = np.exp(-theta)[rows] * np.concatenate(vals) * np.exp(theta)[cols]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
+    vals = np.exp(-theta) * np.reshape(vals, (-1, N * N)) * np.exp(theta)[cols]
+    return pattern.matrix(vals.ravel())
 
 
 def _scaled(m, left, right):
@@ -270,6 +331,8 @@ class _DbarFactor:
         w = [np.sqrt(gram(space.sibling((0, q))).w.ravel())[:, None] for q in (0, 1)]
         L, R = w[1] / E, E / w[0]
         self._scales = {"N": (L, R), "H": (R.conj(), L.conj())}
+        self._inverse_scales = {trans: (1 / right, 1 / left)
+                                for trans, (left, right) in self._scales.items()}
         self.A = calc.dbar_hat
         self._AH = self.A.conj().T
         # power iteration for the spectral scale of Dt^H Dt.  |L| and |R| are
@@ -283,8 +346,19 @@ class _DbarFactor:
         for _ in range(30):
             v = self._AH @ (self.A @ (v / np.linalg.norm(v)))
         self.cut = rank_tol * max((l * r) ** 2 * float(np.linalg.norm(v)), 1.0)
+        # COLAMD, SuperLU's column order, reads A's pattern only.  The first
+        # factor of a pattern keeps its order q in the pattern cache; later
+        # ones factor A[:, q] with no reordering (NATURAL), which gives the
+        # same LU and the same solves.  q is the full slice for the first.
+        pattern = _dbar_hat_pattern(calc.N, calc.disc.order, calc.d)
         try:
-            self.lu = spla.splu(self.A)
+            if pattern.column_order is None:
+                self.lu = spla.splu(self.A)
+                self._q = self._q_inv = slice(None)
+                pattern.column_order = _frozen(np.argsort(self.lu.perm_c), self.lu.perm_c.copy())
+            else:
+                self._q, self._q_inv = pattern.column_order
+                self.lu = spla.splu(self.A[:, self._q], permc_spec="NATURAL")
         except RuntimeError as exc:
             raise EigenFailure(str(exc)) from exc
         # Dt has a d-dimensional kernel on a degree-d fibre, so the block is
@@ -293,21 +367,29 @@ class _DbarFactor:
 
     def _in_fourier(self, v, op, left, right):
         """left F_y^H op(F_y right v), left and right diagonal, for a vector or
-        a block of columns."""
+        a block of columns.  The FFTs run on the block transposed, as rows of
+        N² samples, where each transform is contiguous; op maps such rows."""
         N = self.N
-        V = np.fft.fft((right * v.reshape(N * N, -1)).reshape(N, N, -1), axis=1, norm="ortho")
-        V = np.fft.ifft(op(V.reshape(N * N, -1)).reshape(N, N, -1), axis=1, norm="ortho")
-        return (left * V.reshape(N * N, -1)).reshape(v.shape)
+        V = np.multiply(right.T, v.reshape(N * N, -1).T, order="C").reshape(-1, N, N)
+        V = np.fft.fft(V, axis=2, norm="ortho").reshape(-1, N * N)
+        V = np.fft.ifft(op(V).reshape(-1, N, N), axis=2, norm="ortho")
+        return np.multiply(left, V.reshape(-1, N * N).T, order="C").reshape(v.shape)
 
     def apply(self, v, trans="N"):
         """Dt v, or Dt^H v for trans "H"."""
         A = self.A if trans == "N" else self._AH
-        return self._in_fourier(v, A.__matmul__, *self._scales[trans])
+        return self._in_fourier(v, lambda X: (A @ X.T).T, *self._scales[trans])
 
     def solve(self, r, trans="N"):
-        """Dt^{-1} r, or Dt^{-H} r for trans "H"."""
-        left, right = self._scales[trans]
-        return self._in_fourier(r, lambda b: self.lu.solve(b, trans=trans), 1 / right, 1 / left)
+        """Dt^{-1} r, or Dt^{-H} r for trans "H", through the factor of A[:, q]
+        (op maps rows, so A^{-1} acts on the transpose)."""
+        if trans == "N":
+            def op(X):
+                return self.lu.solve(X.T).T[:, self._q_inv]
+        else:
+            def op(X):
+                return self.lu.solve(X[:, self._q].T, trans="H").T
+        return self._in_fourier(r, op, *self._inverse_scales[trans])
 
     def _near_null(self, block: int):
         """Near-null vectors of Dt (null[0]) and of Dt^H (null[1]) and their

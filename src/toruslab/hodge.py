@@ -53,7 +53,7 @@ class _SpectralSolver:
 
     With the constant Kaehler metric the box of a flat bundle is lambda(kappa) Id
     on each mode kappa = k + chi in every bidegree, so lambda is read off the
-    fibre's (0,0) box, the cheapest.  The kernel is the whole kappa = 0 mode
+    fibre's (0,0) box, the cheapest, once per fibre calculus.  The kernel is the whole kappa = 0 mode
     when the bundle is trivial (BundleData.is_trivial) and empty otherwise.
     Green multiplies by 1/lambda off the kernel, the projector by the kernel
     mask, and the harmonic basis is the kernel mode with the columns of R^{-1}
@@ -62,8 +62,10 @@ class _SpectralSolver:
 
     def __init__(self, space: FormSpace):
         self.space = space
-        box00 = laplacian(space.sibling((0, 0)), "dbar")
-        self.lam = np.broadcast_to(box00.data[0, 0].real, space.field_shape)
+        calc = space.calculus
+        if calc.box_lambda is None:
+            calc.box_lambda = laplacian(space.sibling((0, 0)), "dbar").data[0, 0].real
+        self.lam = np.broadcast_to(calc.box_lambda, space.field_shape)
         self.null_mask = np.zeros(space.field_shape, dtype=bool)
         if space.bundle.is_trivial:
             # kappa = 0 is the mode k = -chi, and chi in [0, 1) rounds to 0 or 1

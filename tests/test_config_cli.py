@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -399,7 +400,8 @@ def test_underresolved_grid_curvature_exits_1(tmp_path, N, reason):
 @pytest.mark.parametrize("payload", [
     {"backend": "grid", "d": 1, "N": 100000},
     {"backend": "spectral", "d": 0, "M": 100000},
-], ids=["grid-N", "spectral-M"])
+    {"backend": "grid", "d": 1, "order": 10**9},
+], ids=["grid-N", "spectral-M", "grid-order"])
 def test_oversized_config_exits_2_before_building(tmp_path, monkeypatch, command, payload):
     def build(cfg):
         raise AssertionError("a family was built")
@@ -421,6 +423,22 @@ def test_size_budget_edges():
     assert config_from_dict({"backend": "grid", "d": 1, "N": 1156}).N == 1156
     with pytest.raises(ConfigInvalid, match="'N' is too large"):
         config_from_dict({"backend": "grid", "d": 1, "N": 1157})
+    # and grid derivatives up to N² (2·order + 1) <= 21·4·4·17⁴ nonzeros
+    assert config_from_dict({"backend": "grid", "d": 1, "N": 64, "order": 3424}).order == 3424
+    for N, order in ((64, 3426), (1156, 12)):
+        with pytest.raises(ConfigInvalid, match="'order' is too large"):
+            config_from_dict({"backend": "grid", "d": 1, "N": N, "order": order})
+
+
+def test_huge_order_exits_2_at_once(tmp_path):
+    # the budget counts the stencil width, so no factorial of the order is taken
+    cfg = write_cfg(tmp_path, "cfg.json", {"backend": "grid", "d": 1, "order": 10**9})
+    start = time.perf_counter()
+    res = run_cli(["curvature", "--config", cfg])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: 'order' is too large")
+    assert res.output.count("\n") == 1
 
 
 def test_scan_rank_csv(tmp_path):
@@ -449,6 +467,28 @@ def test_primitive_lift_command(tmp_path):
     assert report["rank"] == 1
     assert report["primitivity_residual"] <= 1e-8
     assert report["hr_equality_residual"] <= 1e-12   # relative to ||kf||^2
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("curvature", {"family": "siegel-diagonal", "t": [0.2, 0.9]}),
+    ("primitive-lift", None),   # the default config: siegel-diagonal
+], ids=["curvature-siegel", "primitive-lift"])
+def test_spectral_box_is_built_once_per_fibre(tmp_path, monkeypatch, command, payload):
+    # each spectral package reads lambda(kappa) off the fibre's (0,0) box, which
+    # the fibre calculus keeps
+    from toruslab import hodge
+
+    laplacian, built = hodge.laplacian, []
+
+    def counted(space, kind):
+        built.append((space.bidegree, kind))
+        return laplacian(space, kind)
+
+    monkeypatch.setattr(hodge, "laplacian", counted)
+    args = [] if payload is None else ["--config", write_cfg(tmp_path, "cfg.json", payload)]
+    res = run_cli([command, *args, "--out", str(tmp_path / "report.json")])
+    assert res.exit_code == 0, res.output
+    assert built.count(((0, 0), "dbar")) == 1
 
 
 def test_curvature_command_on_surface_family(tmp_path):

@@ -14,7 +14,8 @@ from toruslab.forms import (
     make_space,
     pair_l2,
 )
-from toruslab.geometry import make_flat_bundle, make_positive_bundle, make_torus
+from toruslab.curvature import curvature_H, direct_image_fibre
+from toruslab.geometry import elliptic_family, make_flat_bundle, make_positive_bundle, make_torus
 from toruslab.hodge import (
     bergman_project,
     build_hodge,
@@ -139,6 +140,71 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
         r = V - Q @ (Q.conj().T @ V)
         x = factor.solve(r, trans)
         assert np.linalg.norm(A @ x - r) <= 1e-11 * np.linalg.norm(r)
+
+
+def _coo_stencil(N, order, t, d, a, b, diag):
+    """The stencil matrix assembled as listed entries, converted by scipy: the
+    reference for the pattern and the values of grid._stencil_matrix."""
+    offsets, coeffs = grid._central_stencil(order)
+    row = np.arange(N * N)
+    i, j = np.divmod(row, N)
+    x, y = i / N, j / N
+    rows, cols = [row], [row]
+    vals = [np.ravel(diag) - 2j * np.pi * d * (a * y + b * (x + t * y))]
+    for off, c in zip(offsets, coeffs):
+        wrap, ii = np.divmod(i + off, N)
+        rows += [row, row]
+        cols += [ii * N + j, i * N + (j + off) % N]
+        vals += [a * c * N * np.exp(2j * np.pi * d * y * wrap), np.full(N * N, b * c * N)]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    theta = grid._gauge_exponent(x, y, t, d)
+    vals = np.exp(-theta)[rows] * np.concatenate(vals) * np.exp(theta)[cols]
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_stencil_matrix_matches_coo_assembly(d):
+    # the numeric phase on a cached pattern gives the listed-entry matrix to the bit
+    N, order = 64, 10
+    rng = np.random.default_rng(d)
+    diag = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    for a, b, dg in ((*grid._dzbar(T0), 0.0), (0.3 - 0.1j, 0.2 + 0.5j, diag)):
+        m = grid._stencil_matrix(N, order, T0, d, a, b, dg)
+        ref = _coo_stencil(N, order, T0, d, a, b, dg)
+        for got, want in ((m.indptr, ref.indptr), (m.indices, ref.indices), (m.data, ref.data)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _fibre_results(t, d):
+    """Kernel, a Green apply, cut, LU fill and theta_H of one N = 64 fibre."""
+    fam = elliptic_family(t, d=d)
+    sp10, pkg10, basis, lift = direct_image_fibre(fam, Grid(N=64, order=10), expected_kernel=d)
+    factor = pkg10._solver.factor
+    u = band_limited(sp10, np.random.default_rng(5))
+    return [pkg10._solver.kernel, pkg10.green(u).coeffs, factor.cut, factor.lu.nnz,
+            curvature_H(fam, lift, basis, pkg10).theta_H]
+
+
+def test_warm_caches_change_no_result():
+    # a fibre built after fibres at other t and other d, which filled the
+    # pattern caches and SuperLU's column order, matches its cold build to the bit
+    caches = (grid._stencil_pattern, grid._dbar_hat_pattern)
+    for cache in caches:
+        cache.cache_clear()
+    cold = _fibre_results(T0, 2)
+    for t, d in ((T0 + 0.02, 2), (T0, 1), (T0 + 0.01j, 3)):
+        _fibre_results(t, d)
+    assert grid._dbar_hat_pattern(64, 10, 2).column_order is not None
+    warm = _fibre_results(T0, 2)
+    for got, want in zip(warm, cold):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the caches are bounded: more patterns than they hold evict the oldest
+    for N in range(4, 20, 2):
+        grid._stencil_pattern(N, 2)
+        grid._dbar_hat_pattern(N, 2, 1)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
 
 
 @pytest.mark.parametrize("bidegree", [(1, 0), (1, 1)])
