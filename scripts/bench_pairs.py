@@ -12,9 +12,10 @@ one run of ``python3 perfbench/run.py --workload W --seed S --seconds T``
 (T is ``run_seconds`` of ``BENCHMARK.json``) goes to each side, the sides
 alternating which runs first.  Then one ``--trace 1`` run per
 side at seed 201 gives the per-layer figures, and one more pair at seed 977
-(a seed not used while the change was written) checks the claim.  Every run's result line is kept under ``runs_in_order``, and the
-output file is rewritten after each run, so an interrupted session keeps what
-it measured.
+(a seed not used while the change was written) checks the claim.  Without
+``--claim`` the file records ``"claim": null`` and that pair is not run.
+Every run's result line is kept under ``runs_in_order``, and the output file
+is rewritten after each run, so an interrupted run keeps what it measured.
 
 The claim is met when the change is better on at least 9 in 10 pairs, the
 median gain exceeds the interquartile range of the parent's runs, the change
@@ -45,7 +46,8 @@ def parse_args(argv):
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--scratch", required=True, help="directory for the parent's files")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
-    ap.add_argument("--claim", required=True, help="workload:metric the change claims")
+    ap.add_argument("--claim", default=None,
+                    help="workload:metric the change claims (omit for a change that claims none)")
     return ap.parse_args(argv)
 
 
@@ -117,6 +119,8 @@ def summarize(runs, metrics, claim):
         confirm = {r["side"]: r for r in mine if r["seed"] == CONFIRM_SEED and not r["trace"]}
         if confirm:
             out[w]["failed"][f"seed{CONFIRM_SEED}"] = {s: r["failed"] for s, r in confirm.items()}
+    if claim is None:
+        return None, out
     cw, cm = claim
     row = out.get(cw, {}).get("end_to_end", {}).get(cm)
     claim_block = {"workload": cw, "metric": cm}
@@ -150,7 +154,7 @@ def main(argv=None):
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    claim = tuple(args.claim.split(":", 1))
+    claim = tuple(args.claim.split(":", 1)) if args.claim else None
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     roots = {"parent": export_parent(args.parent, args.scratch), "change": ROOT}
@@ -189,8 +193,9 @@ def main(argv=None):
                 record(side, workload, seed)
         for side in ("parent", "change"):
             record(side, workload, TRACE_SEED, trace=True)
-    for side in ("change", "parent"):
-        record(side, claim[0], CONFIRM_SEED)
+    if claim is not None:
+        for side in ("change", "parent"):
+            record(side, claim[0], CONFIRM_SEED)
     return 0
 
 

@@ -564,3 +564,72 @@ def schur_complement_demailly(form: HermitianFormOnTensor, k: int,
     # map the witness back to the original coordinates
     wit = np.linalg.solve(L.conj().T, X.ravel()).reshape(m1, r)
     return False, wit, val
+
+
+# ---------------------------------------------------------------------------
+# seeded battery against the oracle
+
+
+def random_demailly_instance(seed: int):
+    """A seeded random Hermitian-form instance with oracle-checkable dims.
+
+    Returns (form, k, S) with S the Schur complement; dims satisfy m·r <= 9 and
+    the rank-k oracle applies (k = 1 with m1 <= 2, or k >= min(m1, r)).
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        m = int(rng.integers(2, 4))
+        r = int(rng.integers(1, 9 // m + 1))
+        m1 = int(rng.integers(1, m))
+        m2 = m - m1
+        dim = m * r
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        phi = (A + A.conj().T) / 2.0
+        if rng.random() < 0.5:
+            phi = A.conj().T @ A + 0.2 * np.eye(dim)
+        else:
+            phi = phi + (0.5 + float(np.abs(np.linalg.eigvalsh(phi)).max())
+                         * float(rng.random())) * np.eye(dim)
+        form = HermitianFormOnTensor(m=m, r=r, phi=phi, split=(m1, m2))
+        try:
+            S = schur_complement(form)
+        except SingularBlock:
+            continue
+        if m1 <= 2:
+            k = int(rng.integers(1, min(m1, r) + 1))
+        else:
+            k = min(m1, r)
+        return form, k, S
+
+
+def demailly_battery(seed: int, instances: int) -> dict:
+    """ALS k-positivity verdicts of random_demailly_instance(seed * 100003 + i),
+    i < instances, against rank_k_min_oracle, and where they fail monotonicity."""
+    disagreements = []
+    monotonicity_violations = []
+    rows = []
+    for i in range(instances):
+        seed_i = seed * 100003 + i
+        form, k, S = random_demailly_instance(seed_i)
+        m1 = form.split[0]
+        verdicts = {}
+        for kk in range(1, k + 1):
+            # the battery's forms have the identity fiber metric, so the
+            # verdict's minimum is the minimum of S itself
+            pos, _, val = schur_complement_demailly(form, kk, seed=seed_i)
+            oracle = rank_k_min_oracle(S, m1, form.r, kk)
+            agree = bool(abs(val - oracle) <= 1e-6 * max(1.0, abs(oracle))
+                         and pos == (oracle > -1e-9))
+            verdicts[kk] = pos
+            if not agree:
+                disagreements.append({"seed": seed_i, "k": kk,
+                                      "als": float(val), "oracle": float(oracle)})
+            rows.append({"seed": seed_i, "m": form.m, "r": form.r,
+                         "split": list(form.split), "k": kk,
+                         "als_min": float(val), "oracle_min": float(oracle),
+                         "k_positive": bool(pos), "agree": agree})
+        for kk in range(2, k + 1):
+            if verdicts[kk] and not verdicts[kk - 1]:
+                monotonicity_violations.append({"seed": seed_i, "k": kk})
+    return {"instances_checked": rows, "disagreements": disagreements,
+            "monotonicity_violations": monotonicity_violations}

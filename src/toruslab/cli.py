@@ -15,6 +15,7 @@ import click
 import numpy as np
 
 from . import bls as blsmod
+from .bls import random_demailly_instance  # noqa: F401  (re-exported)
 from .config import ExperimentConfig, config_from_dict, load_config
 from .curvature import curvature_H, curvature_commutator, direct_image_fibre, wedge_pair
 from .errors import (
@@ -22,7 +23,6 @@ from .errors import (
     ExtensionNotAdmissible,
     NotClosed,
     NotCoexact,
-    SingularBlock,
     TorusLabError,
 )
 from .family import kappa, primitive_lift, primitivity_residual
@@ -434,38 +434,6 @@ def cmd_primitive_lift(cfg, out, dump_spectrum):
 # bls battery
 
 
-def random_demailly_instance(seed: int):
-    """A seeded random Hermitian-form instance with oracle-checkable dims.
-
-    Returns (form, k, S) with S the Schur complement; dims satisfy m·r <= 9 and
-    the rank-k oracle applies (k = 1 with m1 <= 2, or k >= min(m1, r)).
-    """
-    rng = np.random.default_rng(seed)
-    while True:
-        m = int(rng.integers(2, 4))
-        r = int(rng.integers(1, 9 // m + 1))
-        m1 = int(rng.integers(1, m))
-        m2 = m - m1
-        dim = m * r
-        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        phi = (A + A.conj().T) / 2.0
-        if rng.random() < 0.5:
-            phi = A.conj().T @ A + 0.2 * np.eye(dim)
-        else:
-            phi = phi + (0.5 + float(np.abs(np.linalg.eigvalsh(phi)).max())
-                         * float(rng.random())) * np.eye(dim)
-        form = blsmod.HermitianFormOnTensor(m=m, r=r, phi=phi, split=(m1, m2))
-        try:
-            S = blsmod.schur_complement(form)
-        except SingularBlock:
-            continue
-        if m1 <= 2:
-            k = int(rng.integers(1, min(m1, r) + 1))
-        else:
-            k = min(m1, r)
-        return form, k, S
-
-
 def bls_battery(cfg: ExperimentConfig) -> dict:
     step = float(cfg.bls.get("step", cfg.step))
     t0 = cfg.bls.get("t", 0.3 + 0.2j)
@@ -503,35 +471,7 @@ def bls_battery(cfg: ExperimentConfig) -> dict:
     out["griffiths_not_nakano"] = {"one_positive": bool(gn1), "two_positive": bool(gn2)}
 
     # seeded random battery against the brute-force oracle
-    disagreements = []
-    monotonicity_violations = []
-    rows = []
-    for i in range(instances):
-        seed = cfg.seed * 100003 + i
-        form, k, S = random_demailly_instance(seed)
-        m1 = form.split[0]
-        verdicts = {}
-        for kk in range(1, k + 1):
-            # the battery's forms have the identity fiber metric, so the
-            # verdict's minimum is the minimum of S itself
-            pos, _, val = blsmod.schur_complement_demailly(form, kk, seed=seed)
-            oracle = blsmod.rank_k_min_oracle(S, m1, form.r, kk)
-            agree = bool(abs(val - oracle) <= 1e-6 * max(1.0, abs(oracle))
-                         and pos == (oracle > -1e-9))
-            verdicts[kk] = pos
-            if not agree:
-                disagreements.append({"seed": seed, "k": kk,
-                                      "als": float(val), "oracle": float(oracle)})
-            rows.append({"seed": seed, "m": form.m, "r": form.r,
-                         "split": list(form.split), "k": kk,
-                         "als_min": float(val), "oracle_min": float(oracle),
-                         "k_positive": bool(pos), "agree": agree})
-        for kk in range(2, k + 1):
-            if verdicts[kk] and not verdicts[kk - 1]:
-                monotonicity_violations.append({"seed": seed, "k": kk})
-    out["instances_checked"] = rows
-    out["disagreements"] = disagreements
-    out["monotonicity_violations"] = monotonicity_violations
+    out.update(blsmod.demailly_battery(cfg.seed, instances))
     return out
 
 
@@ -539,26 +479,22 @@ def bls_battery(cfg: ExperimentConfig) -> dict:
 def cmd_bls(cfg, out, dump_spectrum):
     """Finite-dimensional matrix-field battery with a brute-force oracle."""
     battery = bls_battery(cfg)
-    failures = []
-    if battery["curvature_identity_residual"] > 10.0 * battery["step"] ** 2:
-        failures.append("curvature_identity")
-    if battery["curvature_exp_residual"] > 2.0 * battery["step"] ** 2:
-        failures.append("curvature_exp")
-    if battery["gauss_griffiths_residual"] > battery["gauss_griffiths_bound"]:
-        failures.append("gauss_griffiths")
-    gn = battery["griffiths_not_nakano"]
-    if not (gn["one_positive"] and not gn["two_positive"]):
-        failures.append("griffiths_not_nakano")
-    if battery["disagreements"]:
-        failures.append("oracle_disagreement")
-    if battery["monotonicity_violations"]:
-        failures.append("monotonicity")
+    step, gn = battery["step"], battery["griffiths_not_nakano"]
+    failures = _failed([
+        ("curvature_identity", battery["curvature_identity_residual"], 10.0 * step ** 2),
+        ("curvature_exp", battery["curvature_exp_residual"], 2.0 * step ** 2),
+        ("gauss_griffiths", battery["gauss_griffiths_residual"],
+         battery["gauss_griffiths_bound"]),
+        ("griffiths_not_nakano", int(not gn["one_positive"] or gn["two_positive"]), 0),
+        ("oracle_disagreement", len(battery["disagreements"]), 0),
+        ("monotonicity", len(battery["monotonicity_violations"]), 0),
+    ])
 
     report = {
         "command": "bls",
         "config": cfg.as_dict(),
         "battery": battery,
-        "failures": sorted(failures),
+        "failures": failures,
         "status": "pass" if not failures else "fail",
     }
     _emit(report, out)
@@ -581,7 +517,9 @@ def cmd_report(ctx, paths, out):
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(data, dict):
+                raise ValueError("the root is not a JSON object")
+        except (OSError, ValueError) as exc:
             click.echo(f"config error: cannot read {path}: {exc}", err=True)
             ctx.exit(2)
         status = data.get("status", "unknown")

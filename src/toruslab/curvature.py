@@ -53,6 +53,7 @@ from .forms import (
     multiply,
     pair_l2,
     zero_operator,
+    _lambda_block,
     _wedge11_block,
 )
 from .geometry import FamilySpec
@@ -199,12 +200,7 @@ def curvature_commutator(space: FormSpace):
     if p + 1 <= n and q + 1 <= n:
         up = space.sibling((p + 1, q + 1))
         terms.append((-1.0) * lefschetz_Lambda(up) @ (1j * curvature_action(space)))
-    if not terms:
-        return zero_operator(space, space)
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return sum(terms[1:], terms[0]) if terms else zero_operator(space, space)
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +463,10 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
     for j in range(jmin, jmax + 1):
         src = space.sibling((p - j, q - j))
         pj, qj = src.bidegree
-        # primitive component vectors: null space of the Lambda block, where
-        # Lambda = P_dn^{-1} L^H P_src (adjoint of the omega-wedge block in the
-        # pointwise component metrics); (p,0)- and (0,q)-forms are all primitive.
+        # primitive component vectors: null space of the Lambda block;
+        # (p,0)- and (0,q)-forms are all primitive.
         if pj >= 1 and qj >= 1:
-            below = src.sibling((pj - 1, qj - 1))
-            Lam_src = (
-                np.linalg.inv(below.comp_metric())
-                @ _wedge11_block(below, omega).conj().T
-                @ src.comp_metric()
-            )
-            prim_basis = _nullspace(Lam_src)
+            prim_basis = _nullspace(_lambda_block(src))
         else:
             prim_basis = np.eye(src.ncomp, dtype=complex)
         # lift columns: L^j applied to each primitive basis vector

@@ -201,16 +201,9 @@ def make_extension(family: FamilySpec, f: FormSection,
     vanish, which for the constant extension happens iff nabla f != 0.
     """
     space = f.space
-    n = space.n
-    torus = space.torus
     t = complex(family.t)
-    omega = np.atleast_2d(np.asarray(family.period_map(t), dtype=complex))
-    dom = np.atleast_2d(np.asarray(family.dperiod_map(t), dtype=complex))
-    A = np.linalg.inv(omega - omega.conj())
-    K_triv = -dom @ A
-    alpha0 = contract_ks(
-        K_triv.reshape((n, n) + (1,) * len(space.field_shape)).astype(complex), f
-    )
+    lift = trivialization_lift(family, space)
+    alpha0 = contract_ks(lift.ks_field(), f)
     psi = assemble_dbar(space).apply(f)
     nf = max(f.norm(), 1e-300)
     if space.bundle.is_flat:
@@ -220,8 +213,8 @@ def make_extension(family: FamilySpec, f: FormSection,
             raise ExtensionNotAdmissible(
                 f"constant extension of a non-constant section (residual {grad:.3e})"
             )
-        trace = complex(np.trace(dom @ A))
-        phi0 = trace * f
+        # tr(Omega' (Omega - bar Omega)^{-1}) = -tr K_triv
+        phi0 = -complex(np.trace(lift.K_triv)) * f
         return Extension(f=f, alpha0=alpha0, phi0=phi0, psi=psi)
     # positive bundle (n=1): theta-flow extension, holomorphic in t; it is only
     # defined on holomorphic sections (the heat flow extends the theta frame)

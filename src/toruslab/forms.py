@@ -5,9 +5,12 @@ calculus is the backend.  make_space is the one place that reads the
 discretization: it builds a _SpectralCalculus for a Spectral disc and, importing
 toruslab.grid (the only module that needs scipy) only then, a
 grid._GridCalculus for a Grid.  Every step that differs between backends (field
-shape, random sections, Gram data, ∂̄, ∇¹'⁰, the (1,1)-wedge, adjoint data,
-pointwise products, ∂̄ of a vertical field and the Hodge solver) is a method
-of the calculus; the functions here do the bidegree bookkeeping around it.
+shape, random sections, Gram data, ∂̄, ∇¹'⁰, adjoint data, pointwise products,
+∂̄ of a vertical field and the Hodge solver) is a method of the calculus; the
+functions here do the bidegree bookkeeping around it.
+
+Operator data is a numpy array of component blocks per mode or sample, or a
+grid derivative's sparse matrix; ω∧, Θ(h)∧, Λ and the zero map are one block.
 
 This module holds the spectral backend (flat bundles): sections are expanded in
 the shifted Fourier basis e_k(x,y) = exp(2 pi i ((k_x + chi_x).x + (k_y +
@@ -163,11 +166,7 @@ class _SpectralCalculus:
                     if sgn != 0:
                         data[cidx[(J, new) if dbar else (new, K)], di] += sign * sgn * mu[a]
             return data
-        return _cached(space, target, "mode", (name, space.bidegree), build)
-
-    def wedge(self, space: "FormSpace", target: "FormSpace", block) -> "OperatorMatrix":
-        data = block.reshape(block.shape + (1,) * len(self.field_shape)).astype(complex)
-        return OperatorMatrix(space, target, "mode", data)
+        return _cached(space, target, (name, space.bidegree), build)
 
     def adjoint_data(self, op: "OperatorMatrix", gd: "GramMatrix", gc: "GramMatrix"):
         # A* = P_dom^{-1} A^H P_cod per mode
@@ -355,10 +354,12 @@ def _same_space(u, v):
 class OperatorMatrix:
     """Linear map between two FormSpaces: sign times data.
 
-    kind "mode":   data has shape (ncomp_cod, ncomp_dom, *mshape) and acts
-                   mode-diagonally (broadcastable trailing dims allowed).
-    kind "sparse": data is a scipy sparse matrix of shape (cod.dim, dom.dim)
-                   (grid fibres).
+    data is a numpy array of shape (ncomp_cod, ncomp_dom, *shape), a component
+    block per mode or sample that acts pointwise; a trailing dim of size 1
+    broadcasts over the field shape, so a constant-coefficient operator is one
+    block on either backend.  Or data is a scipy sparse matrix of shape
+    (cod.dim, dom.dim) acting on the flattened section: a grid derivative and
+    what is composed from or adjoint to it.
 
     An operator from assemble_dbar or assemble_nabla10 carries the key of its
     data in the fibre calculus' operator cache, so that adjoint() caches too.
@@ -367,11 +368,9 @@ class OperatorMatrix:
     composed from or adjoint to such an operator.
     """
 
-    def __init__(self, domain: FormSpace, codomain: FormSpace, kind: str, data,
-                 key=None, sign=1):
+    def __init__(self, domain: FormSpace, codomain: FormSpace, data, key=None, sign=1):
         self.domain = domain
         self.codomain = codomain
-        self.kind = kind
         self.data = data
         self.key = key
         self.sign = sign
@@ -379,7 +378,7 @@ class OperatorMatrix:
     def apply(self, u: FormSection) -> FormSection:
         if u.space.bidegree != self.domain.bidegree or u.space.field_shape != self.domain.field_shape:
             raise ShapeMismatch("operator domain does not match section space")
-        if self.kind == "mode":
+        if isinstance(self.data, np.ndarray):
             out = np.einsum("cd...,d...->c...", _bc(self.data, self.domain), u.coeffs)
         else:
             out = (self.data @ u.coeffs.ravel()).reshape(
@@ -387,47 +386,45 @@ class OperatorMatrix:
         return FormSection(self.codomain, out if self.sign == 1 else -out)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """self o other; both of the kind of their fibre's backend."""
-        if self.kind == "mode":
+        """self o other, both with array data or both with sparse data."""
+        if isinstance(self.data, np.ndarray):
             data = np.einsum("cd...,de...->ce...", _bc(self.data, self.domain),
                              _bc(other.data, other.domain))
         else:
             data = self.data @ other.data
-        return OperatorMatrix(other.domain, self.codomain, self.kind, data,
-                              sign=self.sign * other.sign)
+        return OperatorMatrix(other.domain, self.codomain, data, sign=self.sign * other.sign)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def __add__(self, other):
-        """Sum of two mode operators: only flat (spectral) fibres have a Laplacian
-        or curvature commutator of two terms, as a grid fibre has n = 1."""
+        """Sum of two operators with array data: a sparse (grid, n = 1) fibre
+        has no Laplacian or curvature commutator of two terms."""
         a, b = _bc(self.data, self.domain), _bc(other.data, other.domain)
         data = (a if self.sign == 1 else -a) + (b if other.sign == 1 else -b)
-        return OperatorMatrix(self.domain, self.codomain, "mode", data)
+        return OperatorMatrix(self.domain, self.codomain, data)
 
     def __mul__(self, scalar):
-        return OperatorMatrix(self.domain, self.codomain, self.kind,
-                              self.data * (self.sign * scalar))
+        return OperatorMatrix(self.domain, self.codomain, self.data * (self.sign * scalar))
 
     __rmul__ = __mul__
 
 
 def _bc(data, space):
-    """Broadcast mode-kind data to full field shape."""
+    """Broadcast array data to full field shape."""
     target = data.shape[:2] + space.field_shape
     return np.broadcast_to(data, target)
 
 
-def zero_operator(domain: FormSpace, codomain: FormSpace) -> OperatorMatrix:
-    """The zero map, as mode data that broadcasts over any field shape.
+def _pointwise_block(domain: FormSpace, codomain: FormSpace, block) -> OperatorMatrix:
+    """The operator with the constant component block at every mode or sample."""
+    data = np.reshape(block, np.shape(block) + (1,) * len(domain.field_shape))
+    return OperatorMatrix(domain, codomain, data.astype(complex))
 
-    Only flat (spectral) fibres reach it: on a grid fibre (n = 1) every
-    Laplacian, Lefschetz adjoint and curvature commutator that is asked for
-    has a term.
-    """
-    data = np.zeros((codomain.ncomp, domain.ncomp) + (1,) * len(domain.field_shape))
-    return OperatorMatrix(domain, codomain, "mode", data.astype(complex))
+
+def zero_operator(domain: FormSpace, codomain: FormSpace) -> OperatorMatrix:
+    """The zero map, one zero block on either backend."""
+    return _pointwise_block(domain, codomain, np.zeros((codomain.ncomp, domain.ncomp)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,37 +463,31 @@ def pair_l2(u: FormSection, v: FormSection) -> complex:
 
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
-    """Formal adjoint: <A u, v>_cod = <u, A* v>_dom exactly in matrix arithmetic.
+    """Formal adjoint of an operator from assemble_dbar or assemble_nabla10:
+    <A u, v>_cod = <u, A* v>_dom exactly in matrix arithmetic.
 
-    The adjoint of a cached operator is cached under ("adjoint", *key) and
-    built between the spaces its data belongs to, so a grid fibre keeps one
-    adjoint per operator too: the Gram weights of (p,1) and (p,0), and of (1,q)
-    and (0,q), differ by the same constant for both p and q.
+    It is cached under ("adjoint", *key) and built between the spaces its
+    data belongs to, so a grid fibre keeps one adjoint per operator too: the
+    Gram weights of (p,1) and (p,0), and of (1,q) and (0,q), differ by the same
+    constant for both p and q.
     """
-    if op.key is None:
-        data = _adjoint_data(op)
-    else:
-        name, base = op.key
-        data = _operator_data(
-            op.domain, ("adjoint",) + op.key,
-            lambda: _adjoint_data(_ASSEMBLERS[name](op.domain.sibling(base))))
-    return OperatorMatrix(op.codomain, op.domain, op.kind, data, sign=op.sign)
+    name, base = op.key
 
-
-def _adjoint_data(op: OperatorMatrix):
-    """The data of the adjoint of op's data (its sign left aside)."""
-    return op.domain.calculus.adjoint_data(op, gram(op.domain), gram(op.codomain))
+    def build():   # the adjoint of the data's own operator, its sign left aside
+        src = _ASSEMBLERS[name](op.domain.sibling(base))
+        return op.domain.calculus.adjoint_data(src, gram(src.domain), gram(src.codomain))
+    data = _operator_data(op.domain, ("adjoint",) + op.key, build)
+    return OperatorMatrix(op.codomain, op.domain, data, sign=op.sign)
 
 
 # ---------------------------------------------------------------------------
 # operator assembly
 
 
-def _cached(space: FormSpace, target: FormSpace, kind: str, key, build,
-            sign=1) -> OperatorMatrix:
+def _cached(space: FormSpace, target: FormSpace, key, build, sign=1) -> OperatorMatrix:
     """The operator sign * data from space to target, its data built once per
     fibre calculus under key = (name, bidegree the data belongs to)."""
-    return OperatorMatrix(space, target, kind, _operator_data(space, key, build), key, sign)
+    return OperatorMatrix(space, target, _operator_data(space, key, build), key, sign)
 
 
 def _operator_data(space: FormSpace, key, build):
@@ -555,9 +546,8 @@ def _wedge11_block(space: FormSpace, C: np.ndarray) -> np.ndarray:
 
 def _wedge11(space: FormSpace, C: np.ndarray) -> OperatorMatrix:
     """Wedge with the (1,1)-form sum C_ab dz_a ^ dz̄_b: (p,q) -> (p+1,q+1)."""
-    block = _wedge11_block(space, C)
     target = space.sibling((space.bidegree[0] + 1, space.bidegree[1] + 1))
-    return space.calculus.wedge(space, target, block)
+    return _pointwise_block(space, target, _wedge11_block(space, C))
 
 
 def lefschetz_L(space: FormSpace) -> OperatorMatrix:
@@ -566,23 +556,28 @@ def lefschetz_L(space: FormSpace) -> OperatorMatrix:
     return _wedge11(space, 0.5j * g)
 
 
+def _lambda_block(space: FormSpace) -> np.ndarray:
+    """Constant block of Lambda: (p,q) -> (p-1,q-1), p, q >= 1: P_below^{-1} L^H P_space
+    for the omega-wedge block L.  On a grid the Gram weights' factor e^{-phi} / N^2
+    cancels, so both backends share it."""
+    p, q = space.bidegree
+    below = space.sibling((p - 1, q - 1))
+    return (np.linalg.inv(below.comp_metric())
+            @ _wedge11_block(below, 0.5j * space.torus.kaehler).conj().T
+            @ space.comp_metric())
+
+
 def lefschetz_Lambda(space: FormSpace) -> OperatorMatrix:
     """Adjoint of the omega-wedge: (p,q) -> (p-1,q-1)."""
     p, q = space.bidegree
+    target = space.sibling((max(p - 1, 0), max(q - 1, 0)))
     if p == 0 or q == 0:
-        return zero_operator(space, space.sibling((max(p - 1, 0), max(q - 1, 0))))
-    source = space.sibling((p - 1, q - 1))
-    return adjoint(lefschetz_L(source))
+        return zero_operator(space, target)
+    return _pointwise_block(space, target, _lambda_block(space))
 
 
 def curvature_action(space: FormSpace) -> OperatorMatrix:
-    """Wedge with Theta(h); the zero operator for flat bundles."""
-    p, q = space.bidegree
-    n = space.n
-    if p + 1 > n or q + 1 > n:
-        raise BidegreeOverflow(f"curvature wedge out of ({p},{q}) with n={n}")
-    if space.bundle.is_flat:
-        return zero_operator(space, space.sibling((p + 1, q + 1)))
+    """Wedge with Theta(h), whose curvature matrix is zero on a flat bundle."""
     return _wedge11(space, space.bundle.curvature)
 
 

@@ -143,12 +143,7 @@ class _GridCalculus:
                                    -np.conj(t) / (t - np.conj(t)), 1.0 / (t - np.conj(t)),
                                    -self.phi_z)
         sign = (-1) ** space.bidegree[0] if name == "dbar" else 1
-        return _cached(space, target, "sparse", (name, (0, 0)), build, sign=sign)
-
-    def wedge(self, space: FormSpace, target: FormSpace, block: np.ndarray) -> OperatorMatrix:
-        eye = sp.identity(self.N * self.N, dtype=complex, format="csr")
-        mats = [[entry * eye for entry in row] for row in block]
-        return OperatorMatrix(space, target, "sparse", sp.bmat(mats, format="csr"))
+        return _cached(space, target, (name, (0, 0)), build, sign=sign)
 
     def adjoint_data(self, op: OperatorMatrix, gd: "_GridGram", gc: "_GridGram"):
         # W_dom^{-1} A^H W_cod, the transpose of W_cod conj(A) W_dom^{-1}

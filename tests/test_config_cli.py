@@ -548,6 +548,16 @@ def test_report_aggregation(tmp_path):
     assert res.exit_code == 0
 
 
+@pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe"], ids=["list-root", "not-utf8"])
+def test_report_of_a_non_report_file_exits_2_with_one_line(tmp_path, content):
+    path = tmp_path / "odd.json"
+    path.write_bytes(content)
+    res = run_cli(["report", str(path)])
+    assert res.exit_code == 2
+    line, = res.stderr.splitlines()
+    assert line.startswith(f"config error: cannot read {path}: ")
+
+
 def test_reports_are_deterministic_modulo_timestamp(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json",
                     {"backend": "spectral", "d": 0, "M": 4, "seed": 11})
