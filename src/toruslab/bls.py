@@ -104,14 +104,12 @@ def chern_connection_fd(bfield: FiniteBLSField, t: complex, step: float) -> np.n
     return np.linalg.solve(H[(0, 0)], dH)
 
 
-def chern_curvature_fd(bfield: FiniteBLSField, t: complex, step: float,
-                       herm_tol: Optional[float] = None) -> np.ndarray:
+def chern_curvature_fd(bfield: FiniteBLSField, t: complex, step: float) -> np.ndarray:
     """Curvature coefficient Theta = -dbar(h^{-1} d h), by nested 5-point stencils.
 
     The sign makes a metric h = e^{-phi} Id carry Theta = (d dbar phi) Id, so a
     plurisubharmonic weight has nonnegative curvature.  Verifies that h·Theta
-    is Hermitian (metric compatibility of the Chern connection) within
-    herm_tol, default 10·step².
+    is Hermitian (metric compatibility of the Chern connection) within 10·step².
     """
     _check_step(step)
 
@@ -126,7 +124,7 @@ def chern_curvature_fd(bfield: FiniteBLSField, t: complex, step: float,
     h0 = bfield.h(t)
     lowered = h0 @ theta
     defect = np.linalg.norm(lowered - lowered.conj().T)
-    tol = (10 * step**2 if herm_tol is None else herm_tol) * max(np.linalg.norm(h0), 1.0)
+    tol = 10 * step**2 * max(np.linalg.norm(h0), 1.0)
     if defect > tol:
         raise StepTooSmall(
             f"h·Theta Hermiticity defect {defect:.3e} exceeds {tol:.3e}"
@@ -134,28 +132,30 @@ def chern_curvature_fd(bfield: FiniteBLSField, t: complex, step: float,
     return theta
 
 
+def gram_curvature(G: dict, step: float) -> np.ndarray:
+    """Matrix M with M[i,j] = Theta(e_j, e_i) for the metric with Gram matrices
+    G = {(px, py): G(t + step (px + i py))} on a holomorphic frame, at t:
+    M = -(d dbar G - dbar G G^{-1} d G), made Hermitian.  For G = e^{-phi}
+    this is G phi_{t tbar}."""
+    G0 = G[(0, 0)]
+    dG, dbG = _fd_holo(G, step)
+    dXX = (G[(1, 0)] - 2 * G0 + G[(-1, 0)]) / step**2
+    dYY = (G[(0, 1)] - 2 * G0 + G[(0, -1)]) / step**2
+    M = -((dXX + dYY) / 4.0 - dbG @ np.linalg.inv(G0) @ dG)
+    return (M + M.conj().T) / 2.0
+
+
 def curvature_form_on_frame(bfield: FiniteBLSField, t: complex, step: float,
                             frame: Callable[[complex], np.ndarray]) -> np.ndarray:
-    """Matrix M with M[i,j] = Theta(e_j, e_i) for the induced metric on a frame.
-
-    frame(t) returns the N x r matrix of frame columns; the induced Gram is
-    G(t) = frame† h frame and M = -(d dbar G - dbar G G^{-1} d G) at t.
-    """
+    """gram_curvature of the induced Gram G(t) = frame† h frame, where frame(t)
+    returns the N x r matrix of frame columns."""
     _check_step(step)
 
     def gram_at(tt: complex) -> np.ndarray:
         e = frame(tt)
         return e.conj().T @ bfield.h(tt) @ e
 
-    G = _stencil(gram_at, t, step)
-    G0 = G[(0, 0)]
-    dG, dbG = _fd_holo(G, step)
-    h = step
-    dXX = (G[(1, 0)] - 2 * G0 + G[(-1, 0)]) / h**2
-    dYY = (G[(0, 1)] - 2 * G0 + G[(0, -1)]) / h**2
-    ddbar = (dXX + dYY) / 4.0
-    M = -(ddbar - dbG @ np.linalg.solve(G0, dG))
-    return (M + M.conj().T) / 2.0
+    return gram_curvature(_stencil(gram_at, t, step), step)
 
 
 def subfield_curvature_on_frame(bfield: FiniteBLSField, t: complex, step: float,

@@ -1,8 +1,10 @@
 """Command-line front end: run experiments, emit JSON/CSV reports.
 
 Exit codes: 0 pass, 1 tolerance failure, 2 config error, 3 numerical failure.
-Reports are deterministic for a fixed config and seed, except for the
-"timestamp" field.
+One function, _report, writes the report of every config command (and of its
+admissibility exit) and derives the pass/fail exit code; scan-rank writes a
+CSV instead.  Reports are deterministic for a fixed config and seed, except
+for the "timestamp" field.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import bls as blsmod
 from .bls import random_demailly_instance  # noqa: F401  (re-exported)
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import ExperimentConfig, _as_int, config_from_dict, load_config
 from .curvature import curvature_H, curvature_commutator, direct_image_fibre, wedge_pair
 from .errors import (
     ConfigInvalid,
@@ -100,14 +102,21 @@ def _kernel_check(*pkgs) -> tuple:
     return ("kernel_dim", sum(abs(pkg.harmonic_dim - pkg.expected_kernel) for pkg in pkgs), 0)
 
 
-def _dump_spectrum_csv(packages: dict, path: str) -> None:
-    """CSV with one row per eigenvalue: bidegree, index, eigenvalue."""
-    with open(path, "w") as fh:
-        fh.write("bidegree,index,eigenvalue\n")
-        for bidegree in sorted(packages):
-            pkg = packages[bidegree]
-            for idx, lam in enumerate(pkg.eigenvalues()):
-                fh.write(f"({bidegree[0]} {bidegree[1]}),{idx},{lam:.16e}\n")
+def _report(name: str, cfg: ExperimentConfig, out, dump_spectrum: bool,
+            fields: dict, failures: list, packages: dict) -> int:
+    """Write the report of a config command, its own fields beside command,
+    config, failures and status, and return the exit code: 0 pass, 1 fail.
+    With --dump-spectrum and --out, the CSV next to it has one row per
+    eigenvalue of each package: bidegree, index, eigenvalue."""
+    _emit({"command": name, "config": cfg.as_dict(), **fields, "failures": failures,
+           "status": "pass" if not failures else "fail"}, out)
+    if dump_spectrum and out and packages:
+        with open(out + ".spectrum.csv", "w") as fh:
+            fh.write("bidegree,index,eigenvalue\n")
+            for bidegree in sorted(packages):
+                for idx, lam in enumerate(packages[bidegree].eigenvalues()):
+                    fh.write(f"({bidegree[0]} {bidegree[1]}),{idx},{lam:.16e}\n")
+    return 0 if not failures else 1
 
 
 def _common(func):
@@ -115,7 +124,8 @@ def _common(func):
                         help="JSON experiment config.")(func)
     func = click.option("--out", type=click.Path(), default=None,
                         help="Report output path (stdout if omitted).")(func)
-    func = click.option("--seed", type=int, default=None, help="Override config seed.")(func)
+    func = click.option("--seed", type=int, default=None,
+                        help="Override config seed (checked as the config's).")(func)
     func = click.option("--dump-spectrum", is_flag=True, default=False,
                         help="Also write Laplacian spectra as CSV next to --out.")(func)
     return func
@@ -127,7 +137,7 @@ def _load(config_path, seed, defaults: dict) -> ExperimentConfig:
     else:
         cfg = load_config(config_path)
     if seed is not None:
-        cfg.seed = seed
+        cfg.seed = _as_int(seed, "--seed", minimum=0)
     return cfg
 
 
@@ -137,7 +147,9 @@ def main():
 
 
 def _command(name: str, defaults: dict):
-    """Register body(cfg, out, dump_spectrum) -> exit code as a config command.
+    """Register body(cfg, out) as a config command.  The body returns the
+    (fields, failures, packages) that _report writes, or None when it wrote
+    its own output (scan-rank), which exits 0.
 
     The config is loaded with the given defaults (when --config is omitted);
     ConfigInvalid exits 2 with "config error:", ExtensionNotAdmissible (a miss
@@ -157,16 +169,17 @@ def _command(name: str, defaults: dict):
             try:
                 cfg = _load(config_path, seed, defaults)
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    code = body(cfg, out, dump_spectrum)
+                    result = body(cfg, out)
+                    code = 0 if result is None else _report(name, cfg, out, dump_spectrum,
+                                                            *result)
             except ConfigInvalid as exc:
                 click.echo(f"config error: {exc}", err=True)
                 code = 2
             except ExtensionNotAdmissible as exc:
                 click.echo(f"tolerance failure: admissibility: {exc}", err=True)
                 if out:
-                    _emit({"command": name, "config": cfg.as_dict(),
-                           "failures": ["admissibility"], "reason": str(exc),
-                           "status": "fail"}, out)
+                    _report(name, cfg, out, dump_spectrum, {"reason": str(exc)},
+                            ["admissibility"], {})
                 code = 1
             except Exception as exc:
                 kind = "" if isinstance(exc, TorusLabError) else f"{type(exc).__name__}: "
@@ -265,7 +278,7 @@ def _expected_kernel(cfg, fam, bidegree) -> int:
 
 
 @_command("hodge-check", {"backend": "spectral", "d": 0})
-def cmd_hodge_check(cfg, out, dump_spectrum):
+def cmd_hodge_check(cfg, out):
     """Run the operator-identity and Hodge-decomposition suite."""
     residuals, packages = _identity_suite(cfg)
     identity = cfg.tol("identity")
@@ -279,18 +292,8 @@ def cmd_hodge_check(cfg, out, dump_spectrum):
     }
     failures = _failed([(k, v, bounds[k]) for k, v in residuals.items()]
                        + [_kernel_check(*packages.values())])
-    report = {
-        "command": "hodge-check",
-        "config": cfg.as_dict(),
-        "residuals": residuals,
-        "diagnostics": [packages[b].diagnostics() for b in sorted(packages)],
-        "failures": failures,
-        "status": "pass" if not failures else "fail",
-    }
-    _emit(report, out)
-    if dump_spectrum and out:
-        _dump_spectrum_csv(packages, out + ".spectrum.csv")
-    return 0 if not failures else 1
+    diagnostics = [packages[b].diagnostics() for b in sorted(packages)]
+    return {"residuals": residuals, "diagnostics": diagnostics}, failures, packages
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +312,7 @@ def _landau_rel_err(entry: dict, d: int):
 
 
 @_command("curvature", {})
-def cmd_curvature(cfg, out, dump_spectrum):
+def cmd_curvature(cfg, out):
     """Curvature of the direct-image field: both routes, the FD Gram oracle on
     the grid, and the positivity verdict."""
     fam = _family(cfg)
@@ -346,9 +349,7 @@ def cmd_curvature(cfg, out, dump_spectrum):
             entry["lambda1_rel_err"] = _landau_rel_err(entry, cfg.d)
     failures = _failed(checks)
 
-    report = {
-        "command": "curvature",
-        "config": cfg.as_dict(),
+    fields = {
         "rank": rep.rank,
         "at_jump_locus": cfg.family == "jumping" and sp.bundle.is_trivial,
         "gram": _cmat(rep.gram),
@@ -364,13 +365,8 @@ def cmd_curvature(cfg, out, dump_spectrum):
         "nakano_min_eig": float(rep.nakano_min_eig) if rep.rank else None,
         "positivity_verdict": not positive_bundle or not {"kernel_dim", "nakano"} & set(failures),
         "diagnostics": diagnostics,
-        "failures": failures,
-        "status": "pass" if not failures else "fail",
     }
-    _emit(report, out)
-    if dump_spectrum and out:
-        _dump_spectrum_csv(packages, out + ".spectrum.csv")
-    return 0 if not failures else 1
+    return fields, failures, packages
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +374,12 @@ def cmd_curvature(cfg, out, dump_spectrum):
 
 
 @_command("scan-rank", {"family": "jumping", "t": [0.0, 1.0]})
-def cmd_scan_rank(cfg, out, dump_spectrum):
+def cmd_scan_rank(cfg, out):
     """Scan fiberwise holomorphic-section counts along a base segment (CSV)."""
     rows = rank_scan(_family(cfg), cfg.scan_samples(), M=cfg.M)
     path = out if out else "rank_scan.csv"
     write_rank_scan_csv(rows, path)
     click.echo(f"wrote {len(rows)} rows to {path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +388,7 @@ def cmd_scan_rank(cfg, out, dump_spectrum):
 
 @_command("primitive-lift", {"family": "siegel-diagonal", "t": [0.2, 0.9],
                               "backend": "spectral", "d": 0})
-def cmd_primitive_lift(cfg, out, dump_spectrum):
+def cmd_primitive_lift(cfg, out):
     """Construct the primitive horizontal lift and verify its two properties."""
     fam = _family(cfg)
     n = fam.torus_at().n
@@ -402,9 +397,9 @@ def cmd_primitive_lift(cfg, out, dump_spectrum):
     if n >= 2:
         pkg02 = build_hodge(sp.sibling((0, 2)), rank_tol=cfg.tol("rank_tol"),
                             expected_kernel=_expected_kernel(cfg, fam, (0, 2)))
-        lifted = primitive_lift(fam, base, pkg02)
+        lifted = primitive_lift(base, pkg02)
     else:
-        lifted = primitive_lift(fam, base)
+        lifted = primitive_lift(base)
 
     # np.max, unlike max, keeps a NaN, so the check below fails on it
     prim_res = float(np.max([0.0] + [primitivity_residual(lifted, f) for f in basis]))
@@ -416,18 +411,13 @@ def cmd_primitive_lift(cfg, out, dump_spectrum):
                         ("primitivity", prim_res, cfg.tol("primitivity")),
                         ("hr_equality", hr_res, cfg.tol("hr_equality"))])
 
-    report = {
-        "command": "primitive-lift",
-        "config": cfg.as_dict(),
+    fields = {
         "rank": len(basis),
         "unchanged": bool(n == 1),
         "primitivity_residual": prim_res,
         "hr_equality_residual": hr_res,
-        "failures": failures,
-        "status": "pass" if not failures else "fail",
     }
-    _emit(report, out)
-    return 0 if not failures else 1
+    return fields, failures, {}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +466,7 @@ def bls_battery(cfg: ExperimentConfig) -> dict:
 
 
 @_command("bls", {})
-def cmd_bls(cfg, out, dump_spectrum):
+def cmd_bls(cfg, out):
     """Finite-dimensional matrix-field battery with a brute-force oracle."""
     battery = bls_battery(cfg)
     step, gn = battery["step"], battery["griffiths_not_nakano"]
@@ -490,15 +480,7 @@ def cmd_bls(cfg, out, dump_spectrum):
         ("monotonicity", len(battery["monotonicity_violations"]), 0),
     ])
 
-    report = {
-        "command": "bls",
-        "config": cfg.as_dict(),
-        "battery": battery,
-        "failures": failures,
-        "status": "pass" if not failures else "fail",
-    }
-    _emit(report, out)
-    return 0 if not failures else 1
+    return {"battery": battery}, failures, {}
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     CurvatureNotInvertible,
     ExtensionNotAdmissible,
@@ -55,6 +56,7 @@ from .forms import (
     zero_operator,
     _lambda_block,
     _wedge11_block,
+    _wedge_sign,
 )
 from .geometry import FamilySpec
 from .hodge import HodgePackage, build_hodge
@@ -62,20 +64,6 @@ from .hodge import HodgePackage, build_hodge
 
 # ---------------------------------------------------------------------------
 # wedge pairings
-
-
-def _merge_sign(*index_sets) -> Tuple[int, tuple]:
-    """Sign of sorting the concatenation of disjoint index tuples; (0, None) on overlap."""
-    seq = [i for tup in index_sets for i in tup]
-    if len(set(seq)) != len(seq):
-        return 0, None
-    sign = 1
-    arr = list(seq)
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if arr[i] > arr[j]:
-                sign = -sign
-    return sign, tuple(sorted(arr))
 
 
 def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> complex:
@@ -105,10 +93,10 @@ def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> compl
             sgn_swap = (-1) ** (q * qq)
             for A in combinations(range(n), r):
                 for B in combinations(range(n), r):
-                    s_hol, _ = _merge_sign(J, Kp, A)
+                    s_hol, _ = _wedge_sign(J, Kp, A)
                     if s_hol == 0:
                         continue
-                    s_anti, _ = _merge_sign(K, Jp, B)
+                    s_anti, _ = _wedge_sign(K, Jp, B)
                     if s_anti == 0:
                         continue
                     minor = complex(np.linalg.det(gmat[np.ix_(A, B)])) if r else 1.0
@@ -147,11 +135,17 @@ def theta_xi_xibar_field(lift: HorizontalLift) -> Optional[np.ndarray]:
     V = _vertical_samples(lift)
     fld = (
         calc.phi_ttbar
-        + V * calc.phi_ztbar
+        + V * calc.phi_tzbar
         + np.conj(V) * calc.phi_tzbar
         + np.abs(V) ** 2 * calc.phi_zzbar
     )
     return (abs(lift.tau) ** 2) * fld
+
+
+def _theta_xi_zbar(lift: HorizontalLift) -> np.ndarray:
+    """Samples of Theta(h)(xi, d/dz̄) = tau (phi_tz̄ + V phi_zz̄) (grid, n=1)."""
+    calc = lift.space.calculus
+    return lift.tau * (calc.phi_tzbar + _vertical_samples(lift) * calc.phi_zzbar)
 
 
 def curvature_contraction_form(lift: HorizontalLift, f: FormSection) -> FormSection:
@@ -165,11 +159,8 @@ def curvature_contraction_form(lift: HorizontalLift, f: FormSection) -> FormSect
     out = target.zeros()
     if space.bundle.is_flat:
         return out
-    calc = space.calculus
-    V = _vertical_samples(lift)
-    T = lift.tau * (calc.phi_tzbar + V * calc.phi_zzbar)   # Theta_{xi z̄}
     # dz̄ ∧ dz_J = (-1)^n dz_J ∧ dz̄
-    out.coeffs[0] = ((-1) ** n) * T * f.coeffs[0]
+    out.coeffs[0] = ((-1) ** n) * _theta_xi_zbar(lift) * f.coeffs[0]
     return out
 
 
@@ -183,10 +174,7 @@ def xibar_curvature_wedge(lift: HorizontalLift, w: FormSection) -> FormSection:
     target = space.sibling((n, 0))
     if space.bundle.is_flat:
         return target.zeros()
-    calc = space.calculus
-    V = _vertical_samples(lift)
-    T = lift.tau * (calc.phi_tzbar + V * calc.phi_zzbar)
-    return target.section(-np.conj(T) * w.coeffs)
+    return target.section(-np.conj(_theta_xi_zbar(lift)) * w.coeffs)
 
 
 def curvature_commutator(space: FormSpace):
@@ -299,7 +287,7 @@ class CurvatureReport:
 
 
 def direct_image_fibre(family: FamilySpec, disc: Disc, expected_kernel: int,
-                       rank_tol: float = 1e-7
+                       rank_tol: float = DEFAULT_TOLERANCES["rank_tol"]
                        ) -> Tuple[FormSpace, HodgePackage, List[FormSection], HorizontalLift]:
     """(space, package, basis, lift) on the fibre at the base point: the
     (n,0)-space, its Hodge package, the unit harmonic basis and the

@@ -87,12 +87,10 @@ class HorizontalLift:
         return contract(self.W, u)
 
 
-def trivialization_lift(family: FamilySpec, space: FormSpace,
-                        t: Optional[complex] = None,
-                        tau: Optional[complex] = None) -> HorizontalLift:
-    """The constant-(x,y) lift; for Omega(t) = t (n=1): xi = tau (d/dt + y d/dz)."""
-    t = family.t if t is None else t
-    tau = family.tau if tau is None else tau
+def trivialization_lift(family: FamilySpec, space: FormSpace) -> HorizontalLift:
+    """The constant-(x,y) lift at the family's base point and tangent tau; for
+    Omega(t) = t (n=1): xi = tau (d/dt + y d/dz)."""
+    t, tau = family.t, family.tau
     omega = np.atleast_2d(np.asarray(family.period_map(t), dtype=complex))
     dom = np.atleast_2d(np.asarray(family.dperiod_map(t), dtype=complex))
     K_triv = -dom @ np.linalg.inv(omega - omega.conj())
@@ -122,7 +120,7 @@ def kappa(lift: HorizontalLift, f: FormSection) -> FormSection:
     return contract_ks(ks_representative(lift), f)
 
 
-def primitive_lift(family: FamilySpec, theta0: HorizontalLift,
+def primitive_lift(theta0: HorizontalLift,
                    hodge02: Optional[HodgePackage] = None) -> HorizontalLift:
     """Correct theta0 by eta = (dbar* G ((dbar xi)⌟omega))^sharp (omega-sharp).
 
@@ -155,13 +153,7 @@ def primitive_lift(family: FamilySpec, theta0: HorizontalLift,
     for a in range(n):
         for b in range(n):
             eta_vec[a] += (2.0 / 1j) * ginvT[a, b] * eta_form.coeffs[b]
-    W0 = theta0.W if theta0.W is not None else np.zeros(shape, dtype=complex)
-    W_new = W0 - eta_vec
-    K_pert = space.calculus.dbar_of_field(space, W_new)
-    return HorizontalLift(
-        family=family, t=theta0.t, tau=theta0.tau, space=space, W=W_new,
-        K_triv=theta0.K_triv, K_pert=K_pert,
-    )
+    return perturb_lift(theta0, -eta_vec)
 
 
 def primitivity_residual(lift: HorizontalLift, f: FormSection) -> float:

@@ -76,20 +76,14 @@ def _component_list(n, p, q):
     ]
 
 
-def _insert(tup, a):
-    """Sign and sorted index set for e_a ^ e_tup; (0, None) if a already present."""
-    if a in tup:
+def _wedge_sign(*index_sets):
+    """Sign of sorting the concatenation of index tuples, e_A ^ e_B ^ ... =
+    sign e_sorted, and the sorted tuple; (0, None) when an index repeats."""
+    seq = [i for tup in index_sets for i in tup]
+    if len(set(seq)) != len(seq):
         return 0, None
-    pos = sum(1 for x in tup if x < a)
-    return (-1) ** pos, tuple(sorted(tup + (a,)))
-
-
-def _remove(tup, a):
-    """Sign and index set for the interior product slot removal."""
-    if a not in tup:
-        return 0, None
-    pos = tup.index(a)
-    return (-1) ** pos, tuple(x for x in tup if x != a)
+    swaps = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+    return (-1) ** swaps, tuple(sorted(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +137,7 @@ class _SpectralCalculus:
 
     # -- the backend methods that forms, hodge and family call --------------
 
-    def random_coeffs(self, space: "FormSpace", rng, nmodes: int) -> np.ndarray:
+    def random_coeffs(self, space: "FormSpace", rng) -> np.ndarray:
         """Random coefficients on every mode."""
         shape = (space.ncomp,) + self.field_shape
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -162,7 +156,7 @@ class _SpectralCalculus:
             cidx = {c: i for i, c in enumerate(target.comps)}
             for di, (J, K) in enumerate(space.comps):
                 for a in range(space.n):
-                    sgn, new = _insert(K if dbar else J, a)
+                    sgn, new = _wedge_sign((a,), K if dbar else J)
                     if sgn != 0:
                         data[cidx[(J, new) if dbar else (new, K)], di] += sign * sgn * mu[a]
             return data
@@ -314,10 +308,10 @@ def make_space(torus, bundle, bidegree, disc) -> FormSpace:
     return FormSpace(torus, bundle, bidegree, disc, calc)
 
 
-def band_limited(space: FormSpace, rng, nmodes: int = 6) -> "FormSection":
+def band_limited(space: FormSpace, rng) -> "FormSection":
     """A smooth random unit section, on coefficients from the calculus'
-    random_coeffs: every mode (spectral), or nmodes low modes (grid)."""
-    u = space.section(space.calculus.random_coeffs(space, rng, nmodes))
+    random_coeffs: every mode (spectral), or six low modes (grid)."""
+    u = space.section(space.calculus.random_coeffs(space, rng))
     nu = u.norm()
     return u * (1.0 / nu) if nu > 0 else u
 
@@ -532,11 +526,11 @@ def _wedge11_block(space: FormSpace, C: np.ndarray) -> np.ndarray:
     block = np.zeros((target.ncomp, space.ncomp), dtype=complex)
     for di, (J, K) in enumerate(space.comps):
         for a in range(n):
-            sa, Jnew = _insert(J, a)
+            sa, Jnew = _wedge_sign((a,), J)
             if sa == 0:
                 continue
             for b in range(n):
-                sb, Knew = _insert(K, b)
+                sb, Knew = _wedge_sign((b,), K)
                 if sb == 0:
                     continue
                 # dz_a ^ dz̄_b ^ dz_J ^ dz̄_K = (-1)^p dz_a ^ dz_J ^ dz̄_b ^ dz̄_K
@@ -608,7 +602,8 @@ def contract(W: np.ndarray, u: FormSection) -> FormSection:
     cidx = {c: i for i, c in enumerate(target.comps)}
     for di, (J, K) in enumerate(u.space.comps):
         for a in J:
-            sgn, Jnew = _remove(J, a)
+            Jnew = tuple(x for x in J if x != a)
+            sgn, _ = _wedge_sign((a,), Jnew)     # dz_J = sgn dz_a ^ dz_Jnew
             out[cidx[(Jnew, K)]] += sgn * Ws[a] * us[di]
     return FormSection(target, back(out))
 
@@ -632,9 +627,10 @@ def contract_ks(K_field: np.ndarray, u: FormSection) -> FormSection:
     cidx = {c: i for i, c in enumerate(target.comps)}
     for di, (J, Kk) in enumerate(u.space.comps):
         for a in J:
-            s_rm, Jnew = _remove(J, a)
+            Jnew = tuple(x for x in J if x != a)
+            s_rm, _ = _wedge_sign((a,), Jnew)
             for c in range(n):
-                s_ins, Knew = _insert(Kk, c)
+                s_ins, Knew = _wedge_sign((c,), Kk)
                 if s_ins == 0:
                     continue
                 # dz̄_c ^ dz_{Jnew} ^ dz̄_K = (-1)^{p-1} dz_{Jnew} ^ dz̄_c ^ dz̄_K

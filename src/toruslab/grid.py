@@ -82,8 +82,7 @@ class _GridCalculus:
         self.phi_z = -2j * np.pi * d * y           # at fixed t
         self.phi_zzbar = np.pi * d / s             # = pi d g, constant
         # t-derivatives at fixed z (holomorphic gauge)
-        self.phi_tzbar = -np.pi * d * y / s
-        self.phi_ztbar = -np.pi * d * y / s
+        self.phi_tzbar = -np.pi * d * y / s        # real, so also phi_ztbar
         self.phi_ttbar = np.pi * d * y**2 / s
 
     @cached_property
@@ -116,12 +115,12 @@ class _GridCalculus:
 
     # -- the backend methods that forms, hodge and family call --------------
 
-    def random_coeffs(self, space: FormSpace, rng, nmodes: int) -> np.ndarray:
-        """nmodes modes with |k_x|, |k_y| <= 2 per component: stencil operators
+    def random_coeffs(self, space: FormSpace, rng) -> np.ndarray:
+        """Six modes with |k_x|, |k_y| <= 2 per component: stencil operators
         satisfy composite identities only on resolved fields like these."""
         coeffs = np.zeros((space.ncomp,) + self.field_shape, dtype=complex)
         for ci in range(space.ncomp):
-            for _ in range(nmodes):
+            for _ in range(6):
                 kx, ky = rng.integers(-2, 3, size=2)
                 c = rng.standard_normal() + 1j * rng.standard_normal()
                 coeffs[ci] += c * np.exp(2j * np.pi * (kx * self.x + ky * self.y))

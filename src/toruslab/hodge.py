@@ -18,6 +18,7 @@ from typing import List
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import EmptySpectrum, NotClosed, NotCoexact
 from .forms import (
     FormSection,
@@ -118,8 +119,8 @@ class HodgePackage:
     """Hodge data of one FormSpace: harmonic basis, Green operator, projector,
     and the box, assembled on first use; the solver comes from the calculus."""
 
-    def __init__(self, space: FormSpace, rank_tol: float = 1e-7,
-                 expected_kernel: int = 4):
+    def __init__(self, space: FormSpace, rank_tol: float = DEFAULT_TOLERANCES["rank_tol"],
+                 *, expected_kernel: int):
         self.space = space
         self.expected_kernel = expected_kernel
         self._solver = space.calculus.hodge_solver(space, rank_tol, expected_kernel)
@@ -152,8 +153,8 @@ class HodgePackage:
                 **self._solver.diagnostics(self)}
 
 
-def build_hodge(space: FormSpace, rank_tol: float = 1e-7,
-                expected_kernel: int = 4) -> HodgePackage:
+def build_hodge(space: FormSpace, rank_tol: float = DEFAULT_TOLERANCES["rank_tol"],
+                *, expected_kernel: int) -> HodgePackage:
     return HodgePackage(space, rank_tol=rank_tol, expected_kernel=expected_kernel)
 
 

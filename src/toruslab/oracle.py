@@ -2,7 +2,8 @@
 
 Everything here is computed from closed forms or direct quadrature, deliberately
 bypassing the operator-assembly machinery, so it can serve as an oracle for the
-discrete pipeline.
+discrete pipeline.  The FD curvature reads its theta-frame Gram stencil with the
+one Gram-curvature formula, bls.gram_curvature.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bls import gram_curvature
 from .errors import StencilQuadratureFailure
 from .forms import FormSection, FormSpace, Grid, make_space, pair_l2
 from .geometry import (
@@ -32,7 +34,7 @@ class ThetaFrame:
     """A frame of d holomorphic canonical sections on one positive-bundle fiber.
 
     Sections are represented as (1,0)-forms theta_a(z) dz in the grid gauge,
-    a = 0..d-1 (theta series truncated at the default of `theta_samples`).
+    a = 0..d-1 (theta series truncated as in `theta_samples`).
     """
 
     t: complex
@@ -49,8 +51,7 @@ class ThetaFrame:
         return (G + G.conj().T) / 2.0
 
 
-def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray,
-                  truncation: float = 1e-16) -> np.ndarray:
+def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Level-d theta series with characteristic a/d at z = x_i + t y_j, for 1-D
     sample vectors x and y: an array of shape (len(x), len(y)).
 
@@ -61,8 +62,8 @@ def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray,
     """
     s = t.imag
     # term magnitude ~ exp(-pi d s (m + a/d + y)^2 + pi d s y^2); with y in [0,1)
-    # a symmetric window around -y covers everything above `truncation`.
-    reach = np.sqrt(max(-np.log(truncation), 1.0) / (np.pi * d * s)) + 2.0
+    # a symmetric window around -y covers everything above 1e-16.
+    reach = np.sqrt(-np.log(1e-16) / (np.pi * d * s)) + 2.0
     m_lo = int(np.floor(-1.0 - reach))
     m_hi = int(np.ceil(reach)) + 1
     c = np.arange(m_lo, m_hi + 1) + a / d
@@ -92,7 +93,9 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
                          harmonic_basis: Optional[Sequence[FormSection]] = None,
                          ) -> np.ndarray:
     """Curvature of the L2 metric on the holomorphic frame, by a 5-point Gram
-    stencil: the base point t and t +- step, t +- i step.
+    stencil: the base point t and t +- step, t +- i step, read by
+    bls.gram_curvature.  Any positive step is taken, without the floor of the
+    bls field derivatives.
 
     Returns the Hermitian matrix of the curvature form in the direction tau,
     expressed in the orthonormal harmonic frame at the base point when
@@ -112,22 +115,8 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
     if eigs.min() <= 0:
         raise StencilQuadratureFailure("Gram matrix is not positive definite")
 
-    h = step
-    dX = (G[(1, 0)] - G[(-1, 0)]) / (2 * h)
-    dY = (G[(0, 1)] - G[(0, -1)]) / (2 * h)
-    dXX = (G[(1, 0)] - 2 * G0 + G[(-1, 0)]) / h**2
-    dYY = (G[(0, 1)] - 2 * G0 + G[(0, -1)]) / h**2
-    dt_G = (dX - 1j * dY) / 2.0
-    dtbar_G = (dX + 1j * dY) / 2.0
-    dt_dtbar_G = (dXX + dYY) / 4.0
-
-    Ginv = np.linalg.inv(G0)
-    # curvature form on the frame: Theta(u, v) = v^H M u with
-    # M = -(dt dtbar G - dtbar G Ginv dt G); for G = e^{-phi} this is G phi_{t tbar}.
-    M = -(dt_dtbar_G - dtbar_G @ Ginv @ dt_G)
-    M = (M + M.conj().T) / 2.0
-    tau = complex(family.tau)
-    M = (abs(tau) ** 2) * M
+    # curvature form on the theta frame, Theta(u, v) = v^H M u, along tau
+    M = (abs(complex(family.tau)) ** 2) * gram_curvature(G, step)
     if harmonic_basis is None:
         return M
     # transition to the (orthonormal) harmonic basis u_i = sum_a C[a,i] theta_a
@@ -193,13 +182,12 @@ def exact_landau_spectrum(d: int, bidegree: Tuple[int, int], count: int) -> np.n
     return 2.0 * np.pi * d * m
 
 
-def is_jump_point(t: complex, target: complex = 1j, tol: float = 1e-9) -> bool:
-    """Decide target in Z + t Z by solving the 2x2 real system for (m, n): an
-    independent reference for BundleData.is_trivial on the jumping family."""
-    s = t.imag
-    nn = target.imag / s
-    mm = target.real - nn * t.real
-    return abs(nn - round(nn)) <= tol and abs(mm - round(mm)) <= tol
+def is_jump_point(t: complex) -> bool:
+    """Decide i in Z + t Z, to 1e-9, by solving the 2x2 real system for (m, n):
+    an independent reference for BundleData.is_trivial on the jumping family."""
+    nn = 1.0 / t.imag
+    mm = -nn * t.real
+    return abs(nn - round(nn)) <= 1e-9 and abs(mm - round(mm)) <= 1e-9
 
 
 def rank_scan(family: FamilySpec, t_samples: Sequence[complex],

@@ -174,22 +174,30 @@ def write_cfg(tmp_path, name, payload):
 
 
 def test_hodge_check_passes_on_spectral_flat(tmp_path):
-    out = str(tmp_path / "hodge.json")
-    cfg = write_cfg(tmp_path, "cfg.json",
-                    {"backend": "spectral", "d": 0, "M": 4})
-    res = run_cli(["hodge-check", "--config", cfg, "--out", out])
-    assert res.exit_code == 0, res.output
-    report = json.loads(open(out).read())
-    assert report["status"] == "pass"
-    assert report["failures"] == []
-    assert set(report["residuals"]) == {
-        "dbar_squared", "chern_anticommutator", "l_lambda_commutator",
-        "bochner_kodaira", "hodge_decomposition", "minimal_solution_norm",
-    }
-    diag, = report["diagnostics"]
-    assert diag["bidegree"] == [1, 1]
-    assert diag["kernel_found"] == diag["kernel_expected"] == 1
-    assert diag["lambda1"] > 0 and "cut" not in diag
+    # the elliptic (1,1) package, and the siegel-diagonal (2,1) one with its
+    # spectrum CSV: one row per eigenvalue
+    for payload, bidegree, kernel, dump in (
+            ({"backend": "spectral", "d": 0, "M": 4}, [1, 1], 1, []),
+            ({"family": "siegel-diagonal", "M": 4}, [2, 1], 2, ["--dump-spectrum"])):
+        out = str(tmp_path / "hodge.json")
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        res = run_cli(["hodge-check", "--config", cfg, "--out", out, *dump])
+        assert res.exit_code == 0, res.output
+        report = json.loads(open(out).read())
+        assert report["status"] == "pass"
+        assert report["failures"] == []
+        assert set(report["residuals"]) == {
+            "dbar_squared", "chern_anticommutator", "l_lambda_commutator",
+            "bochner_kodaira", "hodge_decomposition", "minimal_solution_norm",
+        }
+        diag, = report["diagnostics"]
+        assert diag["bidegree"] == bidegree
+        assert diag["kernel_found"] == diag["kernel_expected"] == kernel
+        assert diag["lambda1"] > 0 and "cut" not in diag
+    header, *rows = open(out + ".spectrum.csv").read().splitlines()
+    assert header == "bidegree,index,eigenvalue"
+    assert len(rows) == diag["dim"] == 2 * 9 ** 4
+    assert [r.split(",")[:2] for r in rows] == [["(2 1)", str(i)] for i in range(len(rows))]
 
 
 def test_hodge_check_flags_underresolved_grid(tmp_path):
@@ -261,6 +269,16 @@ def test_invalid_config_exits_2(tmp_path, command, payload):
     res = run_cli([command, "--config", cfg])
     assert res.exit_code == 2, res.output
     assert "config error:" in res.output
+
+
+@pytest.mark.parametrize(
+    "command", ["hodge-check", "curvature", "scan-rank", "primitive-lift", "bls"])
+def test_negative_seed_flag_exits_2(command):
+    # --seed is checked as the config's "seed" is, before anything runs
+    res = run_cli([command, "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: '--seed' must be an integer >= 0")
+    assert res.output.count("\n") == 1
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):

@@ -86,7 +86,7 @@ def test_perturbation_roundtrip(grid_setup, rng):
 
 def test_primitive_lift_is_identity_in_dimension_one(grid_setup):
     fam, sp, pkg0, f, lift = grid_setup
-    out = primitive_lift(fam, lift)
+    out = primitive_lift(lift)
     assert np.allclose(out.ks_field(), lift.ks_field())
     assert primitivity_residual(out, f) == 0.0
 
@@ -104,7 +104,7 @@ def test_primitive_lift_corrects_perturbed_surface_lift(rng):
     assert res_pert > 1e-6
 
     pkg02 = build_hodge(sp.sibling((0, 2)), expected_kernel=1)
-    fixed = primitive_lift(fam, pert, pkg02)
+    fixed = primitive_lift(pert, pkg02)
     assert primitivity_residual(fixed, f) <= 1e-8
 
 
