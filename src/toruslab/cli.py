@@ -40,7 +40,7 @@ from .forms import (
     make_space,
     pair_l2,
 )
-from .geometry import catalog_family
+from .geometry import elliptic_family, jumping_family, siegel_diagonal_family
 from .hodge import build_hodge, laplacian, minimal_solution
 from .oracle import exact_landau_spectrum, fd_chern_curvature_H, rank_scan, write_rank_scan_csv
 
@@ -59,15 +59,12 @@ def _cmat(m) -> list:
 
 
 def _family(cfg: ExperimentConfig):
-    if cfg.family == "elliptic":
-        if cfg.d >= 1:
-            return catalog_family("elliptic", cfg.t, d=cfg.d, tau=cfg.tau)
-        chi = cfg.chi if cfg.chi else (0.0, 0.0)
-        return catalog_family("elliptic", cfg.t, d=0, chi=chi, tau=cfg.tau)
     if cfg.family == "jumping":
-        return catalog_family("jumping", cfg.t, tau=cfg.tau)
-    chi = cfg.chi if cfg.chi else (0.0, 0.0, 0.0, 0.0)
-    return catalog_family("siegel-diagonal", cfg.t, chi=chi, tau=cfg.tau)
+        return jumping_family(cfg.t, tau=cfg.tau)
+    chi = {"chi": cfg.chi} if cfg.chi else {}   # else the constructor's default
+    if cfg.family == "elliptic":
+        return elliptic_family(cfg.t, d=cfg.d, tau=cfg.tau, **chi)
+    return siegel_diagonal_family(cfg.t, tau=cfg.tau, **chi)
 
 
 def _disc(cfg: ExperimentConfig):
@@ -76,13 +73,9 @@ def _disc(cfg: ExperimentConfig):
     return Grid(N=cfg.N, order=cfg.order)
 
 
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
 def _emit(report: dict, out):
     report = dict(report)
-    report["timestamp"] = _timestamp()
+    report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -154,7 +147,7 @@ def _command(name: str, defaults: dict):
     The config is loaded with the given defaults (when --config is omitted);
     ConfigInvalid exits 2 with "config error:", ExtensionNotAdmissible (a miss
     of the admissibility tolerance, as on an under-resolved grid) exits 1 with
-    "tolerance failure: admissibility:" and, given --out, a report that fails
+    "tolerance failure: admissibility:" and a report that fails
     `admissibility` with the reason, and any other exception exits 3 with one
     line "numerical failure:" (the type first unless it is a TorusLabError).
     The body runs with floating-point division by zero, overflow and invalid
@@ -177,9 +170,8 @@ def _command(name: str, defaults: dict):
                 code = 2
             except ExtensionNotAdmissible as exc:
                 click.echo(f"tolerance failure: admissibility: {exc}", err=True)
-                if out:
-                    _report(name, cfg, out, dump_spectrum, {"reason": str(exc)},
-                            ["admissibility"], {})
+                _report(name, cfg, out, dump_spectrum, {"reason": str(exc)},
+                        ["admissibility"], {})
                 code = 1
             except Exception as exc:
                 kind = "" if isinstance(exc, TorusLabError) else f"{type(exc).__name__}: "

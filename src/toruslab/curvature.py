@@ -37,7 +37,6 @@ from .family import (
     RepresentativeSet,
     berndtsson_representative,
     kappa,
-    lie_derivative_10,
     trivialization_lift,
 )
 from .forms import (
@@ -195,12 +194,12 @@ def curvature_commutator(space: FormSpace):
 # second fundamental form
 
 
-def second_fundamental_form(lift: HorizontalLift, rep: RepresentativeSet,
+def second_fundamental_form(rep: RepresentativeSet,
                             pkg_n1: Optional[HodgePackage] = None,
                             route: str = "projection",
                             pkg_n0: Optional[HodgePackage] = None,
                             admissibility_tol: float = 1e-5) -> FormSection:
-    """II f = P_perp iota*(L^{1,0} u), or the Green-operator route.
+    """II f = P_perp iota*(L^{1,0} u), or the Green-operator route, along rep.lift.
 
     route "projection": P_perp iota*(L^{1,0} u) (needs pkg_n0 for the projector).
     route "green":      -dbar* G (iota*((xi ⌟ Theta) u) + nabla^{1,0}((dbar xi) ⌟ u))
@@ -210,9 +209,8 @@ def second_fundamental_form(lift: HorizontalLift, rep: RepresentativeSet,
     extension (iota* L^{1,0} dbar u, evaluated through the commutation identity)
     exceeds the tolerance relative to the first-order term norms.
     """
-    f = rep.f
+    f, lift, lu = rep.f, rep.lift, rep.lie_u
     space = f.space
-    lu = lie_derivative_10(lift, rep.ext)
     kf = kappa(lift, f)
     nabla_k = assemble_nabla10(kf.space).apply(kf)
     theta_term = curvature_contraction_form(lift, f)
@@ -307,7 +305,6 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
                 basis: Sequence[FormSection],
                 pkg_n0: HodgePackage,
                 pkg_n2: Optional[HodgePackage] = None,
-                reps: Optional[Sequence[RepresentativeSet]] = None,
                 admissibility_tol: float = 1e-5,
                 ) -> CurvatureReport:
     """Evaluate the curvature form on the harmonic basis by both routes."""
@@ -322,12 +319,11 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
             nakano_min_eig=float("nan"), residual_routes=0.0,
         )
     space = basis[0].space
-    if reps is None:
-        reps = [
-            berndtsson_representative(family, lift, f, pkg_n0, pkg_n2=pkg_n2,
-                                      tol=admissibility_tol)
-            for f in basis
-        ]
+    reps = [
+        berndtsson_representative(family, lift, f, pkg_n0, pkg_n2=pkg_n2,
+                                  tol=admissibility_tol)
+        for f in basis
+    ]
 
     G = np.array([[pair_l2(basis[j], basis[i]) for j in range(r)] for i in range(r)])
 
@@ -344,7 +340,7 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
     )
 
     sff = [
-        second_fundamental_form(lift, rep, pkg_n0=pkg_n0, route="projection",
+        second_fundamental_form(rep, pkg_n0=pkg_n0, route="projection",
                                 admissibility_tol=admissibility_tol)
         for rep in reps
     ]

@@ -1,8 +1,8 @@
 """t-direction calculus on the universal torus trivialization.
 
-Horizontal lifts, Kodaira-Spencer representatives, twisted Lie derivatives,
-the primitive-lift construction, and the representative method used by the
-curvature computations.
+Horizontal lifts, Kodaira-Spencer representatives, the primitive-lift
+construction, and the representative method (with the twisted Lie derivative
+of the extension) used by the curvature computations.
 
 Conventions.  A fiber section f is extended to nearby fibers in the frame
 hat-dz_a = dx_a + sum_b Omega_{ab}(t) dy_b (the fiberwise dz-frame written in
@@ -245,20 +245,6 @@ def _plain_gradient_norm(f: FormSection) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the Lie derivative
-
-
-def lie_derivative_10(lift: HorizontalLift, ext: Extension) -> FormSection:
-    """iota* L^{1,0}_xi u = nabla^{1,0}(iota*(xi ⌟ u)) + iota*(xi ⌟ nabla^{1,0} u).
-
-    Independent of the representative shift v (the nabla v contributions cancel).
-    """
-    w = lift.tau * lift.vertical_contract(ext.f)
-    nabla = assemble_nabla10(w.space)
-    return nabla.apply(w) + lift.tau * ext.phi0
-
-
-# ---------------------------------------------------------------------------
 # representatives
 
 
@@ -272,7 +258,7 @@ class RepresentativeSet:
 
     f: FormSection
     lift: HorizontalLift
-    ext: Extension                  # the canonical extension, without the shift v
+    lie_u: FormSection              # iota* L^{1,0}_xi u, an (n,0)-form (free of v)
     xi_u: FormSection               # iota*(xi ⌟ u), an (n-1,0)-form
     xi_dbar_u: FormSection          # iota*(xi ⌟ dbar u), an (n-1,1)-form
     xi_nabla_u: FormSection         # iota*(xi ⌟ nabla^{1,0} u), an (n,0)-form
@@ -290,7 +276,9 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
 
     With the shift v = V1 + V2 (tau included) and gamma = tau W ⌟ psi:
     xi ⌟ u = tau W ⌟ f + v, xi ⌟ dbar u = gamma + tau alpha0 - dbar v and
-    xi ⌟ nabla^{1,0} u = tau phi0 - nabla^{1,0} v.
+    xi ⌟ nabla^{1,0} u = tau phi0 - nabla^{1,0} v.  The Lie derivative
+    iota* L^{1,0}_xi u = nabla^{1,0}(iota*(xi ⌟ u)) + iota*(xi ⌟ nabla^{1,0} u)
+    = nabla^{1,0}(tau W ⌟ f) + tau phi0: the nabla v contributions cancel.
     """
     space = f.space
     n = space.n
@@ -319,14 +307,16 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
     v2 = adjoint(assemble_nabla10(sp_lower)).apply(pkg_n0.green(p_perp_phi))
 
     v = v1 + v2
-    xi_u = lift.tau * lift.vertical_contract(f) + v
+    w = lift.tau * lift.vertical_contract(f)
+    lie_u = assemble_nabla10(sp_lower).apply(w) + phi0
+    xi_u = w + v
     xi_dbar_u = gamma + alpha0 - assemble_dbar(sp_lower).apply(v)
     xi_nabla_u = phi0 - assemble_nabla10(sp_lower).apply(v)
 
     nf = max(f.norm(), 1e-300)
     primitive_ok = n == 1 or lefschetz_L(xi_dbar_u.space).apply(xi_dbar_u).norm() <= tol * nf
     orthogonality_ok = (xi_nabla_u - pkg_n0.harmonic_project(xi_nabla_u)).norm() <= tol * nf
-    return RepresentativeSet(f=f, lift=lift, ext=ext, xi_u=xi_u, xi_dbar_u=xi_dbar_u,
+    return RepresentativeSet(f=f, lift=lift, lie_u=lie_u, xi_u=xi_u, xi_dbar_u=xi_dbar_u,
                              xi_nabla_u=xi_nabla_u, primitive_ok=primitive_ok,
                              orthogonality_ok=orthogonality_ok)
 

@@ -11,6 +11,9 @@ functions here do the bidegree bookkeeping around it.
 
 Operator data is a numpy array of component blocks per mode or sample, or a
 grid derivative's sparse matrix; ω∧, Θ(h)∧, Λ and the zero map are one block.
+Every constant-coefficient map and contraction (the spectral ∂̄ and ∇¹'⁰, the
+(1,1)-wedges, ι_{∂/∂z_a} and the Kodaira-Spencer contraction) is composed from
+one dz_a∧ or dz̄_a∧ component block, _dz_wedge.
 
 This module holds the spectral backend (flat bundles): sections are expanded in
 the shifted Fourier basis e_k(x,y) = exp(2 pi i ((k_x + chi_x).x + (k_y +
@@ -86,6 +89,39 @@ def _wedge_sign(*index_sets):
     return (-1) ** swaps, tuple(sorted(seq))
 
 
+def _dz_wedge(space, a, bar=False):
+    """(target, block): dz_a ∧ (ε_a) or, with bar, dz̄_a ∧ (ε̄_a) on space as
+    a constant 0/±1 component block; ε̄_a carries the sign (-1)^p of moving
+    dz̄_a past dz_J."""
+    p, q = space.bidegree
+    target = space.sibling((p, q + 1) if bar else (p + 1, q))
+    cidx = {c: i for i, c in enumerate(target.comps)}
+    block = np.zeros((target.ncomp, space.ncomp))
+    for di, (J, K) in enumerate(space.comps):
+        sgn, new = _wedge_sign((a,), K if bar else J)
+        if sgn != 0:
+            block[cidx[(J, new) if bar else (new, K)], di] = sgn * (-1) ** p if bar else sgn
+    return target, block
+
+
+def _block_sum(terms, us=None):
+    """sum of coeff * block over terms = [(coeff, block), ...]: a block with the
+    coefficients' trailing shape, or, given components us, the sum applied to
+    them.  It is taken at the blocks' nonzero entries only, source component
+    major and then in the order of terms, so every sum accumulates in one order."""
+    ncod, ndom = terms[0][1].shape
+    shape = (ncod, ndom) + np.shape(terms[0][0]) if us is None else (ncod,) + us.shape[1:]
+    out = np.zeros(shape, dtype=complex)
+    for d in range(ndom):
+        for coeff, block in terms:
+            for c in np.flatnonzero(block[:, d]):
+                if us is None:
+                    out[c, d] += block[c, d] * coeff
+                else:
+                    out[c] += block[c, d] * coeff * us[d]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # calculus contexts (one per fibre, shared by all sibling spaces)
 
@@ -146,20 +182,13 @@ class _SpectralCalculus:
         return GramMatrix(space)
 
     def first_order(self, space: "FormSpace", target: "FormSpace", name: str) -> "OperatorMatrix":
-        """The mode operator of dbar (mu_zbar into the K slots, with the sign
-        (-1)^p of dz̄ past dz_J) or of nabla10 (mu_z into the J slots)."""
-        dbar = name == "dbar"
-        mu, sign = (self.mu_zbar, (-1) ** space.bidegree[0]) if dbar else (self.mu_z, 1)
+        """The mode operator of dbar = sum_a mu_zbar[a] dz̄_a ∧ or of
+        nabla10 = sum_a mu_z[a] dz_a ∧."""
+        bar = name == "dbar"
+        mu = self.mu_zbar if bar else self.mu_z
 
         def build():
-            data = np.zeros((target.ncomp, space.ncomp) + self.field_shape, dtype=complex)
-            cidx = {c: i for i, c in enumerate(target.comps)}
-            for di, (J, K) in enumerate(space.comps):
-                for a in range(space.n):
-                    sgn, new = _wedge_sign((a,), K if dbar else J)
-                    if sgn != 0:
-                        data[cidx[(J, new) if dbar else (new, K)], di] += sign * sgn * mu[a]
-            return data
+            return _block_sum([(mu[a], _dz_wedge(space, a, bar)[1]) for a in range(space.n)])
         return _cached(space, target, (name, space.bidegree), build)
 
     def adjoint_data(self, op: "OperatorMatrix", gd: "GramMatrix", gc: "GramMatrix"):
@@ -516,26 +545,15 @@ _ASSEMBLERS = {"dbar": assemble_dbar, "nabla10": assemble_nabla10}
 
 
 def _wedge11_block(space: FormSpace, C: np.ndarray) -> np.ndarray:
-    """Constant component block of the wedge with sum C_ab dz_a ^ dz̄_b on space."""
+    """Constant component block of the wedge with sum C_ab dz_a ^ dz̄_b on
+    space: sum_ab C_ab ε_a ε̄_b."""
     p, q = space.bidegree
     n = space.n
     if p + 1 > n or q + 1 > n:
         raise BidegreeOverflow(f"(1,1)-wedge out of ({p},{q}) with n={n}")
-    target = space.sibling((p + 1, q + 1))
-    cidx = {c: i for i, c in enumerate(target.comps)}
-    block = np.zeros((target.ncomp, space.ncomp), dtype=complex)
-    for di, (J, K) in enumerate(space.comps):
-        for a in range(n):
-            sa, Jnew = _wedge_sign((a,), J)
-            if sa == 0:
-                continue
-            for b in range(n):
-                sb, Knew = _wedge_sign((b,), K)
-                if sb == 0:
-                    continue
-                # dz_a ^ dz̄_b ^ dz_J ^ dz̄_K = (-1)^p dz_a ^ dz_J ^ dz̄_b ^ dz̄_K
-                block[cidx[(Jnew, Knew)], di] += ((-1) ** p) * sa * sb * C[a, b]
-    return block
+    mid = space.sibling((p, q + 1))
+    return _block_sum([(C[a, b], _dz_wedge(mid, a)[1] @ _dz_wedge(space, b, bar=True)[1])
+                       for a in range(n) for b in range(n)])
 
 
 def _wedge11(space: FormSpace, C: np.ndarray) -> OperatorMatrix:
@@ -587,7 +605,7 @@ def multiply(field: np.ndarray, u: FormSection) -> FormSection:
 
 def contract(W: np.ndarray, u: FormSection) -> FormSection:
     """Interior product of the (1,0) vector field sum_a W[a] d/dz_a into the
-    holomorphic slots of u.
+    holomorphic slots of u: sum_a W[a] ε_aᵀ.
 
     W has shape (n, *field_shape) and is untwisted: Fourier modes without
     character shift (spectral) or plain periodic samples (grid).
@@ -597,22 +615,16 @@ def contract(W: np.ndarray, u: FormSection) -> FormSection:
         raise BidegreeUnderflow("contraction needs p >= 1")
     target = u.space.sibling((p - 1, q))
     to, back = u.space.calculus.pointwise(W)
-    Ws, us = to(W), to(u.coeffs)
-    out = np.zeros((target.ncomp,) + us.shape[1:], dtype=complex)
-    cidx = {c: i for i, c in enumerate(target.comps)}
-    for di, (J, K) in enumerate(u.space.comps):
-        for a in J:
-            Jnew = tuple(x for x in J if x != a)
-            sgn, _ = _wedge_sign((a,), Jnew)     # dz_J = sgn dz_a ^ dz_Jnew
-            out[cidx[(Jnew, K)]] += sgn * Ws[a] * us[di]
-    return FormSection(target, back(out))
+    terms = [(w, _dz_wedge(target, a)[1].T) for a, w in enumerate(to(W))]
+    return FormSection(target, back(_block_sum(terms, to(u.coeffs))))
 
 
 def contract_ks(K_field: np.ndarray, u: FormSection) -> FormSection:
     """Contract a T^{1,0}-valued (0,1)-form K = sum K[a,c] dz̄_c ⊗ d/dz_a into u.
 
-    Computes sum_c dz̄_c ^ (K[a,c] d/dz_a ⌟ u); bidegree (p,q) -> (p-1,q+1).
-    K_field has shape (n, n, *field_shape) (constant trailing dims broadcast).
+    Computes sum_c dz̄_c ^ (K[a,c] d/dz_a ⌟ u) = sum_ac K[a,c] ε̄_c ε_aᵀ u;
+    bidegree (p,q) -> (p-1,q+1).  K_field has shape (n, n, *field_shape)
+    (constant trailing dims broadcast).
     """
     p, q = u.space.bidegree
     n = u.space.n
@@ -620,20 +632,10 @@ def contract_ks(K_field: np.ndarray, u: FormSection) -> FormSection:
         raise BidegreeUnderflow("contraction needs p >= 1")
     if q + 1 > n:
         raise BidegreeOverflow("K-contraction overflows antiholomorphic degree")
-    target = u.space.sibling((p - 1, q + 1))
+    below = u.space.sibling((p - 1, q))
+    bars = [_dz_wedge(below, c, bar=True) for c in range(n)]
+    holo = [_dz_wedge(below, a)[1].T for a in range(n)]
     to, back = u.space.calculus.pointwise(K_field)
-    Ks, us = to(K_field), to(u.coeffs)
-    out = np.zeros((target.ncomp,) + us.shape[1:], dtype=complex)
-    cidx = {c: i for i, c in enumerate(target.comps)}
-    for di, (J, Kk) in enumerate(u.space.comps):
-        for a in J:
-            Jnew = tuple(x for x in J if x != a)
-            s_rm, _ = _wedge_sign((a,), Jnew)
-            for c in range(n):
-                s_ins, Knew = _wedge_sign((c,), Kk)
-                if s_ins == 0:
-                    continue
-                # dz̄_c ^ dz_{Jnew} ^ dz̄_K = (-1)^{p-1} dz_{Jnew} ^ dz̄_c ^ dz̄_K
-                sgn = s_rm * s_ins * ((-1) ** (p - 1))
-                out[cidx[(Jnew, Knew)]] += sgn * Ks[a, c] * us[di]
-    return FormSection(target, back(out))
+    Ks = to(K_field)
+    terms = [(Ks[a, c], bars[c][1] @ holo[a]) for a in range(n) for c in range(n)]
+    return FormSection(bars[0][0], back(_block_sum(terms, to(u.coeffs))))

@@ -126,7 +126,7 @@ def make_positive_bundle(torus: LatticeTorus, d: int) -> BundleData:
 class FamilySpec:
     """A one-parameter holomorphic family of tori with bundles.
 
-    name        catalog identifier
+    name        family identifier, as in a config's "family"
     t           base point (Im t > 0)
     period_map  t -> Omega(t)
     dperiod_map t -> dOmega/dt(t) (analytic derivative)
@@ -140,6 +140,10 @@ class FamilySpec:
     dperiod_map: Callable[[complex], np.ndarray]
     bundle_map: Callable[[LatticeTorus, complex], BundleData]
     tau: complex = 1.0 + 0.0j
+
+    def __post_init__(self):
+        if self.t.imag <= 0:
+            raise NonPositivePeriod("base point must satisfy Im t > 0")
 
     def torus_at(self, t: Optional[complex] = None) -> LatticeTorus:
         t = self.t if t is None else t
@@ -166,9 +170,6 @@ def jumping_character(t: complex) -> np.ndarray:
 
 def jumping_family(t: complex, tau: complex = 1.0 + 0.0j) -> FamilySpec:
     """The rank-jumping family: fibers C/(Z + tZ), bundle L_{[0] - [a(t)]}."""
-    if t.imag <= 0:
-        raise NonPositivePeriod("base point must satisfy Im t > 0")
-
     def bundle_map(torus, tt):
         return make_flat_bundle(torus, jumping_character(tt))
 
@@ -184,9 +185,6 @@ def jumping_family(t: complex, tau: complex = 1.0 + 0.0j) -> FamilySpec:
 
 def elliptic_family(t: complex, d: int = 0, chi=(0.0, 0.0), tau: complex = 1.0 + 0.0j) -> FamilySpec:
     """Elliptic family Omega(t) = t; bundle is degree-d positive (d >= 1) or flat chi."""
-    if t.imag <= 0:
-        raise NonPositivePeriod("base point must satisfy Im t > 0")
-
     if d >= 1:
         def bundle_map(torus, tt):
             return make_positive_bundle(torus, d)
@@ -208,8 +206,6 @@ def elliptic_family(t: complex, d: int = 0, chi=(0.0, 0.0), tau: complex = 1.0 +
 
 def siegel_diagonal_family(t: complex, chi=(0, 0, 0, 0), tau: complex = 1.0 + 0.0j) -> FamilySpec:
     """Abelian-surface family Omega(t) = diag(t, 2t) with a flat bundle."""
-    if t.imag <= 0:
-        raise NonPositivePeriod("base point must satisfy Im t > 0")
     chi_arr = np.asarray(chi, dtype=float)
 
     return FamilySpec(
@@ -221,13 +217,3 @@ def siegel_diagonal_family(t: complex, chi=(0, 0, 0, 0), tau: complex = 1.0 + 0.
         tau=tau,
     )
 
-
-def catalog_family(name: str, t: complex, **params) -> FamilySpec:
-    """Look up a family by catalog id: "elliptic", "jumping", "siegel-diagonal"."""
-    if name == "elliptic":
-        return elliptic_family(t, **params)
-    if name == "jumping":
-        return jumping_family(t, **params)
-    if name == "siegel-diagonal":
-        return siegel_diagonal_family(t, **params)
-    raise KeyError(f"unknown family id {name!r}")

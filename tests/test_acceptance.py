@@ -265,11 +265,11 @@ def test_lift_independence_under_vertical_perturbation(pipeline):
 
 
 def test_second_fundamental_form_routes(pipeline):
-    lift, pkg0, pkg11 = pipeline["lift"], pipeline["pkg0"], pipeline["pkg11"]
+    pkg0, pkg11 = pipeline["pkg0"], pipeline["pkg11"]
     for rep in pipeline["reps"]:
-        ii_proj = second_fundamental_form(lift, rep, pkg_n0=pkg0,
+        ii_proj = second_fundamental_form(rep, pkg_n0=pkg0,
                                           route="projection")
-        ii_green = second_fundamental_form(lift, rep, pkg_n1=pkg11,
+        ii_green = second_fundamental_form(rep, pkg_n1=pkg11,
                                            route="green")
         rel = (ii_proj - ii_green).norm() / max(ii_proj.norm(), 1e-300)
         assert rel <= 1e-6

@@ -183,9 +183,6 @@ def test_form_validation():
         HermitianFormOnTensor(m=2, r=2, phi=skew, split=(2, 0))
     with pytest.raises(ValueError):
         HermitianFormOnTensor(m=2, r=2, phi=np.eye(4), split=(1, 0))
-    with pytest.raises(ValueError):
-        HermitianFormOnTensor(m=2, r=2, phi=np.eye(4), split=(2, 0),
-                              fiber_metric=np.diag([1.0, -1.0]))
 
 
 def test_schur_complement_identity_and_edge_cases():

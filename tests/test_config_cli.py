@@ -412,6 +412,13 @@ def test_underresolved_grid_curvature_exits_1(tmp_path, N, reason):
     res = run_cli(["report", out, "--out", summary])
     assert res.exit_code == 1, res.output
     assert json.loads(open(summary).read())["reports"][0]["failures"] == ["admissibility"]
+    # without --out the report goes to stdout, the reason still to stderr
+    res = run_cli(["curvature", "--config", cfg])
+    assert res.exit_code == 1, res.output
+    assert res.stderr.startswith(f"tolerance failure: admissibility: {reason}")
+    assert res.stderr.count("\n") == 1
+    report = json.loads(res.stdout, parse_constant=_reject_constant)
+    assert report["command"] == "curvature" and report["failures"] == ["admissibility"]
 
 
 @pytest.mark.parametrize("command", ["curvature", "hodge-check"])

@@ -29,6 +29,7 @@ from toruslab.forms import (
     make_space,
     multiply,
     pair_l2,
+    _dz_wedge,
 )
 from toruslab.geometry import make_positive_bundle, make_torus
 
@@ -199,6 +200,40 @@ def test_lefschetz_adjointness(torus2, flat_bundle2, spec_disc, flat_torus,
         rhs = pair_l2(u, lefschetz_Lambda(L.codomain).apply(v))
         assert abs(lhs) > 1e-3
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_dz_wedge_blocks_satisfy_the_exterior_algebra(torus2, flat_bundle2, spec_disc):
+    # the blocks of ε_a = dz_a ∧ and ε̄_a = dz̄_a ∧ anticommute, and the
+    # contraction ε_aᵀ satisfies ε_aᵀ ε_b + ε_b ε_aᵀ = δ_ab Id (the same for ε̄),
+    # exactly, on every bidegree of n = 2
+    n = 2
+    fibre = make_space(torus2, flat_bundle2, (0, 0), spec_disc)
+
+    def fits(space, *bars):   # room for one more dz (False) or dz̄ (True) per entry
+        p, q = space.bidegree
+        return p + bars.count(False) <= n and q + bars.count(True) <= n
+
+    def prod(space, first, second):   # ε_second ε_first on space, (index, bar) each
+        mid, block = _dz_wedge(space, *first)
+        return _dz_wedge(mid, *second)[1] @ block
+
+    for p in range(n + 1):
+        for q in range(n + 1):
+            sp = fibre.sibling((p, q))
+            for a in range(n):
+                for b in range(n):
+                    for bar_a, bar_b in ((False, False), (True, True), (False, True)):
+                        ea, eb = (a, bar_a), (b, bar_b)
+                        if fits(sp, bar_a, bar_b):
+                            assert np.array_equal(prod(sp, eb, ea), -prod(sp, ea, eb))
+                    for bar in (False, True):
+                        total = np.zeros((sp.ncomp, sp.ncomp))
+                        if fits(sp, bar):
+                            total += _dz_wedge(sp, a, bar)[1].T @ _dz_wedge(sp, b, bar)[1]
+                        if sp.bidegree[1 if bar else 0] >= 1:
+                            below = sp.sibling((p, q - 1) if bar else (p - 1, q))
+                            total += _dz_wedge(below, b, bar)[1] @ _dz_wedge(below, a, bar)[1].T
+                        assert np.array_equal(total, float(a == b) * np.eye(sp.ncomp))
 
 
 def test_l_lambda_commutator_counts_degree(torus2, flat_bundle2, spec_disc, rng):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from toruslab.errors import NonPositivePeriod
 from toruslab.geometry import (
-    catalog_family,
     elliptic_family,
     jumping_character,
     jumping_family,
@@ -67,12 +66,6 @@ def test_siegel_family_period_is_diagonal():
     fam = siegel_diagonal_family(T0)
     omega = fam.torus_at().period
     assert np.allclose(omega, np.diag([T0, 2 * T0]))
-
-
-def test_catalog_lookup():
-    assert catalog_family("jumping", 1j).name == "jumping"
-    with pytest.raises(KeyError):
-        catalog_family("nonexistent", 1j)
 
 
 def test_jumping_character_vanishes_exactly_on_lattice_points():
