@@ -55,21 +55,6 @@ class FiniteBLSField:
             return None
         return np.asarray(self.projector(t), dtype=complex)
 
-    def validate(self, t: complex, tol: float = 1e-12) -> None:
-        h = self.h(t)
-        if np.linalg.norm(h - h.conj().T) > tol * max(np.linalg.norm(h), 1.0):
-            raise ValueError("metric is not Hermitian")
-        if np.linalg.eigvalsh((h + h.conj().T) / 2).min() <= 1e-12:
-            raise ValueError("metric is not positive definite")
-        P = self.pi(t)
-        if P is not None:
-            scale = max(np.linalg.norm(P), 1.0)
-            if np.linalg.norm(P @ P - P) > tol * scale:
-                raise ValueError("projector is not idempotent")
-            hp = h @ P
-            if np.linalg.norm(hp - hp.conj().T) > tol * max(np.linalg.norm(hp), 1.0):
-                raise ValueError("projector is not self-adjoint for the metric")
-
 
 def _check_step(step: float) -> None:
     # second-order FD noise ~ eps/step^2 must stay below the step^2 accuracy
@@ -137,19 +122,6 @@ def gram_curvature(G: dict, step: float) -> np.ndarray:
     dYY = (G[(0, 1)] - 2 * G0 + G[(0, -1)]) / step**2
     M = -((dXX + dYY) / 4.0 - dbG @ np.linalg.inv(G0) @ dG)
     return (M + M.conj().T) / 2.0
-
-
-def curvature_form_on_frame(bfield: FiniteBLSField, t: complex, step: float,
-                            frame: Callable[[complex], np.ndarray]) -> np.ndarray:
-    """gram_curvature of the induced Gram G(t) = frame† h frame, where frame(t)
-    returns the N x r matrix of frame columns."""
-    _check_step(step)
-
-    def gram_at(tt: complex) -> np.ndarray:
-        e = frame(tt)
-        return e.conj().T @ bfield.h(tt) @ e
-
-    return gram_curvature(_stencil(gram_at, t, step), step)
 
 
 def subfield_curvature_on_frame(bfield: FiniteBLSField, t: complex, step: float,

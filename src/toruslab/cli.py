@@ -19,7 +19,16 @@ import numpy as np
 from . import bls as blsmod
 from .bls import random_demailly_instance  # noqa: F401  (re-exported)
 from .config import ExperimentConfig, _as_int, config_from_dict, load_config
-from .curvature import curvature_H, curvature_commutator, direct_image_fibre, wedge_pair
+from .curvature import (
+    curvature_H,
+    curvature_commutator,
+    direct_image_fibre,
+    hodge_riemann_check,
+    lefschetz_decompose,
+    lefschetz_reconstruct,
+    wedge_pair,
+    xu_wang_bound,
+)
 from .errors import (
     ConfigInvalid,
     ExtensionNotAdmissible,
@@ -256,6 +265,21 @@ def _identity_suite(cfg: ExperimentConfig) -> dict:
     else:
         res["minimal_solution_norm"] = 0.0
 
+    # Lefschetz decomposition alpha = sum_j omega^j ∧ alpha_j of a unit form of
+    # each bidegree with p + q <= n, and the Hodge-Riemann relation on its
+    # primitive part alpha_0 (relative to |epsilon| ||alpha_0||^2)
+    dec, hr = [0.0], [0.0]
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            sp = fibre.sibling((p, q))
+            u = band_limited(sp, rng)
+            parts = lefschetz_decompose(u)
+            dec.append((lefschetz_reconstruct(sp, parts) - u).norm())
+            _, rhs, err = hodge_riemann_check(dict(parts)[0])
+            hr.append(err / max(abs(rhs), 1e-300))
+    res["lefschetz_decomposition"] = float(np.max(dec))
+    res["hodge_riemann"] = float(np.max(hr))
+
     return res, {(n, 1): pkg_n1}
 
 
@@ -279,6 +303,8 @@ def cmd_hodge_check(cfg, out):
         "chern_anticommutator": identity,
         "l_lambda_commutator": identity,
         "bochner_kodaira": identity,
+        "lefschetz_decomposition": identity,
+        "hodge_riemann": identity,
         "hodge_decomposition": cfg.tol("hodge_decomposition"),
         "minimal_solution_norm": cfg.tol("minimal_solution"),
     }
@@ -322,11 +348,16 @@ def cmd_curvature(cfg, out):
 
     checks = [_kernel_check(*packages.values())]
     positive_bundle = not sp.bundle.is_flat
+    xu_wang_gap = None
     if rep.rank > 0:
         scale = max(float(np.linalg.norm(rep.theta_H)), 1e-300)
         checks.append(("routes_rel", rep.residual_routes / scale, cfg.tol("routes_rel")))
         if positive_bundle:
             checks.append(("nakano", -rep.nakano_min_eig, cfg.tol("nakano")))
+            # theta_H is bounded below by the Xu-Wang curvature-commutator term
+            rhs = xu_wang_bound(lift, basis, rep)
+            xu_wang_gap = float(np.linalg.eigvalsh(rep.theta_H - rhs).min())
+            checks.append(("xu_wang", -xu_wang_gap, cfg.tol("nakano")))
         checks.append(("sff_psd", -float(np.linalg.eigvalsh(rep.term_sff).min()),
                        cfg.tol("sff_psd")))
     extra = {}
@@ -352,10 +383,13 @@ def cmd_curvature(cfg, out):
         "theta_H_pushforward": _cmat(rep.theta_H_bly),
         "residual_routes": float(rep.residual_routes),
         **extra,
-        "hermiticity_defect": float(rep.hermiticity_defect()),
+        "hermiticity_defect": rep.hermiticity_defect,
         # null, not a bare NaN (strict JSON has none), when the basis is empty
         "nakano_min_eig": float(rep.nakano_min_eig) if rep.rank else None,
-        "positivity_verdict": not positive_bundle or not {"kernel_dim", "nakano"} & set(failures),
+        "xu_wang_gap": xu_wang_gap,
+        # null with no sections to be positive on
+        "positivity_verdict": (not positive_bundle or not {"kernel_dim", "nakano"} & set(failures)
+                               if rep.rank else None),
         "diagnostics": diagnostics,
     }
     return fields, failures, packages

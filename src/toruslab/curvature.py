@@ -233,21 +233,6 @@ def second_fundamental_form(rep: RepresentativeSet,
 
 
 # ---------------------------------------------------------------------------
-# curvature of the ambient field on holomorphic sections
-
-
-def curvature_L_theta(lift: HorizontalLift, f1: FormSection, f2: FormSection) -> complex:
-    """(Theta^L f1, f2): ambient-curvature term minus the KS wedge pairing."""
-    fld = theta_xi_xibar_field(lift)
-    term1 = 0.0 + 0.0j
-    if fld is not None:
-        term1 = pair_l2(multiply(fld, f1), f2)
-    k1 = kappa(lift, f1)
-    k2 = kappa(lift, f2)
-    return term1 - wedge_pair(k1, k2)
-
-
-# ---------------------------------------------------------------------------
 # curvature of the direct image
 
 
@@ -257,6 +242,8 @@ class CurvatureReport:
 
     Entry convention: M[i, j] is the sesquilinear form evaluated at (f_j, f_i),
     so each stored matrix is Hermitian and v† M v is the quadratic form.
+    hermiticity_defect is the largest ||M - M†|| of the six matrices as
+    computed, before they were made Hermitian.
     """
 
     t: complex
@@ -270,18 +257,11 @@ class CurvatureReport:
     theta_H_bly: np.ndarray
     nakano_min_eig: float
     residual_routes: float
+    hermiticity_defect: float
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def hermiticity_defect(self) -> float:
-        out = 0.0
-        for M in (self.gram, self.term_theta_h, self.term_kappa, self.term_sff,
-                  self.theta_H, self.theta_H_bly):
-            if M.size:
-                out = max(out, float(np.linalg.norm(M - M.conj().T)))
-        return out
 
 
 def direct_image_fibre(family: FamilySpec, disc: Disc, expected_kernel: int,
@@ -316,7 +296,7 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
         return CurvatureReport(
             t=t, tau=tau, basis=[], gram=e, term_theta_h=e, term_kappa=e,
             term_sff=e, theta_H=e, theta_H_bly=e,
-            nakano_min_eig=float("nan"), residual_routes=0.0,
+            nakano_min_eig=float("nan"), residual_routes=0.0, hermiticity_defect=0.0,
         )
     space = basis[0].space
     reps = [
@@ -348,7 +328,7 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
         [[wedge_pair(sff[j], sff[i]) for j in range(r)] for i in range(r)]
     )
 
-    theta_H = _hermitize(T_theta - T_kappa - T_sff)
+    theta_raw = T_theta - T_kappa - T_sff
 
     # pushforward route: fiber integral of the curvature-wedge top form
     # contracted with the lift, plus the xi ⌟ dbar u pairing.
@@ -369,7 +349,9 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
                 + sgn * wedge_pair(theta_w[j], xi_u[i])
                 + pair_l2(xi_db[j], xi_db[i])
             )
-    bly = _hermitize(bly)
+    defect = max(float(np.linalg.norm(M - M.conj().T))
+                 for M in (G, T_theta, T_kappa, T_sff, theta_raw, bly))
+    theta_H, bly = _hermitize(theta_raw), _hermitize(bly)
 
     scale = max(float(np.linalg.norm(theta_H)), 1e-300)
     residual = float(np.linalg.norm(theta_H - bly))
@@ -378,22 +360,8 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
         t=t, tau=tau, basis=list(basis), gram=_hermitize(G),
         term_theta_h=_hermitize(T_theta), term_kappa=_hermitize(T_kappa),
         term_sff=_hermitize(T_sff), theta_H=theta_H, theta_H_bly=bly,
-        nakano_min_eig=nak, residual_routes=residual,
+        nakano_min_eig=nak, residual_routes=residual, hermiticity_defect=defect,
     )
-
-
-def lift_independence_check(family: FamilySpec, basis: Sequence[FormSection],
-                            lift1: HorizontalLift, lift2: HorizontalLift,
-                            pkg_n0: HodgePackage,
-                            pkg_n2: Optional[HodgePackage] = None,
-                            admissibility_tol: float = 1e-5) -> float:
-    """|| Theta^H(lift1) - Theta^H(lift2) || / || Theta^H(lift1) ||."""
-    r1 = curvature_H(family, lift1, basis, pkg_n0, pkg_n2=pkg_n2,
-                     admissibility_tol=admissibility_tol)
-    r2 = curvature_H(family, lift2, basis, pkg_n0, pkg_n2=pkg_n2,
-                     admissibility_tol=admissibility_tol)
-    denom = max(float(np.linalg.norm(r1.theta_H)), 1e-300)
-    return float(np.linalg.norm(r1.theta_H - r2.theta_H)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +375,8 @@ def hodge_riemann_check(alpha: FormSection, tol: float = 1e-8
     lhs = sqrt(-1)^{(p+q)^2} int <alpha ∧ conj(alpha) ∧ omega^{n-k}, h> / (n-k)!
     rhs = epsilon(p,q) ||alpha||^2 with the sign epsilon = i^{k^2 + q - p} (-1)^{k(k-1)/2}
     (n=1 checks: +1 on (1,0)-forms, -1 on (0,1)-forms).
+    A form of degree k <= n is primitive iff Lambda alpha = 0 (equivalently
+    omega^{n-k+1} ∧ alpha = 0), which holds on every (p,0)- and (0,q)-form.
     """
     space = alpha.space
     n = space.n
@@ -415,13 +385,9 @@ def hodge_riemann_check(alpha: FormSection, tol: float = 1e-8
     if k > n:
         raise NotPrimitive(f"degree {k} exceeds n={n}")
     na = alpha.norm()
-    # primitive iff omega ∧ alpha = 0 (automatic when the wedge overflows (n,n))
-    if na > 0 and p + 1 <= n and q + 1 <= n:
-        wedge = lefschetz_L(space).apply(alpha)
-        if wedge.norm() > tol * na:
-            raise NotPrimitive(
-                f"omega ∧ alpha residual {wedge.norm() / na:.3e} exceeds {tol:.1e}"
-            )
+    contracted = lefschetz_Lambda(space).apply(alpha).norm()
+    if contracted > tol * na:
+        raise NotPrimitive(f"Lambda alpha residual {contracted / na:.3e} exceeds {tol:.1e}")
     # wedge_pair already carries i^{n^2} I_n; rescale to the i^{k^2} convention
     raw = wedge_pair(alpha, alpha, r=n - k) / (1j ** (n * n)) * (1j ** (k * k))
     eps = (1j ** (k * k + q - p)) * ((-1) ** (k * (k - 1) // 2))
@@ -434,7 +400,8 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
     """alpha = sum_j omega^j ∧ alpha_j with alpha_j primitive; returns [(j, alpha_j)].
 
     The decomposition is pointwise-algebraic (omega has constant coefficients),
-    solved as a least-squares system on the component vectors per sample.
+    solved in the least-squares sense on the component vectors of every sample
+    at once, by the pseudo-inverse of the one constant component matrix.
     """
     space = alpha.space
     n = space.n
@@ -463,7 +430,7 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
         cols.append(cur)
     Bmat = np.concatenate(cols, axis=1)          # (ncomp, total primitive dims)
     flat = alpha.coeffs.reshape(space.ncomp, -1)
-    sol, *_ = np.linalg.lstsq(Bmat, flat, rcond=None)
+    sol = np.linalg.pinv(Bmat) @ flat
     out = []
     ofs = 0
     for (j, src, prim_basis) in pieces:
@@ -498,14 +465,13 @@ def lefschetz_reconstruct(space: FormSpace,
 # lower bound
 
 
-def xu_wang_bound(family: FamilySpec, lift: HorizontalLift,
-                  basis: Sequence[FormSection], pkg_n0: HodgePackage,
-                  report: Optional[CurvatureReport] = None
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) with lhs = Theta^H and rhs the curvature-commutator lower bound.
+def xu_wang_bound(lift: HorizontalLift, basis: Sequence[FormSection],
+                  report: CurvatureReport) -> np.ndarray:
+    """The curvature-commutator lower bound rhs <= Theta^H = report.theta_H.
 
     rhs = Theta(h)-term - ( [iTheta,Lambda]^{-1} b_j, b_i ) with
-    b_i = iota*((xi ⌟ Theta) u_i); requires a fiberwise positive bundle.
+    b_i = iota*((xi ⌟ Theta) u_i), on the basis and lift that report was
+    computed on; requires a fiberwise positive bundle.
     """
     space = basis[0].space if basis else lift.space
     if space.bundle.is_flat:
@@ -520,13 +486,10 @@ def xu_wang_bound(family: FamilySpec, lift: HorizontalLift,
     lam = pair_l2(comm.apply(probe), probe) / pair_l2(probe, probe)
     if lam.real < 1e-10:
         raise CurvatureNotInvertible(f"[iTheta, Lambda] eigenvalue {lam.real:.3e}")
-    if report is None:
-        report = curvature_H(family, lift, basis, pkg_n0)
     r = len(basis)
     T = np.zeros((r, r), dtype=complex)
     bvecs = [curvature_contraction_form(lift, f) for f in basis]
     for i in range(r):
         for j in range(r):
             T[i, j] = pair_l2((1.0 / lam) * bvecs[j], bvecs[i])
-    rhs = _hermitize(report.term_theta_h - T)
-    return report.theta_H, rhs
+    return _hermitize(report.term_theta_h - T)

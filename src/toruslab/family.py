@@ -71,12 +71,15 @@ class HorizontalLift:
         return self.space.n
 
     def ks_field(self) -> np.ndarray:
-        """Full (n, n, *shape) coefficient field of iota* dbar xi (without tau)."""
-        shape = (self.n, self.n) + (1,) * len(self.space.field_shape)
-        K = self.K_triv.reshape(shape).astype(complex)
-        if self.K_pert is not None:
-            K = K + self.K_pert
-        return K
+        """Full (n, n, *shape) coefficient field of iota* dbar xi (without tau).
+
+        Without K_pert it is the constant K_triv with unit trailing dims; with
+        it, K_triv enters as the calculus' constant field (the zero mode of a
+        spectral field)."""
+        if self.K_pert is None:
+            shape = (self.n, self.n) + (1,) * len(self.space.field_shape)
+            return self.K_triv.reshape(shape).astype(complex)
+        return self.space.calculus.constant_field(self.K_triv) + self.K_pert
 
     def vertical_contract(self, u: FormSection) -> FormSection:
         """iota*(W-part of xi ⌟ u) (without tau); zero for the trivialization lift."""
@@ -139,10 +142,7 @@ def primitive_lift(theta0: HorizontalLift,
     # omega as an untwisted (1,1)-section with constant components (i/2) g_{ab};
     # n >= 2, so the space is spectral (the grid backend is n = 1 only)
     g = torus.kaehler
-    comps = sp11.comps
-    w = sp11.zeros()
-    for ci, (J, K) in enumerate(comps):
-        w.coeffs[ci][sp11.calculus.zero_mode_index()] = 0.5j * g[J[0], K[0]]
+    w = sp11.section(sp11.calculus.constant_field([0.5j * g[J[0], K[0]] for J, K in sp11.comps]))
     defect = contract_ks(theta0.ks_field(), w)          # (0,2) untwisted
     sol = hodge02.green(defect)
     eta_form = adjoint(assemble_dbar(sp01)).apply(sol)  # (0,1)-form

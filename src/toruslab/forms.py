@@ -226,6 +226,13 @@ class _SpectralCalculus:
 
         return to, back
 
+    def constant_field(self, c) -> np.ndarray:
+        """The field that is the constant c (of any shape) everywhere: its zero mode."""
+        c = np.asarray(c, dtype=complex)
+        out = np.zeros(c.shape + self.field_shape, dtype=complex)
+        out[(Ellipsis,) + self.zero_mode_index()] = c
+        return out
+
     def dbar_of_field(self, space: "FormSpace", W: np.ndarray) -> np.ndarray:
         """Componentwise dbar of an untwisted vertical field, K[a,c] = d W_a / d z̄_c:
         the multiplier with chi = 0, the calculus' own when the bundle is untwisted."""

@@ -154,6 +154,12 @@ class _GridCalculus:
         """Samples multiply as they are."""
         return (lambda a: a), (lambda a: a)
 
+    def constant_field(self, c) -> np.ndarray:
+        """The field that is the constant c (of any shape) everywhere, broadcast
+        over the samples."""
+        c = np.asarray(c, dtype=complex)
+        return c.reshape(c.shape + (1, 1))
+
     def dbar_of_field(self, space: FormSpace, W: np.ndarray) -> np.ndarray:
         # the plain periodic derivative of a periodic sample field: degree 0
         Dzbar = _stencil_matrix(self.N, self.disc.order, self.t, 0, *_dzbar(self.t))

@@ -1,0 +1,62 @@
+"""Every public name of the package has a caller outside the tests.
+
+An AST scan of src/toruslab lists the public top-level functions and classes
+and the public methods of every class.  Each must be named (as a name or an
+attribute) somewhere in src/ outside its own definition, or in perfbench/, or
+be registered by a decorator (the click commands).  The exceptions are the
+references that tests compare against.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# test references: the jump locus in closed form, and the Dolbeault class
+# match of a representative
+TEST_REFERENCES = {"is_jump_point", "class_match_residual"}
+
+
+def _names(tree) -> Counter:
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public function, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _scan():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "toruslab").glob("*.py"))}
+    in_src = sum((_names(tree) for tree in trees.values()), Counter())
+    in_bench = sum((_names(ast.parse(path.read_text()))
+                    for path in (ROOT / "perfbench").glob("*.py")), Counter())
+    uncalled = set()
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            if isinstance(node, ast.FunctionDef) and node.decorator_list and "." not in qualname:
+                continue
+            name = node.name
+            if in_src[name] - _names(node)[name] > 0 or in_bench[name] > 0:
+                continue
+            uncalled.add((module, qualname))
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    uncalled = _scan()
+    assert {qualname for _, qualname in uncalled} == TEST_REFERENCES, sorted(uncalled)

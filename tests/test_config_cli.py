@@ -189,6 +189,7 @@ def test_hodge_check_passes_on_spectral_flat(tmp_path):
         assert set(report["residuals"]) == {
             "dbar_squared", "chern_anticommutator", "l_lambda_commutator",
             "bochner_kodaira", "hodge_decomposition", "minimal_solution_norm",
+            "lefschetz_decomposition", "hodge_riemann",
         }
         diag, = report["diagnostics"]
         assert diag["bidegree"] == bidegree
@@ -325,6 +326,8 @@ def test_curvature_next_to_the_jump_has_rank_zero(tmp_path):
     assert res.exit_code == 0, res.output
     report = json.loads(open(out).read())
     assert report["rank"] == 0 and report["at_jump_locus"] is False
+    # no section to be positive on: neither verdict nor Nakano eigenvalue
+    assert report["positivity_verdict"] is None and report["nakano_min_eig"] is None
     diag, = report["diagnostics"]
     assert diag["kernel_found"] == diag["kernel_expected"] == 0
     assert 0 < diag["lambda1"] < 1e-4 and "lambda1_rel_err" not in diag
@@ -353,6 +356,7 @@ def test_curvature_report_contents(tmp_path):
     report = json.loads(open(out).read())
     assert report["rank"] == 1
     assert report["positivity_verdict"] is True
+    assert report["xu_wang_gap"] >= 0.0 and "xu_wang" not in report["failures"]
     assert report["residual_routes"] >= 0.0
     assert 0.0 <= report["fd_rel"] <= 1e-3
     theta = report["theta_H"][0][0]
@@ -525,6 +529,7 @@ def test_curvature_command_on_surface_family(tmp_path):
     report = json.loads(open(out).read())
     assert report["status"] == "pass" and report["rank"] == 1
     assert report["residual_routes"] <= 1e-12
+    assert report["xu_wang_gap"] is None   # flat: [i Theta, Lambda] is not invertible
     assert [diag["bidegree"] for diag in report["diagnostics"]] == [[2, 0], [2, 2]]
     assert all(diag["kernel_found"] == diag["kernel_expected"] == 1
                for diag in report["diagnostics"])

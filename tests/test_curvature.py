@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from toruslab.curvature import (
     curvature_H,
-    curvature_L_theta,
     direct_image_fibre,
     hodge_riemann_check,
     lefschetz_decompose,
     lefschetz_reconstruct,
-    lift_independence_check,
     second_fundamental_form,
     wedge_pair,
     xu_wang_bound,
@@ -53,16 +51,12 @@ def test_wedge_pair_sign_pins(flat_torus, positive_bundle, grid_disc, rng):
 
 
 def test_hodge_riemann_signs(flat_torus, positive_bundle, grid_disc, rng):
-    sp10 = make_space(flat_torus, positive_bundle, (1, 0), grid_disc)
-    u = band_limited(sp10, rng)
-    lhs, rhs, res = hodge_riemann_check(u)
-    assert res <= 1e-8
-    assert rhs.real > 0
-    sp01 = make_space(flat_torus, positive_bundle, (0, 1), grid_disc)
-    a = band_limited(sp01, rng)
-    lhs, rhs, res = hodge_riemann_check(a)
-    assert res <= 1e-8
-    assert rhs.real < 0
+    # every form of degree k < n = 1 is primitive, as are the (1,0)- and (0,1)-forms
+    for bidegree, sign in (((1, 0), 1), ((0, 1), -1), ((0, 0), 1)):
+        sp = make_space(flat_torus, positive_bundle, bidegree, grid_disc)
+        lhs, rhs, res = hodge_riemann_check(band_limited(sp, rng))
+        assert res <= 1e-8
+        assert np.sign(rhs.real) == sign
 
 
 def test_hodge_riemann_rejects_kaehler_form(torus2, flat_bundle2, spec_disc):
@@ -99,9 +93,11 @@ def test_flat_family_curvature_closed_form():
         expect = 1.0 / (4.0 * s * s)
         assert report.theta_H[0, 0].real == pytest.approx(expect, rel=1e-12)
         assert report.residual_routes <= 1e-12
-        assert abs(curvature_L_theta(lift, basis[0], basis[0]) - expect) <= 1e-12
+        # the ambient-curvature term minus the KS wedge pairing: no sff on a flat fibre
+        theta_l = report.term_theta_h[0, 0] - report.term_kappa[0, 0]
+        assert abs(theta_l - expect) <= 1e-12
         with pytest.raises(CurvatureNotInvertible):
-            xu_wang_bound(fam, lift, basis, pkg)
+            xu_wang_bound(lift, basis, report)
 
 
 def test_route_agreement_and_positivity(grid_curv):
@@ -110,7 +106,7 @@ def test_route_agreement_and_positivity(grid_curv):
     assert report.residual_routes / scale <= 1e-4
     assert report.nakano_min_eig >= -1e-8
     assert np.linalg.eigvalsh(report.term_sff).min() >= -1e-12
-    assert report.hermiticity_defect() <= 1e-10
+    assert report.hermiticity_defect <= 1e-10
 
 
 def test_fd_oracle_agreement(grid_curv):
@@ -137,15 +133,16 @@ def test_lift_independence(grid_curv, rng):
     fam, disc, sp, pkg0, basis, lift, report = grid_curv
     W = band_limited_field(sp.calculus, rng, (1,) + sp.field_shape, magnitude=0.1)
     lift2 = perturb_lift(lift, W)
-    rel = lift_independence_check(fam, basis, lift, lift2, pkg0,
-                                  admissibility_tol=ADM)
+    r1 = curvature_H(fam, lift, basis, pkg0, admissibility_tol=ADM)
+    r2 = curvature_H(fam, lift2, basis, pkg0, admissibility_tol=ADM)
+    rel = np.linalg.norm(r1.theta_H - r2.theta_H) / np.linalg.norm(r1.theta_H)
     assert rel <= 1e-3  # coarse grid; the fine-grid bound lives in the acceptance suite
 
 
 def test_xu_wang_lower_bound(grid_curv):
     fam, disc, sp, pkg0, basis, lift, report = grid_curv
-    lhs, rhs = xu_wang_bound(fam, lift, basis, pkg0, report=report)
-    assert np.linalg.eigvalsh(lhs - rhs).min() >= -1e-8
+    rhs = xu_wang_bound(lift, basis, report)
+    assert np.linalg.eigvalsh(report.theta_H - rhs).min() >= -1e-8
 
 
 def test_abelian_surface_pairing_identity():
@@ -161,9 +158,9 @@ def test_abelian_surface_pairing_identity():
 @given(seed=st.integers(0, 100))
 def test_hodge_riemann_epsilon_is_unit_modulus(seed, torus2, flat_bundle2, spec_disc):
     rng = np.random.default_rng(seed)
-    sp20 = make_space(torus2, flat_bundle2, (2, 0), spec_disc)
-    u = band_limited(sp20, rng)
-    lhs, rhs, res = hodge_riemann_check(u)
-    assert res <= 1e-8
-    # (2,0)-forms on a surface pair with a positive sign
-    assert rhs.real > 0
+    # on a surface, forms of degree k < 2 are primitive too; (0,1) pairs negatively
+    for bidegree, sign in (((2, 0), 1), ((0, 0), 1), ((1, 0), 1), ((0, 1), -1)):
+        u = band_limited(make_space(torus2, flat_bundle2, bidegree, spec_disc), rng)
+        lhs, rhs, res = hodge_riemann_check(u)
+        assert res <= 1e-8
+        assert abs(rhs - sign * u.norm() ** 2) <= 1e-12

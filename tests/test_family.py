@@ -84,6 +84,17 @@ def test_perturbation_roundtrip(grid_setup, rng):
     assert np.allclose(back.ks_field(), lift.ks_field(), atol=1e-12)
 
 
+@pytest.mark.parametrize("fam, M", [
+    (siegel_diagonal_family(0.2 + 0.9j), 4),
+    (elliptic_family(0.3 + 1.1j, d=0), 6),
+], ids=["siegel-diagonal", "elliptic-d0"])
+def test_zero_perturbation_keeps_kappa_on_spectral_lifts(fam, M):
+    # the constant K_triv of a perturbed spectral lift sits on the zero mode
+    sp, _, (f,), base = direct_image_fibre(fam, Spectral(M=M), expected_kernel=1)
+    pert = perturb_lift(base, np.zeros((sp.n,) + sp.field_shape, dtype=complex))
+    assert (kappa(pert, f) - kappa(base, f)).norm() <= 1e-12 * kappa(base, f).norm()
+
+
 def test_primitive_lift_is_identity_in_dimension_one(grid_setup):
     fam, sp, pkg0, f, lift = grid_setup
     out = primitive_lift(lift)
