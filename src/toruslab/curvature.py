@@ -246,9 +246,7 @@ class CurvatureReport:
     computed, before they were made Hermitian.
     """
 
-    t: complex
-    tau: complex
-    basis: List[FormSection]
+    rank: int
     gram: np.ndarray
     term_theta_h: np.ndarray
     term_kappa: np.ndarray
@@ -258,10 +256,6 @@ class CurvatureReport:
     nakano_min_eig: float
     residual_routes: float
     hermiticity_defect: float
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 def direct_image_fibre(family: FamilySpec, disc: Disc, expected_kernel: int,
@@ -288,13 +282,11 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
                 admissibility_tol: float = 1e-5,
                 ) -> CurvatureReport:
     """Evaluate the curvature form on the harmonic basis by both routes."""
-    t = complex(lift.t)
-    tau = complex(lift.tau)
     r = len(basis)
     if r == 0:
         e = np.zeros((0, 0), dtype=complex)
         return CurvatureReport(
-            t=t, tau=tau, basis=[], gram=e, term_theta_h=e, term_kappa=e,
+            rank=0, gram=e, term_theta_h=e, term_kappa=e,
             term_sff=e, theta_H=e, theta_H_bly=e,
             nakano_min_eig=float("nan"), residual_routes=0.0, hermiticity_defect=0.0,
         )
@@ -353,11 +345,10 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
                  for M in (G, T_theta, T_kappa, T_sff, theta_raw, bly))
     theta_H, bly = _hermitize(theta_raw), _hermitize(bly)
 
-    scale = max(float(np.linalg.norm(theta_H)), 1e-300)
     residual = float(np.linalg.norm(theta_H - bly))
     nak = float(np.linalg.eigvalsh(theta_H).min())
     return CurvatureReport(
-        t=t, tau=tau, basis=list(basis), gram=_hermitize(G),
+        rank=r, gram=_hermitize(G),
         term_theta_h=_hermitize(T_theta), term_kappa=_hermitize(T_kappa),
         term_sff=_hermitize(T_sff), theta_H=theta_H, theta_H_bly=bly,
         nakano_min_eig=nak, residual_routes=residual, hermiticity_defect=defect,

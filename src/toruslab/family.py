@@ -41,7 +41,7 @@ from .forms import (
     make_space,
 )
 from .geometry import FamilySpec, make_flat_bundle
-from .hodge import HodgePackage
+from .hodge import HodgePackage, build_hodge
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +52,11 @@ from .hodge import HodgePackage
 class HorizontalLift:
     """xi = tau * (d/dt|_{(x,y)} + sum_a W_a d/dz_a) with W a periodic vertical field.
 
-    W = 0 is the trivialization lift.  K_triv = -Omega' (Omega - bar Omega)^{-1}
-    is the constant Kodaira-Spencer coefficient matrix of the trivialization part;
-    K_pert holds dbar W.  The full fiber restriction of dbar xi is
-    tau * (K_triv + K_pert)[a,c] dz̄_c ⊗ d/dz_a.
+    K is the Kodaira-Spencer field of xi without tau: the fibre restriction of
+    dbar xi is tau * K[a,c] dz̄_c ⊗ d/dz_a.  On the trivialization lift (W = 0)
+    it is the constant K_triv = -Omega' (Omega - bar Omega)^{-1} with unit
+    trailing dims; on a perturbed lift it is the (n, n, *field_shape) field
+    constant_field(K_triv) + dbar W, K_triv on the zero mode of a spectral field.
     """
 
     family: FamilySpec
@@ -63,23 +64,11 @@ class HorizontalLift:
     tau: complex
     space: FormSpace               # reference (n,0)-space fixing the discretization
     W: Optional[np.ndarray]        # (n, *field_shape) untwisted samples/modes or None
-    K_triv: np.ndarray             # (n, n) constant
-    K_pert: Optional[np.ndarray]   # (n, n, *field_shape) or None
+    K: np.ndarray                  # (n, n, 1, ...) or (n, n, *field_shape)
 
     @property
     def n(self) -> int:
         return self.space.n
-
-    def ks_field(self) -> np.ndarray:
-        """Full (n, n, *shape) coefficient field of iota* dbar xi (without tau).
-
-        Without K_pert it is the constant K_triv with unit trailing dims; with
-        it, K_triv enters as the calculus' constant field (the zero mode of a
-        spectral field)."""
-        if self.K_pert is None:
-            shape = (self.n, self.n) + (1,) * len(self.space.field_shape)
-            return self.K_triv.reshape(shape).astype(complex)
-        return self.space.calculus.constant_field(self.K_triv) + self.K_pert
 
     def vertical_contract(self, u: FormSection) -> FormSection:
         """iota*(W-part of xi ⌟ u) (without tau); zero for the trivialization lift."""
@@ -90,51 +79,49 @@ class HorizontalLift:
         return contract(self.W, u)
 
 
+def _k_triv(family: FamilySpec) -> np.ndarray:
+    """K_triv = -Omega' (Omega - bar Omega)^{-1} at the family's base point, (n, n)."""
+    omega = np.atleast_2d(np.asarray(family.period_map(family.t), dtype=complex))
+    dom = np.atleast_2d(np.asarray(family.dperiod_map(family.t), dtype=complex))
+    return -dom @ np.linalg.inv(omega - omega.conj())
+
+
 def trivialization_lift(family: FamilySpec, space: FormSpace) -> HorizontalLift:
     """The constant-(x,y) lift at the family's base point and tangent tau; for
     Omega(t) = t (n=1): xi = tau (d/dt + y d/dz)."""
-    t, tau = family.t, family.tau
-    omega = np.atleast_2d(np.asarray(family.period_map(t), dtype=complex))
-    dom = np.atleast_2d(np.asarray(family.dperiod_map(t), dtype=complex))
-    K_triv = -dom @ np.linalg.inv(omega - omega.conj())
-    return HorizontalLift(
-        family=family, t=t, tau=tau, space=space, W=None, K_triv=K_triv, K_pert=None,
-    )
+    n = space.n
+    K = _k_triv(family).reshape((n, n) + (1,) * len(space.field_shape))
+    return HorizontalLift(family=family, t=family.t, tau=family.tau, space=space, W=None, K=K)
 
 
 def perturb_lift(lift: HorizontalLift, W: np.ndarray) -> HorizontalLift:
     """Add a smooth periodic vertical field to a lift (same base tangent)."""
     W = np.asarray(W, dtype=complex)
     W_total = W if lift.W is None else lift.W + W
-    K_pert = lift.space.calculus.dbar_of_field(lift.space, W_total)
-    return HorizontalLift(
-        family=lift.family, t=lift.t, tau=lift.tau, space=lift.space, W=W_total,
-        K_triv=lift.K_triv, K_pert=K_pert,
-    )
-
-
-def ks_representative(lift: HorizontalLift) -> np.ndarray:
-    """iota* dbar xi as a (n, n, *shape) coefficient field (tau included)."""
-    return lift.tau * lift.ks_field()
+    calc = lift.space.calculus
+    K = calc.constant_field(_k_triv(lift.family)) + calc.dbar_of_field(lift.space, W_total)
+    return HorizontalLift(family=lift.family, t=lift.t, tau=lift.tau, space=lift.space,
+                          W=W_total, K=K)
 
 
 def kappa(lift: HorizontalLift, f: FormSection) -> FormSection:
     """kappa^theta f = iota*(dbar xi) ⌟ f, an E-valued (n-1,1)-form."""
-    return contract_ks(ks_representative(lift), f)
+    return contract_ks(lift.tau * lift.K, f)
 
 
-def primitive_lift(theta0: HorizontalLift,
-                   hodge02: Optional[HodgePackage] = None) -> HorizontalLift:
-    """Correct theta0 by eta = (dbar* G ((dbar xi)⌟omega))^sharp (omega-sharp).
+def primitive_lift(theta0: HorizontalLift) -> HorizontalLift:
+    """Correct theta0 by eta = (dbar* G ((dbar xi)⌟omega))^sharp (omega-sharp),
+    G the Green operator of the untwisted (0,2)-forms.
 
-    For n=1 there are no (0,2)-forms, so eta = 0 and theta0 is returned as-is.
+    theta0 is returned as-is when the defect (dbar xi)⌟omega vanishes: for
+    n=1, which has no (0,2)-forms, and for the trivialization lift whenever
+    Omega' is symmetric, as it is on every family here, since then
+    K_triv^T g = -(1/2i) Y^{-1} Omega' Y^{-1} (Y = Im Omega) is symmetric.
     """
     space = theta0.space
     n = space.n
     if n == 1:
         return theta0
-    if hodge02 is None:
-        raise HodgeUnavailable("primitive_lift needs the (0,2) Hodge package")
     torus = space.torus
     flat0 = make_flat_bundle(torus, np.zeros(2 * n))
     sp11 = make_space(torus, flat0, (1, 1), space.disc)
@@ -143,8 +130,10 @@ def primitive_lift(theta0: HorizontalLift,
     # n >= 2, so the space is spectral (the grid backend is n = 1 only)
     g = torus.kaehler
     w = sp11.section(sp11.calculus.constant_field([0.5j * g[J[0], K[0]] for J, K in sp11.comps]))
-    defect = contract_ks(theta0.ks_field(), w)          # (0,2) untwisted
-    sol = hodge02.green(defect)
+    defect = contract_ks(theta0.K, w)  # (0,2) untwisted
+    if not np.any(defect.coeffs):
+        return theta0
+    sol = build_hodge(defect.space, expected_kernel=1).green(defect)
     eta_form = adjoint(assemble_dbar(sp01)).apply(sol)  # (0,1)-form
     # sharp via omega: eta-form = eta ⌟ omega = (i/2) sum_a g_{ab} eta^a dz̄_b
     ginvT = np.linalg.inv(g.T)
@@ -158,9 +147,9 @@ def primitive_lift(theta0: HorizontalLift,
 
 def primitivity_residual(lift: HorizontalLift, f: FormSection) -> float:
     """|| omega ^ ((dbar xi) ⌟ f) || / ||f|| for a harmonic (n,0)-section f."""
-    kf = contract_ks(lift.ks_field(), f)
     if lift.n == 1:
         return 0.0
+    kf = contract_ks(lift.K, f)
     wedge = lefschetz_L(kf.space).apply(kf)
     nf = f.norm()
     return wedge.norm() / nf if nf > 0 else 0.0
@@ -179,7 +168,6 @@ class Extension:
     psi:    fiberwise (n,1)-part of dbar u (dbar f; ~0 for harmonic f).
     """
 
-    f: FormSection
     alpha0: FormSection
     phi0: FormSection
     psi: FormSection
@@ -195,7 +183,7 @@ def make_extension(family: FamilySpec, f: FormSection,
     space = f.space
     t = complex(family.t)
     lift = trivialization_lift(family, space)
-    alpha0 = contract_ks(lift.ks_field(), f)
+    alpha0 = contract_ks(lift.K, f)
     psi = assemble_dbar(space).apply(f)
     nf = max(f.norm(), 1e-300)
     if space.bundle.is_flat:
@@ -206,8 +194,8 @@ def make_extension(family: FamilySpec, f: FormSection,
                 f"constant extension of a non-constant section (residual {grad:.3e})"
             )
         # tr(Omega' (Omega - bar Omega)^{-1}) = -tr K_triv
-        phi0 = -complex(np.trace(lift.K_triv)) * f
-        return Extension(f=f, alpha0=alpha0, phi0=phi0, psi=psi)
+        phi0 = -complex(np.trace(lift.K).item()) * f
+        return Extension(alpha0=alpha0, phi0=phi0, psi=psi)
     # positive bundle (n=1): theta-flow extension, holomorphic in t; it is only
     # defined on holomorphic sections (the heat flow extends the theta frame)
     if psi.norm() > admissibility_tol * nf:
@@ -231,7 +219,7 @@ def make_extension(family: FamilySpec, f: FormSection,
     y = calc.y
     S_tot = y * nablaF + F / (t - np.conj(t)) + heat - 1j * np.pi * d * y**2 * F
     phi0 = space.section(S_tot[None])
-    return Extension(f=f, alpha0=alpha0, phi0=phi0, psi=psi)
+    return Extension(alpha0=alpha0, phi0=phi0, psi=psi)
 
 
 def _plain_gradient_norm(f: FormSection) -> float:

@@ -242,13 +242,15 @@ def _dbar_hat_pattern(N, order, d):
     """The symbolic phase of _GridCalculus.dbar_hat, once per (N, order, d): its
     csc pattern, listed as the diagonal and then each offset's x-stencil
     entries, and column_order, SuperLU's COLAMD column order q of it and its
-    inverse, which the first _DbarFactor of the pattern fills in."""
+    inverse.  COLAMD reads the pattern only, so q is taken from a factor of
+    the pattern filled with seeded values, and every fibre's order is q."""
     offsets = np.array(_central_stencil(order)[0])[:, None]
     i, k = np.divmod(np.arange(N * N), N)
     wrap, ii = np.divmod(i + offsets, N)
     cols = np.concatenate([i * N + k, (ii * N + (k - d * wrap) % N).ravel()])
     pattern = _Pattern(sp.csc_matrix, cols, np.tile(i * N + k, len(offsets) + 1), N * N)
-    pattern.column_order = None
+    perm_c = spla.splu(pattern.matrix(_seeded_block(len(cols), 1, 3).ravel())).perm_c
+    pattern.column_order = _frozen(np.argsort(perm_c), perm_c.copy())
     return pattern
 
 
@@ -346,19 +348,11 @@ class _DbarFactor:
         for _ in range(30):
             v = self._AH @ (self.A @ (v / np.linalg.norm(v)))
         self.cut = rank_tol * max((l * r) ** 2 * float(np.linalg.norm(v)), 1.0)
-        # COLAMD, SuperLU's column order, reads A's pattern only.  The first
-        # factor of a pattern keeps its order q in the pattern cache; later
-        # ones factor A[:, q] with no reordering (NATURAL), which gives the
-        # same LU and the same solves.  q is the full slice for the first.
-        pattern = _dbar_hat_pattern(calc.N, calc.disc.order, calc.d)
+        # A[:, q] with the pattern's COLAMD order q, factored with no
+        # reordering (NATURAL), has the LU and the solves of A under COLAMD
+        self._q, self._q_inv = _dbar_hat_pattern(calc.N, calc.disc.order, calc.d).column_order
         try:
-            if pattern.column_order is None:
-                self.lu = spla.splu(self.A)
-                self._q = self._q_inv = slice(None)
-                pattern.column_order = _frozen(np.argsort(self.lu.perm_c), self.lu.perm_c.copy())
-            else:
-                self._q, self._q_inv = pattern.column_order
-                self.lu = spla.splu(self.A[:, self._q], permc_spec="NATURAL")
+            self.lu = spla.splu(self.A[:, self._q], permc_spec="NATURAL")
         except RuntimeError as exc:
             raise EigenFailure(str(exc)) from exc
         # Dt has a d-dimensional kernel on a degree-d fibre, so the block is

@@ -192,8 +192,7 @@ def test_primitive_lift_on_abelian_surface():
     W[0] = 0.05 * rng.standard_normal(sp.field_shape)
     W[1] = 0.05 * rng.standard_normal(sp.field_shape)
     pert = perturb_lift(base, W)
-    pkg02 = build_hodge(sp.sibling((0, 2)), expected_kernel=1)
-    lifted = primitive_lift(pert, pkg02)
+    lifted = primitive_lift(pert)
 
     assert primitivity_residual(lifted, f) <= 1e-8
     kf = kappa(lifted, f)
@@ -203,7 +202,7 @@ def test_primitive_lift_on_abelian_surface():
 def test_primitive_lift_is_identity_on_elliptic_fibers():
     pipe = pipeline_for(1)
     out = primitive_lift(pipe["lift"])
-    assert np.allclose(out.ks_field(), pipe["lift"].ks_field())
+    assert np.allclose(out.K, pipe["lift"].K)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,37 @@ def test_overflow_exits_3_with_one_line(tmp_path):
     assert line.startswith("numerical failure: FloatingPointError: ")
 
 
+_OOM_CHILD = """
+import resource
+import numpy, scipy.sparse.linalg
+from toruslab import cli
+with open("/proc/self/status") as fh:
+    vm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+limit = vm_kib * 1024 + 256 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("command", ["curvature", "hodge-check"])
+@pytest.mark.parametrize("payload", [{"d": 1, "N": 1024}, {"family": "siegel-diagonal", "M": 11}],
+                         ids=["grid", "spectral"])
+def test_memory_error_exits_3_with_one_line(tmp_path, command, payload):
+    # a real MemoryError: the child caps its own address space 256 MiB above
+    # what it holds after the imports, and the config needs more than that
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _OOM_CHILD, command, "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    line, = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: MemoryError: ")
+
+
 def test_curvature_next_to_the_jump_has_rank_zero(tmp_path):
     # at t = 0.001 + i the bundle is not trivial, so the fibre has no section:
     # the package finds no kernel, though its lowest eigenvalue is only 2e-5
@@ -493,7 +524,7 @@ def test_primitive_lift_command(tmp_path):
     res = run_cli(["primitive-lift", "--config", cfg, "--out", out])
     assert res.exit_code == 0, res.output
     report = json.loads(open(out).read())
-    assert report["rank"] == 1
+    assert report["rank"] == 1 and report["unchanged"] is True
     assert report["primitivity_residual"] <= 1e-8
     assert report["hr_equality_residual"] <= 1e-12   # relative to ||kf||^2
 
@@ -518,6 +549,43 @@ def test_spectral_box_is_built_once_per_fibre(tmp_path, monkeypatch, command, pa
     res = run_cli([command, *args, "--out", str(tmp_path / "report.json")])
     assert res.exit_code == 0, res.output
     assert built.count(((0, 0), "dbar")) == 1
+
+
+def test_spectral_commands_sample_no_field(tmp_path, monkeypatch):
+    # every Kodaira-Spencer field these commands contract is constant (unit
+    # trailing dims), so no spectral product takes the FFT path; the default
+    # primitive-lift keeps the trivialization lift, whose defect is zero
+    from toruslab import forms
+
+    pointwise, sampled, lifts = forms._SpectralCalculus.pointwise, [], []
+
+    def counted(self, field):
+        sampled.append(np.shape(field)[-len(self.field_shape):] != (1,) * len(self.field_shape))
+        return pointwise(self, field)
+
+    def recorded(theta0):
+        lifts.append((theta0, primitive_lift(theta0)))
+        return lifts[-1][1]
+
+    primitive_lift = cli.primitive_lift
+    monkeypatch.setattr(forms._SpectralCalculus, "pointwise", counted)
+    monkeypatch.setattr(cli, "primitive_lift", recorded)
+    runs = [("curvature", {"family": "siegel-diagonal", "t": [0.2, 0.9]}),
+            ("curvature", {"d": 0}),
+            ("curvature", {"family": "jumping", "t": [0.0, 1.0]}),
+            ("hodge-check", {"family": "siegel-diagonal"}),
+            ("hodge-check", None),
+            ("primitive-lift", None),
+            ("primitive-lift", {"d": 0}),
+            ("scan-rank", None)]
+    for i, (command, payload) in enumerate(runs):
+        args = [] if payload is None else ["--config", write_cfg(tmp_path, "cfg.json", payload)]
+        res = run_cli([command, *args, "--out", str(tmp_path / f"{i}.out")])
+        assert res.exit_code == 0, res.output
+    assert sampled and not any(sampled), len(sampled)
+    (base, lifted), _ = lifts
+    assert lifted is base and base.K.shape == (2, 2, 1, 1, 1, 1)
+    assert json.loads(open(tmp_path / "5.out").read())["unchanged"] is True
 
 
 def test_curvature_command_on_surface_family(tmp_path):

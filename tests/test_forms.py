@@ -283,6 +283,24 @@ def test_grid_dbar_annihilates_theta_section(flat_torus):
     assert res <= 1e-4
 
 
+@pytest.mark.parametrize("d, N, order", [(1, 64, 10), (3, 64, 10), (2, 16, 4), (2, 8, 10)])
+def test_grid_complex_satisfies_the_kaehler_identity(d, N, order):
+    # on (0,0), nabla^{1,0} = -(g/2) dbar* and nabla* = -(2/g) dbar, g = 1/Im t,
+    # entry by entry: the grid operators are exact adjoints of each other up to
+    # these constants, also with a stencil wider than the grid (N = 8, order 10)
+    t = 0.3 + 1.1j
+    g = 1.0 / t.imag
+    torus = make_torus(1, [[t]])
+    sp = make_space(torus, make_positive_bundle(torus, d), (0, 0), Grid(N=N, order=order))
+    nabla, dbar = assemble_nabla10(sp), assemble_dbar(sp)
+
+    def rel(got, want):
+        return abs(got - want).max() / abs(want).max()
+
+    assert rel(nabla.data, -(g / 2) * adjoint(dbar).data) <= 1e-13
+    assert rel(adjoint(nabla).data, -(2 / g) * dbar.data) <= 1e-13
+
+
 def test_multiply_shifts_spectral_modes(flat_torus, flat_bundle):
     # multiplying by a single Fourier mode translates coefficient indices
     spec = Spectral(M=4)
