@@ -43,7 +43,6 @@ from .forms import (
     Disc,
     FormSection,
     FormSpace,
-    adjoint,
     assemble_dbar,
     assemble_nabla10,
     curvature_action,
@@ -202,8 +201,8 @@ def second_fundamental_form(rep: RepresentativeSet,
     """II f = P_perp iota*(L^{1,0} u), or the Green-operator route, along rep.lift.
 
     route "projection": P_perp iota*(L^{1,0} u) (needs pkg_n0 for the projector).
-    route "green":      -dbar* G (iota*((xi ⌟ Theta) u) + nabla^{1,0}((dbar xi) ⌟ u))
-                        (needs pkg_n1 on the (n,1)-forms).
+    route "green":      -dbar^+ (iota*((xi ⌟ Theta) u) + nabla^{1,0}((dbar xi) ⌟ u))
+                        (needs pkg_n1 on the (n,1)-forms for dbar^+ = dbar* G).
 
     Raises ExtensionNotAdmissible when the admissibility residual of the
     extension (iota* L^{1,0} dbar u, evaluated through the commutation identity)
@@ -228,7 +227,7 @@ def second_fundamental_form(rep: RepresentativeSet,
         if pkg_n1 is None:
             raise ValueError("green route needs the (n,1) Hodge package")
         src = theta_term + nabla_k
-        return (-1.0) * adjoint(assemble_dbar(space)).apply(pkg_n1.green(src))
+        return (-1.0) * pkg_n1.dbar_pinv(src)
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -110,8 +110,8 @@ def kappa(lift: HorizontalLift, f: FormSection) -> FormSection:
 
 
 def primitive_lift(theta0: HorizontalLift) -> HorizontalLift:
-    """Correct theta0 by eta = (dbar* G ((dbar xi)⌟omega))^sharp (omega-sharp),
-    G the Green operator of the untwisted (0,2)-forms.
+    """Correct theta0 by eta = (dbar^+ ((dbar xi)⌟omega))^sharp (omega-sharp),
+    dbar^+ = dbar* G the dbar pseudo-inverse of the untwisted (0,2)-forms.
 
     theta0 is returned as-is when the defect (dbar xi)⌟omega vanishes: for
     n=1, which has no (0,2)-forms, and for the trivialization lift whenever
@@ -125,7 +125,6 @@ def primitive_lift(theta0: HorizontalLift) -> HorizontalLift:
     torus = space.torus
     flat0 = make_flat_bundle(torus, np.zeros(2 * n))
     sp11 = make_space(torus, flat0, (1, 1), space.disc)
-    sp01 = sp11.sibling((0, 1))
     # omega as an untwisted (1,1)-section with constant components (i/2) g_{ab};
     # n >= 2, so the space is spectral (the grid backend is n = 1 only)
     g = torus.kaehler
@@ -133,8 +132,7 @@ def primitive_lift(theta0: HorizontalLift) -> HorizontalLift:
     defect = contract_ks(theta0.K, w)  # (0,2) untwisted
     if not np.any(defect.coeffs):
         return theta0
-    sol = build_hodge(defect.space, expected_kernel=1).green(defect)
-    eta_form = adjoint(assemble_dbar(sp01)).apply(sol)  # (0,1)-form
+    eta_form = build_hodge(defect.space, expected_kernel=1).dbar_pinv(defect)  # (0,1)-form
     # sharp via omega: eta-form = eta ⌟ omega = (i/2) sum_a g_{ab} eta^a dz̄_b
     ginvT = np.linalg.inv(g.T)
     shape = (n,) + space.field_shape
@@ -283,8 +281,7 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
             raise HodgeUnavailable("berndtsson_representative needs the (n,2) package")
         src = gamma + alpha0
         wedge = lefschetz_L(src.space).apply(src)           # (n,2)
-        sol = pkg_n2.green(wedge)
-        dstar = adjoint(assemble_dbar(space.sibling((n, 1)))).apply(sol)  # (n,1)
+        dstar = pkg_n2.dbar_pinv(wedge)                     # (n,1)
         v1 = lefschetz_Lambda(dstar.space).apply(dstar)     # (n-1,0)
     else:
         v1 = sp_lower.zeros()

@@ -323,7 +323,7 @@ class _DbarFactor:
     normal, so inverse iteration runs with Dt^{-1} Dt^{-H}, not Dt^{-1} alone.
     Dt is square, so Dt and Dt^H share their singular values, and one
     iteration gives both blocks: its iterates V span Dt's block, and its
-    half-steps Dt^{-H} V span Dt^H's.
+    half-steps Dt^{-H} V span Dt^H's.  solves counts the calls to solve.
     """
 
     def __init__(self, space: FormSpace, rank_tol: float):
@@ -355,6 +355,7 @@ class _DbarFactor:
             self.lu = spla.splu(self.A[:, self._q], permc_spec="NATURAL")
         except RuntimeError as exc:
             raise EigenFailure(str(exc)) from exc
+        self.solves = 0
         # Dt has a d-dimensional kernel on a degree-d fibre, so the block is
         # the fibre's, whichever package on it is built first
         self.null = self._near_null(space.bundle.degree + 2)
@@ -377,6 +378,7 @@ class _DbarFactor:
     def solve(self, r, trans="N"):
         """Dt^{-1} r, or Dt^{-H} r for trans "H", through the factor of A[:, q]
         (op maps rows, so A^{-1} acts on the transpose)."""
+        self.solves += 1
         if trans == "N":
             def op(X):
                 return self.lu.solve(X.T).T[:, self._q_inv]
@@ -420,9 +422,9 @@ class _DbarFactor:
 class _GridSolver:
     """Kernel, Green operator and, on demand, low spectrum of a grid Laplacian.
 
-    With K this side's near-null block of the fibre's _DbarFactor, C the other's
-    and P_Q = I - Q Q^H, G is P_K Dt^{-1} P_C Dt^{-H} P_K on (p,0) and
-    P_C Dt^{-H} P_K Dt^{-1} P_C on (p,1), the Laplacian's pseudo-inverse.
+    With K and C the near-null blocks of Dt (on (p,0)) and of Dt^H (on (p,1))
+    of the fibre's _DbarFactor and P_Q = I - Q Q^H, G is P_K Dt^{-1} P_C Dt^{-H} P_K
+    on (p,0) and P_C Dt^{-H} P_K Dt^{-1} P_C on (p,1), the Laplacian's pseudo-inverse.
     Aliased modes (spurious adjoint-side zero modes, near-Nyquist resonances:
     mostly top-shell energy in the Gaussian gauge) stay in the deflation space
     of G but not in the harmonic basis or the spectral gap.
@@ -459,6 +461,18 @@ class _GridSolver:
 
     def green(self, u: FormSection) -> FormSection:
         return self._from_tilde(self._green_tilde(self.wsqrt * u.coeffs.ravel()))
+
+    def dbar_pinv(self, alpha: FormSection, below: FormSpace) -> FormSection:
+        """dbar* G alpha on (p,1) in one solve: (-1)^p W_0^{-1/2} P_K Dt^{-1} P_C
+        W_1^{1/2} alpha, W_q the Gram weights of (p,q).  The weighted dbar out of
+        (p,0) is (-1)^p Dt, so dbar* G = (-1)^p Dt^H P_C Dt^{-H} P_K Dt^{-1} P_C,
+        and Dt^H P_C Dt^{-H} = P_K on exact singular blocks: for Dt = U S V^H and
+        C, K the U, V columns of the near-null values (mask E), V S (I - E) S^{-1} V^H."""
+        K, C = self._cokernel, self.kernel
+        r = self.wsqrt * alpha.coeffs.ravel()
+        x = self.factor.solve(r - C @ (C.conj().T @ r), "N")
+        x = (x - K @ (K.conj().T @ x)) / np.sqrt(gram(below).w.ravel())
+        return FormSection(below, (-1) ** below.bidegree[0] * x.reshape(alpha.coeffs.shape))
 
     def project(self, u: FormSection) -> FormSection:
         K = self.kernel
@@ -505,6 +519,7 @@ class _GridSolver:
             "lu_fill": int(self.factor.lu.nnz),
             "lambda1": _lambda1_or_none(self),   # runs the eigensolve counted next
             "eigsh_solves": self.eigsh_solves,
+            "lu_solves": self.factor.solves,   # of the fibre's factor, so far
             "kernel_found": self.kernel_physical.shape[1],
             "kernel_deflated": self.kernel.shape[1],
             "aliased_modes": int(self._spectrum[1].sum()),

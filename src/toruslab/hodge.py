@@ -3,9 +3,9 @@
 A HodgePackage asks its space's calculus for the solver, so the backend is the
 one make_space chose; every package assembles its Laplacian box only when
 something applies it or a report asks for its nnz.  Both solvers share one
-interface: green(u), project(u), eigenvalues(), lambda1(), harmonic_sections()
-and diagnostics(pkg).  The grid solver, which factors dbar and cuts its kernel
-at rank_tol, is grid._GridSolver.
+interface: green(u), dbar_pinv(alpha, below), project(u), eigenvalues(),
+lambda1(), harmonic_sections() and diagnostics(pkg).  The grid solver, which
+factors dbar and cuts its kernel at rank_tol, is grid._GridSolver.
 
 This module holds the spectral solver (flat bundles), which is closed-form:
 no eigensolve and no eigenvalue cut.
@@ -77,6 +77,9 @@ class _SpectralSolver:
     def green(self, u: FormSection) -> FormSection:
         return FormSection(self.space, u.coeffs * self._inv)
 
+    def dbar_pinv(self, alpha: FormSection, below: FormSpace) -> FormSection:
+        return adjoint(assemble_dbar(below)).apply(self.green(alpha))
+
     def project(self, u: FormSection) -> FormSection:
         return FormSection(self.space, u.coeffs * self.null_mask)
 
@@ -137,6 +140,12 @@ class HodgePackage:
     def harmonic_project(self, u: FormSection) -> FormSection:
         return self._solver.project(u)
 
+    def dbar_pinv(self, alpha: FormSection) -> FormSection:
+        """The dbar pseudo-inverse dbar^+ alpha = dbar* G alpha, a (p,q-1) form, in one LU
+        solve on a grid fibre; BidegreeOverflow on (p,0), which has no (p,-1) space."""
+        p, q = self.space.bidegree
+        return self._solver.dbar_pinv(alpha, self.space.sibling((p, q - 1)))
+
     @property
     def harmonic_dim(self) -> int:
         return len(self.harmonic_basis)
@@ -160,14 +169,16 @@ def build_hodge(space: FormSpace, rank_tol: float = DEFAULT_TOLERANCES["rank_tol
 
 def minimal_solution(pkg: HodgePackage, alpha: FormSection,
                      tol: float = 1e-8) -> FormSection:
-    """Minimal-norm u0 with dbar u0 = alpha: u0 = dbar* G alpha.
+    """Minimal-norm u0 with dbar u0 = alpha: u0 = dbar^+ alpha, one pkg.dbar_pinv.
 
-    Raises NotCoexact/NotClosed when alpha has a harmonic part or is not closed.
+    Raises BidegreeOverflow on a (p,0) package, before any check, and
+    NotCoexact/NotClosed when alpha has a harmonic part or is not closed.
     """
     p, q = pkg.space.bidegree
+    below = pkg.space.sibling((p, q - 1))
     na = alpha.norm()
     if na == 0.0:
-        return pkg.space.sibling((p, q - 1)).zeros()
+        return below.zeros()
     if pkg.harmonic_project(alpha).norm() > tol * na:
         raise NotCoexact("alpha has a nonzero harmonic part")
     if q < pkg.space.n:
@@ -175,16 +186,13 @@ def minimal_solution(pkg: HodgePackage, alpha: FormSection,
         scale = max(na, 1.0)
         if dn > 1e-6 * scale:
             raise NotClosed(f"dbar alpha residual {dn:.3e}")
-    d_in = assemble_dbar(pkg.space.sibling((p, q - 1)))
-    return adjoint(d_in).apply(pkg.green(alpha))
+    return pkg.dbar_pinv(alpha)
 
 
 def bergman_project(pkg_up: HodgePackage, f: FormSection) -> FormSection:
-    """P_t f = f - dbar* G dbar f for an (n,0)-section f.
+    """P_t f = f - dbar^+ dbar f for an (n,0)-section f, one pkg_up.dbar_pinv.
 
     pkg_up is the Hodge package on the (n, 1) space (where G acts).
     """
-    d = assemble_dbar(f.space)
-    dstar = adjoint(d)
-    return f - dstar.apply(pkg_up.green(d.apply(f)))
+    return f - pkg_up.dbar_pinv(assemble_dbar(f.space).apply(f))
 

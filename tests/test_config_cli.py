@@ -397,6 +397,8 @@ def test_curvature_report_contents(tmp_path):
     assert diag["kernel_found"] == diag["kernel_deflated"] == diag["kernel_expected"] == 1
     assert diag["nnz"] > 0 and 0 < diag["lu_fill"] <= 32 * diag["dim"]
     assert 0 < diag["eigsh_solves"] and "sigma" not in diag
+    # two solves per Green apply, after at least four of the near-null iteration
+    assert diag["lu_solves"] >= 2 * diag["eigsh_solves"] + 4
     assert diag["lambda1"] > diag["cut"] > 0
     # spectrum CSV written alongside
     lines = open(out + ".spectrum.csv").read().strip().splitlines()

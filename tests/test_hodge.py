@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslab import grid
-from toruslab.errors import NotCoexact
+from toruslab.errors import BidegreeOverflow, NotCoexact
 from toruslab.forms import (
     Grid,
     Spectral,
+    adjoint,
     assemble_dbar,
     gram,
     make_space,
@@ -328,6 +329,95 @@ def test_bergman_neumann_split(flat11, rng):
     assert (bf + nf - f).norm() <= 1e-10
     assert assemble_dbar(sp10).apply(bf).norm() <= 1e-8
     assert (bergman_project(flat11, bf) - bf).norm() <= 1e-8
+
+
+GRID_CASES = [(16, 4, 2), (48, 10, 1), (64, 10, 3)]
+
+
+@pytest.fixture(scope="module")
+def grid_fibre():
+    """The (0,0) space of the degree-d grid fibre at (N, order, d), made once per
+    module, so that the packages built on one fibre share its dbar factor."""
+    fibres = {}
+
+    def fibre(N, order, d):
+        if (N, order, d) not in fibres:
+            torus = make_torus(1, [[T0]])
+            fibres[N, order, d] = make_space(torus, make_positive_bundle(torus, d), (0, 0),
+                                             Grid(N=N, order=order))
+        return fibres[N, order, d]
+    return fibre
+
+
+def _dbar_star_green(pkg, alpha):
+    """The reference for pkg.dbar_pinv: dbar* after a whole Green apply (on a
+    grid fibre two LU solves where dbar_pinv makes one)."""
+    p, q = pkg.space.bidegree
+    return adjoint(assemble_dbar(pkg.space.sibling((p, q - 1)))).apply(pkg.green(alpha))
+
+
+def _rel(u, ref):
+    return (u - ref).norm() / ref.norm()
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("N, order, d", GRID_CASES)
+def test_grid_dbar_pinv_matches_dbar_star_green(grid_fibre, N, order, d, p):
+    # alpha has as much weight on a near-null vector of dbar* as off the block,
+    # which Dt^{-1} would blow up without the projection before the solve
+    pkg = build_hodge(grid_fibre(N, order, d).sibling((p, 1)), expected_kernel=0)
+    alpha = band_limited(pkg.space, np.random.default_rng(N + d + p))
+    null = pkg._solver._from_tilde(pkg._solver.kernel[:, 0])
+    alpha = alpha + null * (alpha.norm() / null.norm())
+    assert _rel(pkg.dbar_pinv(alpha), _dbar_star_green(pkg, alpha)) <= 1e-11
+
+
+def test_spectral_dbar_pinv_matches_dbar_star_green(flat11, rng):
+    alpha = band_limited(flat11.space, rng)
+    assert _rel(flat11.dbar_pinv(alpha), _dbar_star_green(flat11, alpha)) <= 1e-11
+
+
+@pytest.mark.parametrize("N, order, d", GRID_CASES)
+def test_grid_bergman_projection_is_the_harmonic_projection(grid_fibre, N, order, d):
+    # f - dbar^+ dbar f is the (1,0) harmonic projection of f
+    fibre = grid_fibre(N, order, d)
+    pkg10 = build_hodge(fibre.sibling((1, 0)), expected_kernel=d)
+    pkg11 = build_hodge(fibre.sibling((1, 1)), expected_kernel=0)
+    f = band_limited(pkg10.space, np.random.default_rng(d))
+    assert (bergman_project(pkg11, f) - pkg10.harmonic_project(f)).norm() <= 1e-9 * f.norm()
+
+
+def test_grid_solve_budget(grid_fibre):
+    # a Green apply takes two solves of the fibre's dbar factor, a minimal
+    # solution and a Bergman projection one each
+    fibre = grid_fibre(48, 10, 1)
+    pkg = build_hodge(fibre.sibling((1, 1)), expected_kernel=0)
+    factor = pkg._solver.factor
+    rng = np.random.default_rng(3)
+    sp10 = fibre.sibling((1, 0))
+    alpha = assemble_dbar(sp10).apply(band_limited(sp10, rng))
+    f = band_limited(sp10, rng)
+    for run, solves in ((lambda: pkg.green(alpha), 2),
+                        (lambda: minimal_solution(pkg, alpha), 1),
+                        (lambda: bergman_project(pkg, f), 1)):
+        before = factor.solves
+        run()
+        assert factor.solves - before == solves
+
+
+@pytest.mark.parametrize("backend", ["spectral", "grid"])
+def test_a_p0_package_has_no_dbar_pinv(backend):
+    # there is no (p,-1) space, whatever alpha is
+    torus = make_torus(1, [[T0]])
+    if backend == "grid":
+        sp = make_space(torus, make_positive_bundle(torus, 1), (1, 0), Grid(N=16))
+    else:
+        sp = make_space(torus, make_flat_bundle(torus, [0.0, 0.0]), (1, 0), Spectral(M=4))
+    pkg = build_hodge(sp, expected_kernel=1)
+    for alpha in (band_limited(sp, np.random.default_rng(0)), sp.zeros()):
+        for call in (pkg.dbar_pinv, lambda a: minimal_solution(pkg, a)):
+            with pytest.raises(BidegreeOverflow):
+                call(alpha)
 
 
 def test_lambda1_matches_oracle(flat01):
