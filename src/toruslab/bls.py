@@ -493,7 +493,6 @@ def rank_k_min_oracle(S: np.ndarray, m1: int, r: int, k: int,
 
 def schur_complement_demailly(form: HermitianFormOnTensor, k: int,
                               restarts: int = 50, iters: int = 40,
-                              tol: float = 1e-9,
                               seed: int = 0
                               ) -> Tuple[bool, Optional[np.ndarray], float]:
     """k-positivity of the Schur complement on M1 (x) F.
@@ -501,7 +500,8 @@ def schur_complement_demailly(form: HermitianFormOnTensor, k: int,
     Minimizes the quadratic form over unit tensors of rank <= k (alternating
     least squares with random restarts) and returns (is_k_positive, witness,
     minimum): witness is a violating tensor (as an m1 x r matrix) when found,
-    and minimum is the lowest value found (+inf when M1 is zero).
+    and minimum is the lowest value found (+inf when M1 is zero).  The form
+    is k-positive when the minimum is at least -1e-9 max(||S||, 1).
     """
     S = schur_complement(form)
     m1 = form.split[0]
@@ -513,7 +513,7 @@ def schur_complement_demailly(form: HermitianFormOnTensor, k: int,
     rng = np.random.default_rng(seed)
     val, X = _als_min(Sh, m1, r, k, restarts=restarts, iters=iters, rng=rng)
     scale = max(np.linalg.norm(Sh), 1.0)
-    if val >= -tol * scale:
+    if val >= -1e-9 * scale:
         return True, None, val
     return False, X, val
 

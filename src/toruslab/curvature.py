@@ -13,6 +13,9 @@ basis of fiberwise holomorphic top forms:
 direct_image_fibre is the one pipeline that sets up both routes on the fibre
 at the base point: (n,0)-space -> Hodge package -> unit harmonic basis ->
 trivialization lift.  curvature_H then evaluates the curvature on that basis.
+Both routes only read the forms family.berndtsson_representative builds for
+each section; the route of II follows the package: projection on (n,0), Green
+on (n,1).
 
 Sign conventions are pinned by the n=1 Hodge-Riemann sign test: for a
 (1,0)-form, i u ∧ ū integrates to +|u|², and for a (0,1)-form to −|u|².
@@ -27,23 +30,20 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import (
-    CurvatureNotInvertible,
-    ExtensionNotAdmissible,
-    NotPrimitive,
-)
+from .errors import CurvatureNotInvertible, NotPrimitive
 from .family import (
     HorizontalLift,
     RepresentativeSet,
+    _theta_xi_zbar,
+    _vertical_samples,
     berndtsson_representative,
-    kappa,
+    curvature_contraction_form,
     trivialization_lift,
 )
 from .forms import (
     Disc,
     FormSection,
     FormSpace,
-    assemble_dbar,
     assemble_nabla10,
     curvature_action,
     lefschetz_L,
@@ -109,21 +109,6 @@ def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> compl
 # curvature fields of the ambient metric along a lift
 
 
-def _vertical_samples(lift: HorizontalLift) -> np.ndarray:
-    """Raw samples of the full vertical component V = Omega' y + W (grid, n=1).
-
-    Only ever used inside pointwise expressions (never differentiated), where
-    the non-periodic trivialization part is legitimate.  Callers reach it only
-    for positive bundles, whose spaces are always grid spaces.
-    """
-    calc = lift.space.calculus
-    dom = complex(np.atleast_2d(lift.family.dperiod_map(lift.t))[0, 0])
-    V = dom * calc.y.astype(complex)
-    if lift.W is not None:
-        V = V + lift.W[0]
-    return V
-
-
 def theta_xi_xibar_field(lift: HorizontalLift) -> Optional[np.ndarray]:
     """Samples of Theta(h)(xi, bar xi) including |tau|^2; None when it vanishes."""
     space = lift.space
@@ -138,28 +123,6 @@ def theta_xi_xibar_field(lift: HorizontalLift) -> Optional[np.ndarray]:
         + np.abs(V) ** 2 * calc.phi_zzbar
     )
     return (abs(lift.tau) ** 2) * fld
-
-
-def _theta_xi_zbar(lift: HorizontalLift) -> np.ndarray:
-    """Samples of Theta(h)(xi, d/dz̄) = tau (phi_tz̄ + V phi_zz̄) (grid, n=1)."""
-    calc = lift.space.calculus
-    return lift.tau * (calc.phi_tzbar + _vertical_samples(lift) * calc.phi_zzbar)
-
-
-def curvature_contraction_form(lift: HorizontalLift, f: FormSection) -> FormSection:
-    """iota*((xi ⌟ Theta(h)) f): the (n,1)-form with dz̄_c-component Theta_{xi z̄_c} f.
-
-    Vanishes identically for flat bundles and translation-invariant lifts of them.
-    """
-    space = f.space
-    n = space.n
-    target = space.sibling((n, 1))
-    out = target.zeros()
-    if space.bundle.is_flat:
-        return out
-    # dz̄ ∧ dz_J = (-1)^n dz_J ∧ dz̄
-    out.coeffs[0] = ((-1) ** n) * _theta_xi_zbar(lift) * f.coeffs[0]
-    return out
 
 
 def xibar_curvature_wedge(lift: HorizontalLift, w: FormSection) -> FormSection:
@@ -193,42 +156,22 @@ def curvature_commutator(space: FormSpace):
 # second fundamental form
 
 
-def second_fundamental_form(rep: RepresentativeSet,
-                            pkg_n1: Optional[HodgePackage] = None,
-                            route: str = "projection",
-                            pkg_n0: Optional[HodgePackage] = None,
-                            admissibility_tol: float = 1e-5) -> FormSection:
-    """II f = P_perp iota*(L^{1,0} u), or the Green-operator route, along rep.lift.
+def second_fundamental_form(rep: RepresentativeSet, pkg: HodgePackage) -> FormSection:
+    """II f along rep.lift, by the route the package's bidegree selects.
 
-    route "projection": P_perp iota*(L^{1,0} u) (needs pkg_n0 for the projector).
-    route "green":      -dbar^+ (iota*((xi ⌟ Theta) u) + nabla^{1,0}((dbar xi) ⌟ u))
-                        (needs pkg_n1 on the (n,1)-forms for dbar^+ = dbar* G).
-
-    Raises ExtensionNotAdmissible when the admissibility residual of the
-    extension (iota* L^{1,0} dbar u, evaluated through the commutation identity)
-    exceeds the tolerance relative to the first-order term norms.
+    (n,0) package: the projection P_perp iota*(L^{1,0} u).
+    (n,1) package: the Green route -dbar^+ (iota*((xi ⌟ Theta) f) + nabla^{1,0} kappa f),
+    dbar^+ = dbar* G.
+    The two agree on a representative, which has passed the admissibility gate.
     """
-    f, lift, lu = rep.f, rep.lift, rep.lie_u
-    space = f.space
-    kf = kappa(lift, f)
-    nabla_k = assemble_nabla10(kf.space).apply(kf)
-    theta_term = curvature_contraction_form(lift, f)
-    resid = assemble_dbar(space).apply(lu) + theta_term + nabla_k
-    scale = max(nabla_k.norm(), theta_term.norm(), lu.norm(), f.norm())
-    if resid.norm() > admissibility_tol * scale:
-        raise ExtensionNotAdmissible(
-            f"iota* L^{{1,0}} dbar u residual {resid.norm() / scale:.3e}"
-        )
-    if route == "projection":
-        if pkg_n0 is None:
-            raise ValueError("projection route needs the (n,0) Hodge package")
-        return lu - pkg_n0.harmonic_project(lu)
-    if route == "green":
-        if pkg_n1 is None:
-            raise ValueError("green route needs the (n,1) Hodge package")
-        src = theta_term + nabla_k
-        return (-1.0) * pkg_n1.dbar_pinv(src)
-    raise ValueError(f"unknown route {route!r}")
+    n = rep.f.space.n
+    bidegree = pkg.space.bidegree
+    if bidegree == (n, 0):
+        return rep.lie_u - pkg.harmonic_project(rep.lie_u)
+    if bidegree == (n, 1):
+        nabla_k = assemble_nabla10(rep.kf.space).apply(rep.kf)
+        return (-1.0) * pkg.dbar_pinv(rep.theta_f + nabla_k)
+    raise ValueError(f"second fundamental form needs an (n,0) or (n,1) package, not {bidegree}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +244,16 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
     fld = theta_xi_xibar_field(lift)
     T_theta = np.zeros((r, r), dtype=complex)
     if fld is not None:
+        prods = [multiply(fld, f) for f in basis]
         for i in range(r):
             for j in range(r):
-                T_theta[i, j] = pair_l2(multiply(fld, basis[j]), basis[i])
+                T_theta[i, j] = pair_l2(prods[j], basis[i])
 
-    kf = [kappa(lift, f) for f in basis]
     T_kappa = np.array(
-        [[wedge_pair(kf[j], kf[i]) for j in range(r)] for i in range(r)]
+        [[wedge_pair(reps[j].kf, reps[i].kf) for j in range(r)] for i in range(r)]
     )
 
-    sff = [
-        second_fundamental_form(rep, pkg_n0=pkg_n0, route="projection",
-                                admissibility_tol=admissibility_tol)
-        for rep in reps
-    ]
+    sff = [second_fundamental_form(rep, pkg_n0) for rep in reps]
     T_sff = np.array(
         [[wedge_pair(sff[j], sff[i]) for j in range(r)] for i in range(r)]
     )
@@ -327,7 +266,6 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
     xi_db = [rep.xi_dbar_u for rep in reps]
     n = space.n
     sgn = (-1) ** (n + 1)
-    ccf = [curvature_contraction_form(lift, f) for f in basis]    # (xi⌟Theta) ∧ f
     bw = [xibar_curvature_wedge(lift, w) for w in xi_u]           # (x̄i⌟Theta) ∧ w
     theta_w = [curvature_action(w.space).apply(w) for w in xi_u]  # Theta ∧ w
     bly = np.zeros((r, r), dtype=complex)
@@ -335,7 +273,7 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
         for j in range(r):
             bly[i, j] = (
                 T_theta[i, j]
-                + sgn * wedge_pair(ccf[j], xi_u[i])
+                + sgn * wedge_pair(reps[j].theta_f, xi_u[i])  # (xi⌟Theta) ∧ f
                 + wedge_pair(bw[j], basis[i])
                 + sgn * wedge_pair(theta_w[j], xi_u[i])
                 + pair_l2(xi_db[j], xi_db[i])
@@ -358,15 +296,15 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
 # Hodge-Riemann and Lefschetz
 
 
-def hodge_riemann_check(alpha: FormSection, tol: float = 1e-8
-                        ) -> Tuple[complex, complex, float]:
+def hodge_riemann_check(alpha: FormSection) -> Tuple[complex, complex, float]:
     """(lhs, rhs, residual) of the primitive-form pairing identity.
 
     lhs = sqrt(-1)^{(p+q)^2} int <alpha ∧ conj(alpha) ∧ omega^{n-k}, h> / (n-k)!
     rhs = epsilon(p,q) ||alpha||^2 with the sign epsilon = i^{k^2 + q - p} (-1)^{k(k-1)/2}
     (n=1 checks: +1 on (1,0)-forms, -1 on (0,1)-forms).
     A form of degree k <= n is primitive iff Lambda alpha = 0 (equivalently
-    omega^{n-k+1} ∧ alpha = 0), which holds on every (p,0)- and (0,q)-form.
+    omega^{n-k+1} ∧ alpha = 0), which holds on every (p,0)- and (0,q)-form;
+    NotPrimitive when ||Lambda alpha|| exceeds 1e-8 ||alpha||.
     """
     space = alpha.space
     n = space.n
@@ -376,8 +314,8 @@ def hodge_riemann_check(alpha: FormSection, tol: float = 1e-8
         raise NotPrimitive(f"degree {k} exceeds n={n}")
     na = alpha.norm()
     contracted = lefschetz_Lambda(space).apply(alpha).norm()
-    if contracted > tol * na:
-        raise NotPrimitive(f"Lambda alpha residual {contracted / na:.3e} exceeds {tol:.1e}")
+    if contracted > 1e-8 * na:
+        raise NotPrimitive(f"Lambda alpha residual {contracted / na:.3e} exceeds 1.0e-08")
     # wedge_pair already carries i^{n^2} I_n; rescale to the i^{k^2} convention
     raw = wedge_pair(alpha, alpha, r=n - k) / (1j ** (n * n)) * (1j ** (k * k))
     eps = (1j ** (k * k + q - p)) * ((-1) ** (k * (k - 1) // 2))

@@ -1,8 +1,9 @@
 """t-direction calculus on the universal torus trivialization.
 
 Horizontal lifts, Kodaira-Spencer representatives, the primitive-lift
-construction, and the representative method (with the twisted Lie derivative
-of the extension) used by the curvature computations.
+construction, and the Berndtsson representative: the one place where a
+section's five forms are built, each once, behind one admissibility gate; both
+curvature routes only read them.
 
 Conventions.  A fiber section f is extended to nearby fibers in the frame
 hat-dz_a = dx_a + sum_b Omega_{ab}(t) dy_b (the fiberwise dz-frame written in
@@ -23,7 +24,7 @@ universal coordinates).  With u = S(x,y,t) hat-dz_1 ^ ... ^ hat-dz_n + dt ^ v:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -109,6 +110,43 @@ def kappa(lift: HorizontalLift, f: FormSection) -> FormSection:
     return contract_ks(lift.tau * lift.K, f)
 
 
+def _vertical_samples(lift: HorizontalLift) -> np.ndarray:
+    """Raw samples of the full vertical component V = Omega' y + W (grid, n=1).
+
+    Only ever used inside pointwise expressions (never differentiated), where
+    the non-periodic trivialization part is legitimate.  Callers reach it only
+    for positive bundles, whose spaces are always grid spaces.
+    """
+    calc = lift.space.calculus
+    dom = complex(np.atleast_2d(lift.family.dperiod_map(lift.t))[0, 0])
+    V = dom * calc.y.astype(complex)
+    if lift.W is not None:
+        V = V + lift.W[0]
+    return V
+
+
+def _theta_xi_zbar(lift: HorizontalLift) -> np.ndarray:
+    """Samples of Theta(h)(xi, d/dz̄) = tau (phi_tz̄ + V phi_zz̄) (grid, n=1)."""
+    calc = lift.space.calculus
+    return lift.tau * (calc.phi_tzbar + _vertical_samples(lift) * calc.phi_zzbar)
+
+
+def curvature_contraction_form(lift: HorizontalLift, f: FormSection) -> FormSection:
+    """iota*((xi ⌟ Theta(h)) f): the (n,1)-form with dz̄_c-component Theta_{xi z̄_c} f.
+
+    Vanishes identically for flat bundles and translation-invariant lifts of them.
+    """
+    space = f.space
+    n = space.n
+    target = space.sibling((n, 1))
+    out = target.zeros()
+    if space.bundle.is_flat:
+        return out
+    # dz̄ ∧ dz_J = (-1)^n dz_J ∧ dz̄
+    out.coeffs[0] = ((-1) ** n) * _theta_xi_zbar(lift) * f.coeffs[0]
+    return out
+
+
 def primitive_lift(theta0: HorizontalLift) -> HorizontalLift:
     """Correct theta0 by eta = (dbar^+ ((dbar xi)⌟omega))^sharp (omega-sharp),
     dbar^+ = dbar* G the dbar pseudo-inverse of the untwisted (0,2)-forms.
@@ -144,59 +182,50 @@ def primitive_lift(theta0: HorizontalLift) -> HorizontalLift:
 
 
 def primitivity_residual(lift: HorizontalLift, f: FormSection) -> float:
-    """|| omega ^ ((dbar xi) ⌟ f) || / ||f|| for a harmonic (n,0)-section f."""
+    """|| omega ^ kappa f || / ||f|| for a harmonic (n,0)-section f, tau included."""
     if lift.n == 1:
         return 0.0
-    kf = contract_ks(lift.K, f)
+    kf = kappa(lift, f)
     wedge = lefschetz_L(kf.space).apply(kf)
     nf = f.norm()
     return wedge.norm() / nf if nf > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
-# extensions of harmonic (n,0)-sections
+# Berndtsson representatives of harmonic (n,0)-sections
 
 
-@dataclass(frozen=True)
-class Extension:
-    """Fiber data of the canonical extension u of a harmonic (n,0)-section f.
+def _extension(family: FamilySpec, f: FormSection,
+               tol: float) -> Tuple[FormSection, FormSection, FormSection]:
+    """(alpha0, phi0, psi) of the canonical admissible extension u of f:
+    constant (flat) or theta-flow (positive).
 
     alpha0: dt-component of dbar u on the fiber (= kappa_triv f).
     phi0:   dt-component of nabla^{1,0} u on the fiber.
     psi:    fiberwise (n,1)-part of dbar u (dbar f; ~0 for harmonic f).
-    """
-
-    alpha0: FormSection
-    phi0: FormSection
-    psi: FormSection
-
-
-def make_extension(family: FamilySpec, f: FormSection,
-                   admissibility_tol: float = 1e-6) -> Extension:
-    """Canonical admissible extension of f: constant (flat) or theta-flow (positive).
 
     Raises ExtensionNotAdmissible when iota* L^{1,0} dbar u cannot be made to
     vanish, which for the constant extension happens iff nabla f != 0.
     """
     space = f.space
+    n = space.n
     t = complex(family.t)
-    lift = trivialization_lift(family, space)
-    alpha0 = contract_ks(lift.K, f)
+    K = _k_triv(family).reshape((n, n) + (1,) * len(space.field_shape))
+    alpha0 = contract_ks(K, f)
     psi = assemble_dbar(space).apply(f)
     nf = max(f.norm(), 1e-300)
     if space.bundle.is_flat:
         # constant extension in the hat-frame; admissible iff f has zero derivative
         grad = _plain_gradient_norm(f)
-        if grad > admissibility_tol * nf:
+        if grad > tol * nf:
             raise ExtensionNotAdmissible(
                 f"constant extension of a non-constant section (residual {grad:.3e})"
             )
         # tr(Omega' (Omega - bar Omega)^{-1}) = -tr K_triv
-        phi0 = -complex(np.trace(lift.K).item()) * f
-        return Extension(alpha0=alpha0, phi0=phi0, psi=psi)
+        return alpha0, -complex(np.trace(K).item()) * f, psi
     # positive bundle (n=1): theta-flow extension, holomorphic in t; it is only
     # defined on holomorphic sections (the heat flow extends the theta frame)
-    if psi.norm() > admissibility_tol * nf:
+    if psi.norm() > tol * nf:
         raise ExtensionNotAdmissible(
             f"theta-flow extension of a non-holomorphic section "
             f"(dbar residual {psi.norm() / nf:.3e})"
@@ -216,8 +245,7 @@ def make_extension(family: FamilySpec, f: FormSection,
     heat = dz2F / (4j * np.pi * d)
     y = calc.y
     S_tot = y * nablaF + F / (t - np.conj(t)) + heat - 1j * np.pi * d * y**2 * F
-    phi0 = space.section(S_tot[None])
-    return Extension(alpha0=alpha0, phi0=phi0, psi=psi)
+    return alpha0, space.section(S_tot[None]), psi
 
 
 def _plain_gradient_norm(f: FormSection) -> float:
@@ -230,26 +258,22 @@ def _plain_gradient_norm(f: FormSection) -> float:
     return float(np.sqrt(tot))
 
 
-# ---------------------------------------------------------------------------
-# representatives
-
-
 @dataclass(frozen=True)
 class RepresentativeSet:
-    """Berndtsson representative data of one harmonic section at the base point.
+    """The forms both curvature routes read, of one harmonic section f.
 
     The canonical extension u is shifted to u + dt ^ v; the three restricted
-    contractions of the shifted extension are stored.
+    contractions are those of the shifted extension.  By the Lie identity,
+    iota*(xi ⌟ nabla^{1,0} u) = lie_u - nabla^{1,0} xi_u.
     """
 
     f: FormSection
     lift: HorizontalLift
+    kf: FormSection                 # kappa f = iota*(dbar xi) ⌟ f, an (n-1,1)-form
+    theta_f: FormSection            # iota*((xi ⌟ Theta(h)) f), an (n,1)-form
     lie_u: FormSection              # iota* L^{1,0}_xi u, an (n,0)-form (free of v)
     xi_u: FormSection               # iota*(xi ⌟ u), an (n-1,0)-form
     xi_dbar_u: FormSection          # iota*(xi ⌟ dbar u), an (n-1,1)-form
-    xi_nabla_u: FormSection         # iota*(xi ⌟ nabla^{1,0} u), an (n,0)-form
-    primitive_ok: bool
-    orthogonality_ok: bool
 
 
 def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
@@ -265,17 +289,31 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
     xi ⌟ nabla^{1,0} u = tau phi0 - nabla^{1,0} v.  The Lie derivative
     iota* L^{1,0}_xi u = nabla^{1,0}(iota*(xi ⌟ u)) + iota*(xi ⌟ nabla^{1,0} u)
     = nabla^{1,0}(tau W ⌟ f) + tau phi0: the nabla v contributions cancel.
+
+    Raises ExtensionNotAdmissible on the extension's own gate, or when
+    iota* L^{1,0} dbar u = dbar lie_u + theta_f + nabla^{1,0} kf exceeds tol
+    relative to the first-order term norms.
     """
     space = f.space
     n = space.n
-    if pkg_n0 is None:
-        raise HodgeUnavailable("berndtsson_representative needs the (n,0) package")
-    ext = make_extension(family, f, admissibility_tol=tol)
-    gamma = lift.tau * lift.vertical_contract(ext.psi)
-    alpha0 = lift.tau * ext.alpha0
-
-    # V1: kills the omega-trace of gamma + alpha0 (only possible/needed for n >= 2)
+    alpha0, phi0, psi = _extension(family, f, tol)
+    phi0 = lift.tau * phi0
     sp_lower = space.sibling((n - 1, 0))
+    w = lift.tau * lift.vertical_contract(f)
+    lie_u = assemble_nabla10(sp_lower).apply(w) + phi0
+    kf = kappa(lift, f)
+    theta_f = curvature_contraction_form(lift, f)
+    nabla_k = assemble_nabla10(kf.space).apply(kf)
+    resid = assemble_dbar(space).apply(lie_u) + theta_f + nabla_k
+    scale = max(nabla_k.norm(), theta_f.norm(), lie_u.norm(), f.norm())
+    if resid.norm() > tol * scale:
+        raise ExtensionNotAdmissible(
+            f"iota* L^{{1,0}} dbar u residual {resid.norm() / scale:.3e}"
+        )
+
+    gamma = lift.tau * lift.vertical_contract(psi)
+    alpha0 = lift.tau * alpha0
+    # V1: kills the omega-trace of gamma + alpha0 (only possible/needed for n >= 2)
     if n >= 2:
         if pkg_n2 is None:
             raise HodgeUnavailable("berndtsson_representative needs the (n,2) package")
@@ -287,28 +325,17 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
         v1 = sp_lower.zeros()
 
     # V2: solves nabla V2 = P_perp phi0 (G' = G on (n,0)-forms)
-    phi0 = lift.tau * ext.phi0
     p_perp_phi = phi0 - pkg_n0.harmonic_project(phi0)
     v2 = adjoint(assemble_nabla10(sp_lower)).apply(pkg_n0.green(p_perp_phi))
 
     v = v1 + v2
-    w = lift.tau * lift.vertical_contract(f)
-    lie_u = assemble_nabla10(sp_lower).apply(w) + phi0
-    xi_u = w + v
     xi_dbar_u = gamma + alpha0 - assemble_dbar(sp_lower).apply(v)
-    xi_nabla_u = phi0 - assemble_nabla10(sp_lower).apply(v)
-
-    nf = max(f.norm(), 1e-300)
-    primitive_ok = n == 1 or lefschetz_L(xi_dbar_u.space).apply(xi_dbar_u).norm() <= tol * nf
-    orthogonality_ok = (xi_nabla_u - pkg_n0.harmonic_project(xi_nabla_u)).norm() <= tol * nf
-    return RepresentativeSet(f=f, lift=lift, lie_u=lie_u, xi_u=xi_u, xi_dbar_u=xi_dbar_u,
-                             xi_nabla_u=xi_nabla_u, primitive_ok=primitive_ok,
-                             orthogonality_ok=orthogonality_ok)
+    return RepresentativeSet(f=f, lift=lift, kf=kf, theta_f=theta_f, lie_u=lie_u,
+                             xi_u=w + v, xi_dbar_u=xi_dbar_u)
 
 
 def class_match_residual(rep: RepresentativeSet, pkg_n11: HodgePackage) -> float:
     """Harmonic part of (dbar xi) ⌟ f - xi ⌟ dbar u (property c), relative to ||f||."""
-    kf = kappa(rep.lift, rep.f)
-    diff = kf - rep.xi_dbar_u
+    diff = rep.kf - rep.xi_dbar_u
     nf = max(rep.f.norm(), 1e-300)
     return pkg_n11.harmonic_project(diff).norm() / nf

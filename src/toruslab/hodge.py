@@ -167,19 +167,19 @@ def build_hodge(space: FormSpace, rank_tol: float = DEFAULT_TOLERANCES["rank_tol
     return HodgePackage(space, rank_tol=rank_tol, expected_kernel=expected_kernel)
 
 
-def minimal_solution(pkg: HodgePackage, alpha: FormSection,
-                     tol: float = 1e-8) -> FormSection:
+def minimal_solution(pkg: HodgePackage, alpha: FormSection) -> FormSection:
     """Minimal-norm u0 with dbar u0 = alpha: u0 = dbar^+ alpha, one pkg.dbar_pinv.
 
     Raises BidegreeOverflow on a (p,0) package, before any check, and
-    NotCoexact/NotClosed when alpha has a harmonic part or is not closed.
+    NotCoexact/NotClosed when alpha has a harmonic part (above 1e-8 ||alpha||)
+    or is not closed.
     """
     p, q = pkg.space.bidegree
     below = pkg.space.sibling((p, q - 1))
     na = alpha.norm()
     if na == 0.0:
         return below.zeros()
-    if pkg.harmonic_project(alpha).norm() > tol * na:
+    if pkg.harmonic_project(alpha).norm() > 1e-8 * na:
         raise NotCoexact("alpha has a nonzero harmonic part")
     if q < pkg.space.n:
         dn = assemble_dbar(pkg.space).apply(alpha).norm()

@@ -5,6 +5,11 @@ and the public methods of every class.  Each must be named (as a name or an
 attribute) somewhere in src/ outside its own definition, or in perfbench/, or
 be registered by a decorator (the click commands).  The exceptions are the
 references that tests compare against.
+
+A second scan holds every default of a public, undecorated, module-level
+function to a caller: some call in src/, perfbench/, scripts/ or tests/ must
+pass that parameter, positionally, by keyword or through a * / ** splat.  A
+default that no call overrides is a constant.
 """
 
 import ast
@@ -60,3 +65,38 @@ def _scan():
 def test_every_public_name_has_a_caller():
     uncalled = _scan()
     assert {qualname for _, qualname in uncalled} == TEST_REFERENCES, sorted(uncalled)
+
+
+def _defaults(fn):
+    """(position, name) of each parameter of fn with a default; keyword-only
+    parameters have position None."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    out = [(i, p.arg) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    return out + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _overrides(call, position, name) -> bool:
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def test_every_default_is_overridden_by_some_call():
+    calls = {}
+    for top in ("src", "perfbench", "scripts", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    calls.setdefault(name, []).append(node)
+    constant = []
+    for path in sorted((ROOT / "src" / "toruslab").glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
+                    or fn.decorator_list):
+                continue
+            constant += [f"{path.stem}.{fn.name}({name})" for position, name in _defaults(fn)
+                         if not any(_overrides(c, position, name) for c in calls.get(fn.name, []))]
+    assert constant == []

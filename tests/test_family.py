@@ -1,25 +1,28 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruslab import family
 from toruslab.errors import ExtensionNotAdmissible
 from toruslab.family import (
     berndtsson_representative,
     class_match_residual,
+    curvature_contraction_form,
     kappa,
-    make_extension,
     perturb_lift,
     primitive_lift,
     primitivity_residual,
     trivialization_lift,
 )
-from toruslab.curvature import direct_image_fibre
-from toruslab.forms import Grid, Spectral, make_space
+from toruslab.curvature import curvature_H, direct_image_fibre, second_fundamental_form
+from toruslab.forms import Grid, Spectral, contract_ks, lefschetz_L, make_space
 from toruslab.geometry import elliptic_family, make_flat_bundle, siegel_diagonal_family
 from toruslab.hodge import build_hodge
 
-from conftest import T0, band_limited, band_limited_field
+from conftest import T0, band_limited, band_limited_field, representative_residuals
 
 
 @pytest.fixture(scope="module")
@@ -135,27 +138,106 @@ def test_primitive_lift_corrects_with_the_untwisted_green_operator(chi, rng):
     assert primitivity_residual(primitive_lift(pert), f) <= 1e-8
 
 
+@pytest.mark.parametrize("tau", [1.0, 2.0, 0.5j], ids=["1", "2", "0.5i"])
+def test_primitivity_residual_reads_kappa_with_tau(tau):
+    # the residual is ||omega ∧ kappa f|| / ||f||, kappa f = contract_ks(tau K, f),
+    # so it scales with |tau|; at tau = 1 it is the tau-free contraction bitwise
+    fam = siegel_diagonal_family(0.2 + 0.9j, tau=tau)
+    sp, _, (f,), base = direct_image_fibre(fam, Spectral(M=4), expected_kernel=1)
+    pert = perturb_lift(base, 0.05 * np.random.default_rng(0).standard_normal(
+        (2,) + sp.field_shape))
+    res = primitivity_residual(pert, f)
+    kf = kappa(pert, f)
+    assert res == lefschetz_L(kf.space).apply(kf).norm() / f.norm()
+    k1 = contract_ks(pert.K, f)
+    res1 = lefschetz_L(k1.space).apply(k1).norm() / f.norm()
+    assert res1 > 1.0
+    assert res == pytest.approx(abs(tau) * res1, rel=1e-12)
+    if tau == 1.0:
+        assert res == res1
+
+
 def test_extension_admissibility_gate(grid_setup, rng):
     fam, sp, pkg0, f, lift = grid_setup
-    ext = make_extension(fam, f, admissibility_tol=1e-2)
-    assert ext is not None
+    assert berndtsson_representative(fam, lift, f, pkg0, tol=1e-2) is not None
     # the gate exists to reject corrupted data: a harmonic section polluted
     # with white noise has unresolved stencil derivatives
     rough = f + band_limited(sp, rng) * 0.0
     noise = sp.section(0.05 * (rng.standard_normal((1,) + sp.field_shape)
                                + 1j * rng.standard_normal((1,) + sp.field_shape)))
-    with pytest.raises(ExtensionNotAdmissible):
-        make_extension(fam, f + noise, admissibility_tol=1e-4)
+    with pytest.raises(ExtensionNotAdmissible, match="theta-flow extension"):
+        berndtsson_representative(fam, lift, f + noise, pkg0, tol=1e-4)
 
 
 def test_representative_properties_coarse(grid_setup):
     fam, sp, pkg0, f, lift = grid_setup
     rep = berndtsson_representative(fam, lift, f, pkg0, tol=1e-2)
-    assert rep.primitive_ok
-    assert rep.orthogonality_ok
+    res_prim, res_orth = representative_residuals(rep, pkg0)
+    assert res_prim <= 1e-2
+    assert res_orth <= 1e-2
     sp01 = sp.sibling((0, 1))
     pkg01 = build_hodge(sp01, expected_kernel=0)
     assert class_match_residual(rep, pkg01) <= 1e-3
+
+
+def test_representative_stores_kappa_and_curvature_contraction(grid_setup, rng):
+    fam, sp, pkg0, f, lift = grid_setup
+    W = band_limited_field(sp.calculus, rng, (1,) + sp.field_shape, magnitude=0.1)
+    for xi in (lift, perturb_lift(lift, W)):
+        rep = berndtsson_representative(fam, xi, f, pkg0, tol=1e-2)
+        assert np.array_equal(rep.kf.coeffs, kappa(xi, f).coeffs)
+        assert np.array_equal(rep.theta_f.coeffs, curvature_contraction_form(xi, f).coeffs)
+        assert rep.theta_f.norm() > 0.0  # a positive bundle: the curvature term is live
+
+
+def test_curvature_H_builds_each_section_form_once(monkeypatch):
+    # one representative per section builds kappa f and iota*((xi ⌟ Theta) f)
+    # once each and reads K_triv without rebuilding the trivialization lift
+    fam = elliptic_family(T0, d=2)
+    _, pkg0, basis, lift = direct_image_fibre(fam, Grid(N=64, order=10), expected_kernel=2)
+    calls = Counter()
+    for name in ("kappa", "curvature_contraction_form", "trivialization_lift"):
+        def counted(*args, _real=getattr(family, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(family, name, counted)
+    curvature_H(fam, lift, basis, pkg0)
+    assert calls["kappa"] == 2
+    assert calls["curvature_contraction_form"] == 2
+    assert calls["trivialization_lift"] == 0
+
+
+@pytest.fixture(scope="module")
+def siegel_setup():
+    fam = siegel_diagonal_family(0.2 + 0.9j)
+    sp, pkg0, (f,), base = direct_image_fibre(fam, Spectral(M=4), expected_kernel=1)
+    pkg22 = build_hodge(sp.sibling((2, 2)), expected_kernel=1)
+    return fam, sp, pkg0, pkg22, f, base
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["trivialization", "perturbed"])
+def test_representative_properties_on_abelian_surface(siegel_setup, perturbed):
+    # n = 2: (a) xi ⌟ dbar u is primitive (the V1 correction through the (2,2)
+    # package) and (b) iota*(xi ⌟ nabla u) is harmonic; the perturbed lift's
+    # kappa f is far from primitive, the representative is not
+    fam, sp, pkg0, pkg22, f, lift = siegel_setup
+    if perturbed:
+        rng = np.random.default_rng(0)
+        lift = perturb_lift(lift, 0.05 * rng.standard_normal((2,) + sp.field_shape))
+        assert primitivity_residual(lift, f) > 1.0
+    rep = berndtsson_representative(fam, lift, f, pkg0, pkg_n2=pkg22)
+    res_prim, res_orth = representative_residuals(rep, pkg0)
+    assert res_prim <= 1e-10
+    assert res_orth <= 1e-10
+
+
+def test_second_fundamental_form_rejects_other_bidegrees(siegel_setup):
+    # the route follows the package: (n,0) projection, (n,1) Green, nothing else
+    fam, sp, pkg0, pkg22, f, lift = siegel_setup
+    rep = berndtsson_representative(fam, lift, f, pkg0, pkg_n2=pkg22)
+    assert second_fundamental_form(rep, pkg0).norm() <= 1e-12
+    with pytest.raises(ValueError, match="not \\(2, 2\\)"):
+        second_fundamental_form(rep, pkg22)
 
 
 def test_representative_scales_with_section(grid_setup):
