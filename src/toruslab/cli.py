@@ -99,26 +99,43 @@ def _failed(checks) -> list:
     return sorted(name for name, value, bound in checks if not value <= bound)
 
 
-def _kernel_check(*pkgs) -> tuple:
-    """The kernel_dim check: each package's harmonic basis has the expected size."""
-    return ("kernel_dim", sum(abs(pkg.harmonic_dim - pkg.expected_kernel) for pkg in pkgs), 0)
+def _kernel_check(pkg) -> tuple:
+    """The kernel_dim check: the package's harmonic basis has the expected size."""
+    return ("kernel_dim", abs(pkg.harmonic_dim - pkg.expected_kernel), 0)
 
 
 def _report(name: str, cfg: ExperimentConfig, out, dump_spectrum: bool,
-            fields: dict, failures: list, packages: dict) -> int:
+            fields: dict, failures: list, package) -> int:
     """Write the report of a config command, its own fields beside command,
     config, failures and status, and return the exit code: 0 pass, 1 fail.
-    With --dump-spectrum and --out, the CSV next to it has one row per
-    eigenvalue of each package: bidegree, index, eigenvalue."""
+    With a Hodge package, the report's diagnostics holds its one entry, with
+    lambda1_rel_err on a grid package; with --dump-spectrum and --out, the
+    CSV next to it has one row per eigenvalue: bidegree, index, eigenvalue."""
+    if package is not None:
+        entry = package.diagnostics()
+        if isinstance(package.space.disc, Grid):
+            entry["lambda1_rel_err"] = _landau_rel_err(entry, cfg.d)
+        fields = {**fields, "diagnostics": [entry]}
     _emit({"command": name, "config": cfg.as_dict(), **fields, "failures": failures,
            "status": "pass" if not failures else "fail"}, out)
-    if dump_spectrum and out and packages:
+    if dump_spectrum and out and package is not None:
+        p, q = package.space.bidegree
         with open(out + ".spectrum.csv", "w") as fh:
             fh.write("bidegree,index,eigenvalue\n")
-            for bidegree in sorted(packages):
-                for idx, lam in enumerate(packages[bidegree].eigenvalues()):
-                    fh.write(f"({bidegree[0]} {bidegree[1]}),{idx},{lam:.16e}\n")
+            for idx, lam in enumerate(package.eigenvalues()):
+                fh.write(f"({p} {q}),{idx},{lam:.16e}\n")
     return 0 if not failures else 1
+
+
+def _landau_rel_err(entry: dict, d: int):
+    """|lambda1 - 2 pi d| / (2 pi d) of a grid diagnostics entry: the lowest
+    positive Landau level of a degree-d fibre on either bidegree, or None
+    when the package found no lambda1."""
+    if entry["lambda1"] is None:
+        return None
+    levels = exact_landau_spectrum(d, tuple(entry["bidegree"]), d + 1)
+    exact = float(levels[levels > 0][0])
+    return abs(entry["lambda1"] - exact) / exact
 
 
 def _common(func):
@@ -150,8 +167,9 @@ def main():
 
 def _command(name: str, defaults: dict):
     """Register body(cfg, out) as a config command.  The body returns the
-    (fields, failures, packages) that _report writes, or None when it wrote
-    its own output (scan-rank), which exits 0.
+    (fields, failures, package) that _report writes, package being the one
+    Hodge package whose diagnostics the report carries or None, or returns
+    None when it wrote its own output (scan-rank), which exits 0.
 
     The config is loaded with the given defaults (when --config is omitted);
     ConfigInvalid exits 2 with "config error:", ExtensionNotAdmissible (a miss
@@ -180,7 +198,7 @@ def _command(name: str, defaults: dict):
             except ExtensionNotAdmissible as exc:
                 click.echo(f"tolerance failure: admissibility: {exc}", err=True)
                 _report(name, cfg, out, dump_spectrum, {"reason": str(exc)},
-                        ["admissibility"], {})
+                        ["admissibility"], None)
                 code = 1
             except Exception as exc:
                 kind = "" if isinstance(exc, TorusLabError) else f"{type(exc).__name__}: "
@@ -280,7 +298,7 @@ def _identity_suite(cfg: ExperimentConfig) -> dict:
     res["lefschetz_decomposition"] = float(np.max(dec))
     res["hodge_riemann"] = float(np.max(hr))
 
-    return res, {(n, 1): pkg_n1}
+    return res, pkg_n1
 
 
 def _expected_kernel(cfg, fam, bidegree) -> int:
@@ -296,7 +314,7 @@ def _expected_kernel(cfg, fam, bidegree) -> int:
 @_command("hodge-check", {"backend": "spectral", "d": 0})
 def cmd_hodge_check(cfg, out):
     """Run the operator-identity and Hodge-decomposition suite."""
-    residuals, packages = _identity_suite(cfg)
+    residuals, package = _identity_suite(cfg)
     identity = cfg.tol("identity")
     bounds = {
         "dbar_squared": identity,
@@ -309,24 +327,12 @@ def cmd_hodge_check(cfg, out):
         "minimal_solution_norm": cfg.tol("minimal_solution"),
     }
     failures = _failed([(k, v, bounds[k]) for k, v in residuals.items()]
-                       + [_kernel_check(*packages.values())])
-    diagnostics = [packages[b].diagnostics() for b in sorted(packages)]
-    return {"residuals": residuals, "diagnostics": diagnostics}, failures, packages
+                       + [_kernel_check(package)])
+    return {"residuals": residuals}, failures, package
 
 
 # ---------------------------------------------------------------------------
 # curvature
-
-
-def _landau_rel_err(entry: dict, d: int):
-    """|lambda1 - 2 pi d| / (2 pi d) of a grid diagnostics entry: the lowest
-    positive Landau level of a degree-d fibre on either bidegree, or None
-    when the package found no lambda1."""
-    if entry["lambda1"] is None:
-        return None
-    levels = exact_landau_spectrum(d, tuple(entry["bidegree"]), d + 1)
-    exact = float(levels[levels > 0][0])
-    return abs(entry["lambda1"] - exact) / exact
 
 
 @_command("curvature", {})
@@ -338,15 +344,9 @@ def cmd_curvature(cfg, out):
     n = fam.torus_at().n
     sp, pkg0, basis, lift = direct_image_fibre(
         fam, disc, _expected_kernel(cfg, fam, (n, 0)), rank_tol=cfg.tol("rank_tol"))
-    packages = {sp.bidegree: pkg0}
-    if n >= 2:
-        # the Berndtsson representative makes xi ⌟ dbar u primitive with G on (n,2)
-        packages[(n, 2)] = build_hodge(sp.sibling((n, 2)), rank_tol=cfg.tol("rank_tol"),
-                                       expected_kernel=_expected_kernel(cfg, fam, (n, 2)))
-    rep = curvature_H(fam, lift, basis, pkg0, pkg_n2=packages.get((n, 2)),
-                      admissibility_tol=cfg.tol("admissibility"))
+    rep = curvature_H(fam, lift, basis, pkg0, admissibility_tol=cfg.tol("admissibility"))
 
-    checks = [_kernel_check(*packages.values())]
+    checks = [_kernel_check(pkg0)]
     positive_bundle = not sp.bundle.is_flat
     xu_wang_gap = None
     if rep.rank > 0:
@@ -366,10 +366,6 @@ def cmd_curvature(cfg, out):
         extra["fd_rel"] = float(np.linalg.norm(rep.theta_H - fd)
                                 / max(float(np.linalg.norm(fd)), 1e-300))
         checks.append(("fd_rel", extra["fd_rel"], cfg.tol("fd_rel")))
-    diagnostics = [packages[b].diagnostics() for b in sorted(packages)]
-    if isinstance(disc, Grid):
-        for entry in diagnostics:
-            entry["lambda1_rel_err"] = _landau_rel_err(entry, cfg.d)
     failures = _failed(checks)
 
     fields = {
@@ -390,9 +386,8 @@ def cmd_curvature(cfg, out):
         # null with no sections to be positive on
         "positivity_verdict": (not positive_bundle or not {"kernel_dim", "nakano"} & set(failures)
                                if rep.rank else None),
-        "diagnostics": diagnostics,
     }
-    return fields, failures, packages
+    return fields, failures, pkg0
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +433,7 @@ def cmd_primitive_lift(cfg, out):
         "primitivity_residual": prim_res,
         "hr_equality_residual": hr_res,
     }
-    return fields, failures, {}
+    return fields, failures, None
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +496,7 @@ def cmd_bls(cfg, out):
         ("monotonicity", len(battery["monotonicity_violations"]), 0),
     ])
 
-    return {"battery": battery}, failures, {}
+    return {"battery": battery}, failures, None
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def curvature_commutator(space: FormSpace):
 
 
 def second_fundamental_form(rep: RepresentativeSet, pkg: HodgePackage) -> FormSection:
-    """II f along rep.lift, by the route the package's bidegree selects.
+    """II f of rep (along its lift), by the route the package's bidegree selects.
 
     (n,0) package: the projection P_perp iota*(L^{1,0} u).
     (n,1) package: the Green route -dbar^+ (iota*((xi ⌟ Theta) f) + nabla^{1,0} kappa f),
@@ -220,7 +220,6 @@ def _hermitize(M: np.ndarray) -> np.ndarray:
 def curvature_H(family: FamilySpec, lift: HorizontalLift,
                 basis: Sequence[FormSection],
                 pkg_n0: HodgePackage,
-                pkg_n2: Optional[HodgePackage] = None,
                 admissibility_tol: float = 1e-5,
                 ) -> CurvatureReport:
     """Evaluate the curvature form on the harmonic basis by both routes."""
@@ -233,11 +232,8 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
             nakano_min_eig=float("nan"), residual_routes=0.0, hermiticity_defect=0.0,
         )
     space = basis[0].space
-    reps = [
-        berndtsson_representative(family, lift, f, pkg_n0, pkg_n2=pkg_n2,
-                                  tol=admissibility_tol)
-        for f in basis
-    ]
+    reps = [berndtsson_representative(family, lift, f, pkg_n0, tol=admissibility_tol)
+            for f in basis]
 
     G = np.array([[pair_l2(basis[j], basis[i]) for j in range(r)] for i in range(r)])
 

@@ -45,10 +45,6 @@ class EmptySpectrum(TorusLabError):
     """No eigenvalue above the kernel threshold."""
 
 
-class HodgeUnavailable(TorusLabError):
-    """A required Hodge package was not supplied."""
-
-
 class ExtensionNotAdmissible(TorusLabError):
     """Extension violates the admissibility residual bound."""
 

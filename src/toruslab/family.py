@@ -2,7 +2,8 @@
 
 Horizontal lifts, Kodaira-Spencer representatives, the primitive-lift
 construction, and the Berndtsson representative: the one place where a
-section's five forms are built, each once, behind one admissibility gate; both
+section's five forms are built, each once, behind the admissibility gates
+(the last checks property (a), the primitivity of xi ⌟ dbar u); both
 curvature routes only read them.
 
 Conventions.  A fiber section f is extended to nearby fibers in the frame
@@ -28,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ExtensionNotAdmissible, HodgeUnavailable
+from .errors import ExtensionNotAdmissible
 from .forms import (
     FormSection,
     FormSpace,
@@ -38,7 +39,6 @@ from .forms import (
     contract,
     contract_ks,
     lefschetz_L,
-    lefschetz_Lambda,
     make_space,
 )
 from .geometry import FamilySpec, make_flat_bundle
@@ -61,7 +61,6 @@ class HorizontalLift:
     """
 
     family: FamilySpec
-    t: complex
     tau: complex
     space: FormSpace               # reference (n,0)-space fixing the discretization
     W: Optional[np.ndarray]        # (n, *field_shape) untwisted samples/modes or None
@@ -92,7 +91,7 @@ def trivialization_lift(family: FamilySpec, space: FormSpace) -> HorizontalLift:
     Omega(t) = t (n=1): xi = tau (d/dt + y d/dz)."""
     n = space.n
     K = _k_triv(family).reshape((n, n) + (1,) * len(space.field_shape))
-    return HorizontalLift(family=family, t=family.t, tau=family.tau, space=space, W=None, K=K)
+    return HorizontalLift(family=family, tau=family.tau, space=space, W=None, K=K)
 
 
 def perturb_lift(lift: HorizontalLift, W: np.ndarray) -> HorizontalLift:
@@ -101,7 +100,7 @@ def perturb_lift(lift: HorizontalLift, W: np.ndarray) -> HorizontalLift:
     W_total = W if lift.W is None else lift.W + W
     calc = lift.space.calculus
     K = calc.constant_field(_k_triv(lift.family)) + calc.dbar_of_field(lift.space, W_total)
-    return HorizontalLift(family=lift.family, t=lift.t, tau=lift.tau, space=lift.space,
+    return HorizontalLift(family=lift.family, tau=lift.tau, space=lift.space,
                           W=W_total, K=K)
 
 
@@ -118,7 +117,7 @@ def _vertical_samples(lift: HorizontalLift) -> np.ndarray:
     for positive bundles, whose spaces are always grid spaces.
     """
     calc = lift.space.calculus
-    dom = complex(np.atleast_2d(lift.family.dperiod_map(lift.t))[0, 0])
+    dom = complex(np.atleast_2d(lift.family.dperiod_map(lift.family.t))[0, 0])
     V = dom * calc.y.astype(complex)
     if lift.W is not None:
         V = V + lift.W[0]
@@ -262,13 +261,12 @@ def _plain_gradient_norm(f: FormSection) -> float:
 class RepresentativeSet:
     """The forms both curvature routes read, of one harmonic section f.
 
-    The canonical extension u is shifted to u + dt ^ v; the three restricted
-    contractions are those of the shifted extension.  By the Lie identity,
-    iota*(xi ⌟ nabla^{1,0} u) = lie_u - nabla^{1,0} xi_u.
+    The canonical extension u is shifted to u + dt ^ v, v = V2; the three
+    restricted contractions are those of the shifted extension.  By the Lie
+    identity, iota*(xi ⌟ nabla^{1,0} u) = lie_u - nabla^{1,0} xi_u.
     """
 
     f: FormSection
-    lift: HorizontalLift
     kf: FormSection                 # kappa f = iota*(dbar xi) ⌟ f, an (n-1,1)-form
     theta_f: FormSection            # iota*((xi ⌟ Theta(h)) f), an (n,1)-form
     lie_u: FormSection              # iota* L^{1,0}_xi u, an (n,0)-form (free of v)
@@ -278,21 +276,25 @@ class RepresentativeSet:
 
 def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
                               f: FormSection, pkg_n0: HodgePackage,
-                              pkg_n2: Optional[HodgePackage] = None,
                               tol: float = 1e-6) -> RepresentativeSet:
-    """Correct the canonical extension so that (a) xi ⌟ dbar u is primitive,
-    (b) iota*(xi ⌟ nabla u) is orthogonal to the non-holomorphic part, and
-    (c) the Dolbeault class matches (dbar xi) ⌟ f.
+    """Shift the canonical extension so that (b) iota*(xi ⌟ nabla u) is
+    orthogonal to the non-holomorphic part, keeping (c) the Dolbeault class of
+    (dbar xi) ⌟ f, after checking (a): xi ⌟ dbar u is primitive.
 
-    With the shift v = V1 + V2 (tau included) and gamma = tau W ⌟ psi:
+    With the shift v = V2 (tau included) and gamma = tau W ⌟ psi:
     xi ⌟ u = tau W ⌟ f + v, xi ⌟ dbar u = gamma + tau alpha0 - dbar v and
     xi ⌟ nabla^{1,0} u = tau phi0 - nabla^{1,0} v.  The Lie derivative
     iota* L^{1,0}_xi u = nabla^{1,0}(iota*(xi ⌟ u)) + iota*(xi ⌟ nabla^{1,0} u)
     = nabla^{1,0}(tau W ⌟ f) + tau phi0: the nabla v contributions cancel.
 
-    Raises ExtensionNotAdmissible on the extension's own gate, or when
+    (a) needs no shift: gamma = 0, since a harmonic f has psi = dbar f = 0, and
+    omega ∧ (K_triv ⌟ f) = 0, since Omega' is symmetric on every family here,
+    as Omega is (make_torus rejects a non-symmetric one at n = 2).
+
+    Raises ExtensionNotAdmissible on the extension's own gate; when
     iota* L^{1,0} dbar u = dbar lie_u + theta_f + nabla^{1,0} kf exceeds tol
-    relative to the first-order term norms.
+    relative to the first-order term norms; or, for n >= 2, when
+    omega ∧ (gamma + tau alpha0) exceeds tol relative to its argument and f.
     """
     space = f.space
     n = space.n
@@ -311,27 +313,20 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
             f"iota* L^{{1,0}} dbar u residual {resid.norm() / scale:.3e}"
         )
 
-    gamma = lift.tau * lift.vertical_contract(psi)
-    alpha0 = lift.tau * alpha0
-    # V1: kills the omega-trace of gamma + alpha0 (only possible/needed for n >= 2)
+    unshifted = lift.tau * lift.vertical_contract(psi) + lift.tau * alpha0  # gamma + tau alpha0
     if n >= 2:
-        if pkg_n2 is None:
-            raise HodgeUnavailable("berndtsson_representative needs the (n,2) package")
-        src = gamma + alpha0
-        wedge = lefschetz_L(src.space).apply(src)           # (n,2)
-        dstar = pkg_n2.dbar_pinv(wedge)                     # (n,1)
-        v1 = lefschetz_Lambda(dstar.space).apply(dstar)     # (n-1,0)
-    else:
-        v1 = sp_lower.zeros()
+        wedge = lefschetz_L(unshifted.space).apply(unshifted).norm()
+        scale = max(unshifted.norm(), f.norm())
+        if wedge > tol * scale:
+            raise ExtensionNotAdmissible(
+                f"omega ∧ iota*(xi ⌟ dbar u) residual {wedge / scale:.3e}"
+            )
 
     # V2: solves nabla V2 = P_perp phi0 (G' = G on (n,0)-forms)
     p_perp_phi = phi0 - pkg_n0.harmonic_project(phi0)
-    v2 = adjoint(assemble_nabla10(sp_lower)).apply(pkg_n0.green(p_perp_phi))
-
-    v = v1 + v2
-    xi_dbar_u = gamma + alpha0 - assemble_dbar(sp_lower).apply(v)
-    return RepresentativeSet(f=f, lift=lift, kf=kf, theta_f=theta_f, lie_u=lie_u,
-                             xi_u=w + v, xi_dbar_u=xi_dbar_u)
+    v = adjoint(assemble_nabla10(sp_lower)).apply(pkg_n0.green(p_perp_phi))
+    return RepresentativeSet(f=f, kf=kf, theta_f=theta_f, lie_u=lie_u, xi_u=w + v,
+                             xi_dbar_u=unshifted - assemble_dbar(sp_lower).apply(v))
 
 
 def class_match_residual(rep: RepresentativeSet, pkg_n11: HodgePackage) -> float:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from toruslab import cli
+from toruslab import cli, hodge
 from toruslab.cli import main
 from toruslab.config import (
     DEFAULT_TOLERANCES,
@@ -373,6 +373,14 @@ def test_grid_curvature_reports_the_lambda1_error(tmp_path):
     diag, = json.loads(open(out).read())["diagnostics"]
     assert diag["lambda1_rel_err"] == abs(diag["lambda1"] - 4 * np.pi) / (4 * np.pi)
     assert diag["lambda1_rel_err"] <= 1e-9
+    # the same report field on the (1,1) package of a grid hodge-check, whose
+    # run still fails its identity checks (band-limited fields are not sections)
+    cfg = write_cfg(tmp_path, "cfg.json", {"backend": "grid", "d": 1, "N": 64})
+    run_cli(["hodge-check", "--config", cfg, "--out", out])
+    diag, = json.loads(open(out).read())["diagnostics"]
+    assert diag["bidegree"] == [1, 1]
+    assert diag["lambda1_rel_err"] == abs(diag["lambda1"] - 2 * np.pi) / (2 * np.pi)
+    assert diag["lambda1_rel_err"] <= 1e-11
 
 
 def test_curvature_report_contents(tmp_path):
@@ -590,19 +598,28 @@ def test_spectral_commands_sample_no_field(tmp_path, monkeypatch):
     assert json.loads(open(tmp_path / "5.out").read())["unchanged"] is True
 
 
-def test_curvature_command_on_surface_family(tmp_path):
-    # the n = 2 corrected representative needs the (2,2) Hodge package
+def test_curvature_command_on_surface_family(tmp_path, monkeypatch):
+    # the n = 2 corrected representative checks property (a), so the command
+    # builds no Hodge package beyond (2,0)
+    built = []
+    real = hodge.HodgePackage.__init__
+
+    def counted(self, space, *args, **kwargs):
+        built.append(space.bidegree)
+        real(self, space, *args, **kwargs)
+    monkeypatch.setattr(hodge.HodgePackage, "__init__", counted)
     out = str(tmp_path / "curv.json")
     cfg = write_cfg(tmp_path, "cfg.json", {"family": "siegel-diagonal", "t": [0.2, 0.9]})
     res = run_cli(["curvature", "--config", cfg, "--out", out])
     assert res.exit_code == 0, res.output
+    assert built == [(2, 0)]
     report = json.loads(open(out).read())
     assert report["status"] == "pass" and report["rank"] == 1
     assert report["residual_routes"] <= 1e-12
     assert report["xu_wang_gap"] is None   # flat: [i Theta, Lambda] is not invertible
-    assert [diag["bidegree"] for diag in report["diagnostics"]] == [[2, 0], [2, 2]]
-    assert all(diag["kernel_found"] == diag["kernel_expected"] == 1
-               for diag in report["diagnostics"])
+    diag, = report["diagnostics"]
+    assert diag["bidegree"] == [2, 0]
+    assert diag["kernel_found"] == diag["kernel_expected"] == 1
 
 
 def test_bls_command_small_battery(tmp_path):

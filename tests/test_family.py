@@ -19,7 +19,12 @@ from toruslab.family import (
 )
 from toruslab.curvature import curvature_H, direct_image_fibre, second_fundamental_form
 from toruslab.forms import Grid, Spectral, contract_ks, lefschetz_L, make_space
-from toruslab.geometry import elliptic_family, make_flat_bundle, siegel_diagonal_family
+from toruslab.geometry import (
+    FamilySpec,
+    elliptic_family,
+    make_flat_bundle,
+    siegel_diagonal_family,
+)
 from toruslab.hodge import build_hodge
 
 from conftest import T0, band_limited, band_limited_field, representative_residuals
@@ -211,21 +216,20 @@ def test_curvature_H_builds_each_section_form_once(monkeypatch):
 def siegel_setup():
     fam = siegel_diagonal_family(0.2 + 0.9j)
     sp, pkg0, (f,), base = direct_image_fibre(fam, Spectral(M=4), expected_kernel=1)
-    pkg22 = build_hodge(sp.sibling((2, 2)), expected_kernel=1)
-    return fam, sp, pkg0, pkg22, f, base
+    return fam, sp, pkg0, f, base
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["trivialization", "perturbed"])
 def test_representative_properties_on_abelian_surface(siegel_setup, perturbed):
-    # n = 2: (a) xi ⌟ dbar u is primitive (the V1 correction through the (2,2)
-    # package) and (b) iota*(xi ⌟ nabla u) is harmonic; the perturbed lift's
+    # n = 2: (a) xi ⌟ dbar u is primitive (the gate checks it, no shift is
+    # needed) and (b) iota*(xi ⌟ nabla u) is harmonic; the perturbed lift's
     # kappa f is far from primitive, the representative is not
-    fam, sp, pkg0, pkg22, f, lift = siegel_setup
+    fam, sp, pkg0, f, lift = siegel_setup
     if perturbed:
         rng = np.random.default_rng(0)
         lift = perturb_lift(lift, 0.05 * rng.standard_normal((2,) + sp.field_shape))
         assert primitivity_residual(lift, f) > 1.0
-    rep = berndtsson_representative(fam, lift, f, pkg0, pkg_n2=pkg22)
+    rep = berndtsson_representative(fam, lift, f, pkg0)
     res_prim, res_orth = representative_residuals(rep, pkg0)
     assert res_prim <= 1e-10
     assert res_orth <= 1e-10
@@ -233,11 +237,26 @@ def test_representative_properties_on_abelian_surface(siegel_setup, perturbed):
 
 def test_second_fundamental_form_rejects_other_bidegrees(siegel_setup):
     # the route follows the package: (n,0) projection, (n,1) Green, nothing else
-    fam, sp, pkg0, pkg22, f, lift = siegel_setup
-    rep = berndtsson_representative(fam, lift, f, pkg0, pkg_n2=pkg22)
+    fam, sp, pkg0, f, lift = siegel_setup
+    rep = berndtsson_representative(fam, lift, f, pkg0)
     assert second_fundamental_form(rep, pkg0).norm() <= 1e-12
+    pkg22 = build_hodge(sp.sibling((2, 2)), expected_kernel=1)
     with pytest.raises(ValueError, match="not \\(2, 2\\)"):
         second_fundamental_form(rep, pkg22)
+
+
+def test_representative_rejects_a_non_primitive_xi_dbar_u():
+    # property (a) holds on every family here because Omega' is symmetric; with
+    # Omega = diag(t, 2t) and a non-symmetric Omega', omega ∧ (K_triv ⌟ f) is
+    # not zero, and the gate reports it instead of correcting it
+    fam = FamilySpec(name="siegel-diagonal", t=0.2 + 0.9j,
+                     period_map=lambda t: np.array([[t, 0.0], [0.0, 2.0 * t]]),
+                     dperiod_map=lambda t: np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex),
+                     bundle_map=lambda torus, t: make_flat_bundle(torus, np.zeros(4)))
+    _, pkg0, (f,), lift = direct_image_fibre(fam, Spectral(M=4), expected_kernel=1)
+    with pytest.raises(ExtensionNotAdmissible,
+                       match=r"omega ∧ iota\*\(xi ⌟ dbar u\) residual 1\.96"):
+        berndtsson_representative(fam, lift, f, pkg0)
 
 
 def test_representative_scales_with_section(grid_setup):
