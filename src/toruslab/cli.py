@@ -3,8 +3,9 @@
 Exit codes: 0 pass, 1 tolerance failure, 2 config error, 3 numerical failure.
 One function, _report, writes the report of every config command (and of its
 admissibility exit) and derives the pass/fail exit code; scan-rank writes a
-CSV instead.  Reports are deterministic for a fixed config and seed, except
-for the "timestamp" field.
+CSV instead.  Reports are deterministic for a fixed config, seed and BLAS
+thread count, except for the "timestamp" field: a grid report differs in the
+last bits between one and two BLAS threads.
 """
 
 from __future__ import annotations

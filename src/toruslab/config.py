@@ -41,9 +41,10 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 # (a grid at the default N = 64 holds 4,096).
 MAX_UNKNOWNS = 4 * 4 * 17 ** 4
 
-# Budget on the nonzeros of one grid derivative matrix, N² samples times the
-# 2·order + 1 entries of a stencil row: the largest grid MAX_UNKNOWNS admits,
-# at the default order 10.  It bounds the order before any stencil is built.
+# Budget on the nonzeros of a grid Laplacian box, the product of two y-Fourier
+# derivatives of order + 1 entries a row: N² rows times 2·order + 1 entries, for
+# the largest grid MAX_UNKNOWNS admits at the default order 10.  It bounds the
+# order before any derivative is built.
 MAX_STENCIL_NNZ = MAX_UNKNOWNS * 21
 
 _SCAN_KEYS = {"center", "direction", "radius", "samples"}
@@ -186,7 +187,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigInvalid(f"{size_key!r} is too large: a {cfg.backend} form space would "
                             f"hold more than {MAX_UNKNOWNS:,} unknowns")
     if cfg.backend == "grid" and samples * (2 * cfg.order + 1) > MAX_STENCIL_NNZ:
-        raise ConfigInvalid(f"'order' is too large: a grid derivative would hold more "
+        raise ConfigInvalid(f"'order' is too large: a grid Laplacian would hold more "
                             f"than {MAX_STENCIL_NNZ:,} nonzeros")
     if "seed" in raw:
         cfg.seed = _as_int(raw["seed"], "seed", minimum=0)

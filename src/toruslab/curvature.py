@@ -222,7 +222,12 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
                 pkg_n0: HodgePackage,
                 admissibility_tol: float = 1e-5,
                 ) -> CurvatureReport:
-    """Evaluate the curvature form on the harmonic basis by both routes."""
+    """Evaluate the curvature form on the harmonic basis by both routes.
+
+    family must be the lift's own, lift.family (ValueError otherwise): the
+    representatives read the family off the lift."""
+    if family is not lift.family:
+        raise ValueError("curvature_H: family is not the lift's family")
     r = len(basis)
     if r == 0:
         e = np.zeros((0, 0), dtype=complex)
@@ -232,7 +237,7 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
             nakano_min_eig=float("nan"), residual_routes=0.0, hermiticity_defect=0.0,
         )
     space = basis[0].space
-    reps = [berndtsson_representative(family, lift, f, pkg_n0, tol=admissibility_tol)
+    reps = [berndtsson_representative(lift, f, pkg_n0, tol=admissibility_tol)
             for f in basis]
 
     G = np.array([[pair_l2(basis[j], basis[i]) for j in range(r)] for i in range(r)])

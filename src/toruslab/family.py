@@ -234,10 +234,11 @@ def _extension(family: FamilySpec, f: FormSection,
     s = t.imag
     F = f.coeffs[0]
     # the cached d/dz - phi_z of the fibre, applied to F as a scalar section
-    nabla = assemble_nabla10(space.sibling((0, 0))).data
+    scalars = space.sibling((0, 0))
+    nabla = assemble_nabla10(scalars)
     pz = calc.phi_z
-    nablaF = (nabla @ F.ravel()).reshape(F.shape)
-    nabla2F = (nabla @ nablaF.ravel()).reshape(F.shape)
+    nablaF = nabla.apply(scalars.section(F)).coeffs[0]
+    nabla2F = nabla.apply(scalars.section(nablaF)).coeffs[0]
     # plain d^2/dz^2 via (nabla + phi_z)^2; the grid operators only ever touch
     # genuine sections, the polynomial-in-y factors act pointwise afterwards
     dz2F = nabla2F + 2.0 * pz * nablaF + (pz**2 - np.pi * d / s) * F
@@ -274,8 +275,7 @@ class RepresentativeSet:
     xi_dbar_u: FormSection          # iota*(xi ⌟ dbar u), an (n-1,1)-form
 
 
-def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
-                              f: FormSection, pkg_n0: HodgePackage,
+def berndtsson_representative(lift: HorizontalLift, f: FormSection, pkg_n0: HodgePackage,
                               tol: float = 1e-6) -> RepresentativeSet:
     """Shift the canonical extension so that (b) iota*(xi ⌟ nabla u) is
     orthogonal to the non-holomorphic part, keeping (c) the Dolbeault class of
@@ -291,6 +291,8 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
     omega ∧ (K_triv ⌟ f) = 0, since Omega' is symmetric on every family here,
     as Omega is (make_torus rejects a non-symmetric one at n = 2).
 
+    The extension is that of the lift's own family, lift.family.
+
     Raises ExtensionNotAdmissible on the extension's own gate; when
     iota* L^{1,0} dbar u = dbar lie_u + theta_f + nabla^{1,0} kf exceeds tol
     relative to the first-order term norms; or, for n >= 2, when
@@ -298,7 +300,7 @@ def berndtsson_representative(family: FamilySpec, lift: HorizontalLift,
     """
     space = f.space
     n = space.n
-    alpha0, phi0, psi = _extension(family, f, tol)
+    alpha0, phi0, psi = _extension(lift.family, f, tol)
     phi0 = lift.tau * phi0
     sp_lower = space.sibling((n - 1, 0))
     w = lift.tau * lift.vertical_contract(f)

@@ -9,8 +9,9 @@ shape, random sections, Gram data, ∂̄, ∇¹'⁰, adjoint data, pointwise pro
 ∂̄ of a vertical field and the Hodge solver) is a method of the calculus; the
 functions here do the bidegree bookkeeping around it.
 
-Operator data is a numpy array of component blocks per mode or sample, or a
-grid derivative's sparse matrix; ω∧, Θ(h)∧, Λ and the zero map are one block.
+Operator data is a numpy array of component blocks per mode or sample, or the
+sparse y-Fourier matrix of a grid derivative (see OperatorMatrix); ω∧, Θ(h)∧,
+Λ and the zero map are one block.
 Every constant-coefficient map and contraction (the spectral ∂̄ and ∇¹'⁰, the
 (1,1)-wedges, ι_{∂/∂z_a} and the Kodaira-Spencer contraction) is composed from
 one dz_a∧ or dz̄_a∧ component block, _dz_wedge.
@@ -387,9 +388,11 @@ class OperatorMatrix:
     data is a numpy array of shape (ncomp_cod, ncomp_dom, *shape), a component
     block per mode or sample that acts pointwise; a trailing dim of size 1
     broadcasts over the field shape, so a constant-coefficient operator is one
-    block on either backend.  Or data is a scipy sparse matrix of shape
-    (cod.dim, dom.dim) acting on the flattened section: a grid derivative and
-    what is composed from or adjoint to it.
+    block on either backend.  Or data is the sparse y-Fourier matrix A of a
+    grid derivative or of what is composed from or adjoint to it (n = 1, one
+    component): the map is E^{-1} F_y^H A F_y E with the fibre's gauge factor E
+    and the unitary FFT F_y along y, which grid._GridCalculus.fourier_apply
+    applies, so composition is the product of the matrices.
 
     An operator from assemble_dbar or assemble_nabla10 carries the key of its
     data in the fibre calculus' operator cache, so that adjoint() caches too.
@@ -411,8 +414,7 @@ class OperatorMatrix:
         if isinstance(self.data, np.ndarray):
             out = np.einsum("cd...,d...->c...", _bc(self.data, self.domain), u.coeffs)
         else:
-            out = (self.data @ u.coeffs.ravel()).reshape(
-                (self.codomain.ncomp,) + self.codomain.field_shape)
+            out = self.domain.calculus.fourier_apply(self.data, u.coeffs)
         return FormSection(self.codomain, out if self.sign == 1 else -out)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":

@@ -1,28 +1,30 @@
-"""The grid backend (positive bundles, n = 1): stencil calculus and Hodge solver.
+"""The grid backend (positive bundles, n = 1): y-Fourier calculus and Hodge solver.
 
 Sections are sample arrays F[i,j] on the unit (x,y)-torus, periodic in x and
 quasi-periodic in y with the level-d factor of automorphy.  Derivatives are
-central differences of an even order (4 by default) with the automorphy wrap,
-and _stencil_matrix builds every one of them as a scipy.sparse matrix: ∂̄ and
-∇¹'⁰ for assemble_dbar and assemble_nabla10, and ∂/∂z̄ of a periodic field
-(degree 0) for the Kodaira-Spencer data in family.  Products are taken sample
-by sample.  A fibre keeps one matrix per operator, that of its (0,0) form:
-∇¹'⁰ on (0,1) equals ∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄ on (0,0), a
-sign the operator carries.
+central differences of an even order with the automorphy wrap, taken on
+H = E F in the Gaussian gauge E = e^theta.  There the gauge terms of ∂̄ and
+∇¹'⁰ are ±(pi d / s) x, so every grid derivative is E^{-1} F_y^H A F_y E, F_y
+the unitary FFT along y and A sparse with order + 1 entries a row
+(_GridCalculus.fourier_derivative).  An operator's data is its A: ∂̄ is the
+fibre's dbar_hat, which _DbarFactor factors; an adjoint's is a constant times
+A^H; a composition's, such as the Laplacian box, is the product.  A fibre
+keeps one matrix per operator, that of its (0,0) form: ∇¹'⁰ on (0,1) equals
+∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄ on (0,0), a sign the operator
+carries.  Products are taken sample by sample.
 
 Hodge solver: the Laplacian is Dt^H Dt or Dt Dt^H for the weighted sparse dbar
 Dt, so _DbarFactor factors Dt, not the Laplacian, once per fibre for all four
 bidegrees, and _GridSolver cuts its kernel at rank_tol.  The low spectrum is
 computed only on demand.
 
-Set-up runs in two phases, as in sparse direct solvers.  The symbolic phase
-depends on the sparsity pattern only: the csr structure of a stencil matrix
-per (N, order) (_stencil_pattern), the csc structure of dbar_hat and SuperLU's
-COLAMD column order of it per (N, order, d) (_dbar_hat_pattern).  It runs once
-and is kept in two small bounded caches of read-only arrays.  The numeric
-phase, per fibre, computes values only and gathers them into that structure,
-so a fibre's matrices, factor and results are the same to the bit whatever
-ran before it.
+Set-up runs in two phases, as in sparse direct solvers.  The symbolic phase,
+the csc structure of the y-Fourier derivatives and SuperLU's COLAMD column
+order of it per (N, order, d) (_dbar_hat_pattern), depends on the sparsity
+pattern only; it runs once and is kept in a small bounded cache of read-only
+arrays.  The numeric phase, per fibre, computes values only and gathers them
+into that structure, so a fibre's matrices, factor and results are the same
+to the bit whatever ran before it.
 
 forms.make_space imports this module for a Grid; no other module imports scipy.
 """
@@ -56,8 +58,9 @@ def _central_stencil(order):
 class _GridCalculus:
     """n=1 grid backend: sample points, gauge factor and weight data for degree d.
 
-    Besides the operator cache, the only holder of a derivative matrix, it
-    keeps dbar_hat, the ∂̄ in the y-Fourier basis, which _DbarFactor factors.
+    Every derivative matrix it holds is a y-Fourier one (fourier_derivative):
+    the operator cache's and dbar_hat, the ∂̄ that _DbarFactor factors and
+    that the cache shares.
     """
 
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Grid):
@@ -92,26 +95,39 @@ class _GridCalculus:
 
     @cached_property
     def dbar_hat(self):
-        """The ∂̄ of assemble_dbar in the Gaussian gauge and the y-Fourier basis,
-        as a csc matrix: ∂̄ = E^{-1} F_y^H A F_y E with E = e^{theta}, F_y the
-        unitary FFT along y, row and column (i, k) = (x index, y frequency).
+        """The ∂̄ of assemble_dbar, which _DbarFactor factors: the y-Fourier
+        matrix of (dx/dz̄, dy/dz̄) = _dzbar(t), whose gauge term is (pi d / s) x."""
+        return self.fourier_derivative(*_dzbar(self.t), np.pi * self.d / self.s, self.d)
 
-        A = a (x-stencil) + diag(b lambda_k + (pi d / s) x_i), (a, b) = _dzbar(t),
-        where lambda_k = sum_off c_off N e^{2 pi i off k / N} is the periodic
-        y-stencil on frequency k and the diagonal gathers the gauge terms of
-        _stencil_matrix.  The Bloch factor e^{2 pi i d y w} of an x-stencil
-        entry that wraps w times shifts the frequency k -> k - d w, so a row has
-        order + 1 nonzeros, and A is periodic-banded along each of the
-        gcd(d, N) chains that the shift links.  Its pattern is _dbar_hat_pattern's.
+    def fourier_derivative(self, a, b, c, d):
+        """The y-Fourier matrix A (csc) of a d/dx + b d/dy on degree-d sections
+        whose gauge terms sum to c x: the derivative is E^{-1} F_y^H A F_y E
+        (fourier_apply), row and column (i, k) = (x index, y frequency).
+
+        The stencils act on H = E F (see _gauge_exponent): along y the periodic
+        one, along x the Bloch one, whose entry that wraps w times carries
+        e^{2 pi i d y w}.  Back on F, dF/dx and dF/dy gain -(2 pi i d y) F and
+        -(2 pi i d z) F, z = x + t y; with the -phi_z of ∇¹'⁰ these sum to
+        c x = (pi d / s) x for ∂̄ and -(pi d / s) x for ∇¹'⁰.  So A = a
+        (x-stencil) + diag(b lambda_k + c x_i), lambda_k = sum_off c_off N
+        e^{2 pi i off k / N} the periodic y-stencil on frequency k.  The Bloch
+        factor shifts k -> k - d w, so A is periodic-banded along each of the
+        gcd(d, N) chains the shift links; its pattern is _dbar_hat_pattern's.
         """
-        N, d = self.N, self.d
+        N = self.N
         offsets, coeffs = _central_stencil(self.disc.order)
-        a, b = _dzbar(self.t)
         k = np.arange(N)
-        lam = sum(c * N * np.exp(2j * np.pi * off * k / N) for off, c in zip(offsets, coeffs))
-        vals = [(b * lam + (np.pi * d / self.s) * self.x).ravel()]
-        vals += [np.full(N * N, a * c * N) for c in coeffs]
+        lam = sum(cf * N * np.exp(2j * np.pi * off * k / N) for off, cf in zip(offsets, coeffs))
+        vals = [(b * lam + c * self.x).ravel()]
+        vals += [np.full(N * N, a * cf * N) for cf in coeffs]
         return _dbar_hat_pattern(N, self.disc.order, d).matrix(np.concatenate(vals))
+
+    def fourier_apply(self, A, u: np.ndarray, gauge: bool = True) -> np.ndarray:
+        """E^{-1} F_y^H A F_y E u for the samples u of a section, (1, N, N):
+        the derivative or composition whose y-Fourier matrix is A; with
+        gauge False (a periodic field, degree 0) F_y^H A F_y u."""
+        E = self.gauge.ravel()[:, None] if gauge else np.ones((1, 1))
+        return _in_fourier(u, lambda X: (A @ X.T).T, 1.0 / E, E, self.N)
 
     # -- the backend methods that forms, hodge and family call --------------
 
@@ -130,25 +146,26 @@ class _GridCalculus:
         return _GridGram(space)
 
     def first_order(self, space: FormSpace, target: FormSpace, name: str) -> OperatorMatrix:
-        """The matrix of dbar ((p,0) -> (p,1), with the sign (-1)^p of dz̄ past
-        dz_J) or of nabla10 = d/dz - phi_z ((0,q) -> (1,q), the same for q = 0
-        and 1, with (dx/dz, dy/dz) = (-t̄, 1) / (t - t̄)), kept once per fibre."""
+        """The y-Fourier matrix of dbar ((p,0) -> (p,1), with the sign (-1)^p of
+        dz̄ past dz_J; the fibre's dbar_hat) or of nabla10 = d/dz - phi_z
+        ((0,q) -> (1,q), the same for q = 0 and 1, with (dx/dz, dy/dz) =
+        (-t̄, 1) / (t - t̄)), kept once per fibre."""
         t = self.t
 
         def build():
             if name == "dbar":
-                return _stencil_matrix(self.N, self.disc.order, t, self.d, *_dzbar(t))
-            return _stencil_matrix(self.N, self.disc.order, t, self.d,
-                                   -np.conj(t) / (t - np.conj(t)), 1.0 / (t - np.conj(t)),
-                                   -self.phi_z)
+                return self.dbar_hat
+            return self.fourier_derivative(-np.conj(t) / (t - np.conj(t)), 1.0 / (t - np.conj(t)),
+                                           -np.pi * self.d / self.s, self.d)
         sign = (-1) ** space.bidegree[0] if name == "dbar" else 1
         return _cached(space, target, (name, (0, 0)), build, sign=sign)
 
     def adjoint_data(self, op: OperatorMatrix, gd: "_GridGram", gc: "_GridGram"):
-        # W_dom^{-1} A^H W_cod, the transpose of W_cod conj(A) W_dom^{-1}
-        wd = np.tile(gd.w.ravel(), op.domain.ncomp)
-        wc = np.tile(gc.w.ravel(), op.codomain.ncomp)
-        return _scaled(op.data.tocsr().conj(), wc, 1.0 / wd).T
+        """W_dom^{-1} D^H W_cod for D = E^{-1} F_y^H A F_y E.  A Gram weight is
+        a constant c per bidegree times |E|^2 (_GridGram.scale), so this is
+        E^{-1} F_y^H (c_cod / c_dom) A^H F_y E, of y-Fourier matrix
+        (c_cod / c_dom) A^H."""
+        return (gc.scale / gd.scale) * op.data.conj().T
 
     def pointwise(self, field):
         """Samples multiply as they are."""
@@ -161,9 +178,10 @@ class _GridCalculus:
         return c.reshape(c.shape + (1, 1))
 
     def dbar_of_field(self, space: FormSpace, W: np.ndarray) -> np.ndarray:
-        # the plain periodic derivative of a periodic sample field: degree 0
-        Dzbar = _stencil_matrix(self.N, self.disc.order, self.t, 0, *_dzbar(self.t))
-        return (Dzbar @ W[0].ravel()).reshape((1, 1) + W.shape[1:])
+        """The plain periodic derivative d/dz̄ of a periodic sample field: the
+        y-Fourier matrix of degree 0, with no gauge."""
+        A = self.fourier_derivative(*_dzbar(self.t), 0.0, 0)
+        return self.fourier_apply(A, W[:1], gauge=False)[None]
 
     def hodge_solver(self, space: FormSpace, rank_tol: float, expected_kernel: int):
         return _GridSolver(space, rank_tol, expected_kernel)
@@ -185,6 +203,17 @@ def _dzbar(t):
     return t / (t - np.conj(t)), -1.0 / (t - np.conj(t))
 
 
+def _in_fourier(v, op, left, right, N):
+    """left F_y^H op(F_y right v), left and right diagonal, for the N² samples
+    of a section or a block of columns of them.  The FFTs run on the block
+    transposed, as rows of N² samples, where each transform is contiguous; op
+    maps such rows."""
+    V = np.multiply(right.T, v.reshape(N * N, -1).T, order="C").reshape(-1, N, N)
+    V = np.fft.fft(V, axis=2, norm="ortho").reshape(-1, N * N)
+    V = np.fft.ifft(op(V).reshape(-1, N, N), axis=2, norm="ortho")
+    return np.multiply(left, V.reshape(-1, N * N).T, order="C").reshape(v.shape)
+
+
 def _frozen(*arrays):
     """The arrays, made read-only: cached patterns are shared by every fibre."""
     for arr in arrays:
@@ -193,16 +222,15 @@ def _frozen(*arrays):
 
 
 class _Pattern:
-    """The symbolic phase of an n x n sparse matrix whose entries are listed as
-    (major, minor) index pairs in a fixed order, major the row of a csr matrix
-    or the column of a csc one: its compressed indices and indptr, and the
-    gather that sorts values listed in that order.  matrix(vals) is the numeric
-    phase.  Repeated pairs (a stencil wider than the grid) are summed in list
-    order.  Patterns are cached and shared by every fibre of the same shape,
-    so their arrays are read-only.
+    """The symbolic phase of an n x n csc matrix whose entries are listed as
+    (column, row) index pairs in a fixed order: its compressed indices and
+    indptr, and the gather that sorts values listed in that order.
+    matrix(vals) is the numeric phase.  Repeated pairs (a stencil wider than
+    the grid) are summed in list order.  Patterns are cached and shared by
+    every fibre of the same shape, so their arrays are read-only.
     """
 
-    def __init__(self, fmt, major, minor, n):
+    def __init__(self, major, minor, n):
         key = major * n + minor
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -213,76 +241,30 @@ class _Pattern:
         self.indices = minor.astype(np.int32)
         self.indptr = np.searchsorted(major, np.arange(n + 1)).astype(np.int32)
         _frozen(self.gather, self.repeats, self.repeat_to, self.indices, self.indptr)
-        self.fmt, self.shape = fmt, (n, n)
+        self.shape = (n, n)
 
     def matrix(self, vals):
         data = vals[self.gather]
         np.add.at(data, self.repeat_to, vals[self.repeats])
-        return self.fmt((data, self.indices, self.indptr), shape=self.shape)
-
-
-@lru_cache(maxsize=4)
-def _stencil_pattern(N, order):
-    """The symbolic phase of _stencil_matrix, once per (N, order): the sample
-    coordinates, the x-stencil entries that wrap (flat index and wrap count)
-    and the column of every entry, listed as the diagonal, then the x-stencil
-    and then the y-stencil entries of each offset."""
-    offsets = np.array(_central_stencil(order)[0])[:, None]
-    row = np.arange(N * N)
-    i, j = np.divmod(row, N)  # x and y index of each sample
-    wrap, ii = np.divmod(i + offsets, N)
-    cols = np.concatenate([row[None], ii * N + j, i * N + (j + offsets) % N])
-    wrapped = np.flatnonzero(wrap)
-    return (*_frozen(i / N, j / N, wrapped, wrap.ravel()[wrapped], cols),
-            _Pattern(sp.csr_matrix, np.tile(row, len(cols)), cols.ravel(), N * N))
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 @lru_cache(maxsize=4)
 def _dbar_hat_pattern(N, order, d):
-    """The symbolic phase of _GridCalculus.dbar_hat, once per (N, order, d): its
-    csc pattern, listed as the diagonal and then each offset's x-stencil
-    entries, and column_order, SuperLU's COLAMD column order q of it and its
-    inverse.  COLAMD reads the pattern only, so q is taken from a factor of
-    the pattern filled with seeded values, and every fibre's order is q."""
+    """The symbolic phase of _GridCalculus.fourier_derivative, once per
+    (N, order, d): its csc pattern, listed as the diagonal and then each
+    offset's x-stencil entries, and column_order, SuperLU's COLAMD column
+    order q of it and its inverse.  COLAMD reads the pattern only, so q is
+    taken from a factor of the pattern filled with seeded values, and every
+    fibre's order is q."""
     offsets = np.array(_central_stencil(order)[0])[:, None]
     i, k = np.divmod(np.arange(N * N), N)
     wrap, ii = np.divmod(i + offsets, N)
     cols = np.concatenate([i * N + k, (ii * N + (k - d * wrap) % N).ravel()])
-    pattern = _Pattern(sp.csc_matrix, cols, np.tile(i * N + k, len(offsets) + 1), N * N)
+    pattern = _Pattern(cols, np.tile(i * N + k, len(offsets) + 1), N * N)
     perm_c = spla.splu(pattern.matrix(_seeded_block(len(cols), 1, 3).ravel())).perm_c
     pattern.column_order = _frozen(np.argsort(perm_c), perm_c.copy())
     return pattern
-
-
-def _stencil_matrix(N, order, t, d, a, b, diag=0.0):
-    """a d/dx + b d/dy + diag(diag) on the N x N samples of a degree-d section,
-    as a csr matrix; d = 0 differentiates a plain periodic field.
-
-    Every grid derivative is built here, on the pattern of _stencil_pattern.
-    The central stencils act on H = e^theta F (see _gauge_exponent): along y
-    the periodic stencil, along x the Bloch one, whose entry that wraps w times
-    carries e^{2 pi i d y w}.  Moved back to F,
-      dF/dx = e^{-theta} d/dx(e^theta F) - (2 pi i d y) F
-      dF/dy = e^{-theta} d/dy(e^theta F) - (2 pi i d z) F,  z = x + t y,
-    so the gauge terms join diag.
-    """
-    x, y, wrapped, wrap, cols, pattern = _stencil_pattern(N, order)
-    coeffs = _central_stencil(order)[1]
-    bloch = np.ones((len(coeffs), N * N), dtype=complex)
-    bloch.flat[wrapped] = np.exp(2j * np.pi * d * y[wrapped % (N * N)] * wrap)
-    vals = [np.ravel(diag) - 2j * np.pi * d * (a * y + b * (x + t * y))]
-    vals += [a * c * N * row for c, row in zip(coeffs, bloch)]
-    vals += [np.full(N * N, b * c * N) for c in coeffs]
-    theta = _gauge_exponent(x, y, t, d)
-    vals = np.exp(-theta) * np.reshape(vals, (-1, N * N)) * np.exp(theta)[cols]
-    return pattern.matrix(vals.ravel())
-
-
-def _scaled(m, left, right):
-    """diag(left) m diag(right) for a csr matrix m, in one pass over its entries."""
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return sp.csr_matrix((left[rows] * m.data * right[m.indices], m.indices, m.indptr),
-                         shape=m.shape)
 
 
 class _GridGram:
@@ -291,7 +273,9 @@ class _GridGram:
 
     def __init__(self, space: FormSpace):
         calc = space.calculus   # no reference back to the space, as in forms.GramMatrix
-        self.w = space.comp_metric()[0, 0].real * np.exp(-calc.phi) / calc.disc.N**2
+        metric = space.comp_metric()[0, 0].real
+        self.w = metric * np.exp(-calc.phi) / calc.disc.N**2
+        self.scale = metric / calc.disc.N**2   # w / |E|^2, as |E|^2 = e^{-phi}
 
     def inner(self, u: FormSection, v: FormSection) -> complex:
         return complex(np.sum(v.coeffs.conj() * self.w * u.coeffs))
@@ -360,20 +344,10 @@ class _DbarFactor:
         # the fibre's, whichever package on it is built first
         self.null = self._near_null(space.bundle.degree + 2)
 
-    def _in_fourier(self, v, op, left, right):
-        """left F_y^H op(F_y right v), left and right diagonal, for a vector or
-        a block of columns.  The FFTs run on the block transposed, as rows of
-        N² samples, where each transform is contiguous; op maps such rows."""
-        N = self.N
-        V = np.multiply(right.T, v.reshape(N * N, -1).T, order="C").reshape(-1, N, N)
-        V = np.fft.fft(V, axis=2, norm="ortho").reshape(-1, N * N)
-        V = np.fft.ifft(op(V).reshape(-1, N, N), axis=2, norm="ortho")
-        return np.multiply(left, V.reshape(-1, N * N).T, order="C").reshape(v.shape)
-
     def apply(self, v, trans="N"):
         """Dt v, or Dt^H v for trans "H"."""
         A = self.A if trans == "N" else self._AH
-        return self._in_fourier(v, lambda X: (A @ X.T).T, *self._scales[trans])
+        return _in_fourier(v, lambda X: (A @ X.T).T, *self._scales[trans], self.N)
 
     def solve(self, r, trans="N"):
         """Dt^{-1} r, or Dt^{-H} r for trans "H", through the factor of A[:, q]
@@ -385,7 +359,7 @@ class _DbarFactor:
         else:
             def op(X):
                 return self.lu.solve(X[:, self._q].T, trans="H").T
-        return self._in_fourier(r, op, *self._inverse_scales[trans])
+        return _in_fourier(r, op, *self._inverse_scales[trans], self.N)
 
     def _near_null(self, block: int):
         """Near-null vectors of Dt (null[0]) and of Dt^H (null[1]) and their

@@ -65,7 +65,7 @@ def pipeline_for(d):
     elapsed = time.perf_counter() - t_start
     pkg01 = build_hodge(sp.sibling((0, 1)), expected_kernel=0)
     pkg11 = build_hodge(sp.sibling((1, 1)), expected_kernel=0)
-    reps = [berndtsson_representative(fam, lift, f, pkg0, tol=1e-5)
+    reps = [berndtsson_representative(lift, f, pkg0, tol=1e-5)
             for f in basis]
     _CACHE[d] = dict(d=d, fam=fam, disc=disc, sp=sp, pkg0=pkg0, pkg01=pkg01,
                      pkg11=pkg11, basis=basis, lift=lift, report=report,

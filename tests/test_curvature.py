@@ -120,7 +120,7 @@ def test_second_fundamental_form_routes(grid_curv):
     fam, disc, sp, pkg0, basis, lift, report = grid_curv
     sp11 = make_space(fam.torus_at(), fam.bundle_at(), (1, 1), disc)
     pkg11 = build_hodge(sp11, expected_kernel=0)
-    rep = berndtsson_representative(fam, lift, basis[0], pkg0, tol=ADM)
+    rep = berndtsson_representative(lift, basis[0], pkg0, tol=ADM)
     ii_proj = second_fundamental_form(rep, pkg0)
     ii_green = second_fundamental_form(rep, pkg11)
     rel = (ii_proj - ii_green).norm() / max(ii_proj.norm(), 1e-300)

@@ -164,19 +164,19 @@ def test_primitivity_residual_reads_kappa_with_tau(tau):
 
 def test_extension_admissibility_gate(grid_setup, rng):
     fam, sp, pkg0, f, lift = grid_setup
-    assert berndtsson_representative(fam, lift, f, pkg0, tol=1e-2) is not None
+    assert berndtsson_representative(lift, f, pkg0, tol=1e-2) is not None
     # the gate exists to reject corrupted data: a harmonic section polluted
     # with white noise has unresolved stencil derivatives
     rough = f + band_limited(sp, rng) * 0.0
     noise = sp.section(0.05 * (rng.standard_normal((1,) + sp.field_shape)
                                + 1j * rng.standard_normal((1,) + sp.field_shape)))
     with pytest.raises(ExtensionNotAdmissible, match="theta-flow extension"):
-        berndtsson_representative(fam, lift, f + noise, pkg0, tol=1e-4)
+        berndtsson_representative(lift, f + noise, pkg0, tol=1e-4)
 
 
 def test_representative_properties_coarse(grid_setup):
     fam, sp, pkg0, f, lift = grid_setup
-    rep = berndtsson_representative(fam, lift, f, pkg0, tol=1e-2)
+    rep = berndtsson_representative(lift, f, pkg0, tol=1e-2)
     res_prim, res_orth = representative_residuals(rep, pkg0)
     assert res_prim <= 1e-2
     assert res_orth <= 1e-2
@@ -189,7 +189,7 @@ def test_representative_stores_kappa_and_curvature_contraction(grid_setup, rng):
     fam, sp, pkg0, f, lift = grid_setup
     W = band_limited_field(sp.calculus, rng, (1,) + sp.field_shape, magnitude=0.1)
     for xi in (lift, perturb_lift(lift, W)):
-        rep = berndtsson_representative(fam, xi, f, pkg0, tol=1e-2)
+        rep = berndtsson_representative(xi, f, pkg0, tol=1e-2)
         assert np.array_equal(rep.kf.coeffs, kappa(xi, f).coeffs)
         assert np.array_equal(rep.theta_f.coeffs, curvature_contraction_form(xi, f).coeffs)
         assert rep.theta_f.norm() > 0.0  # a positive bundle: the curvature term is live
@@ -212,6 +212,16 @@ def test_curvature_H_builds_each_section_form_once(monkeypatch):
     assert calls["trivialization_lift"] == 0
 
 
+def test_curvature_H_rejects_a_family_that_is_not_the_lifts(grid_setup):
+    # the representatives read the family off the lift, so curvature_H takes
+    # its family argument only as the lift's own: an equal copy is another family
+    fam, sp, pkg0, f, lift = grid_setup
+    for other in (elliptic_family(T0 + 0.01, d=1), elliptic_family(T0, d=1)):
+        with pytest.raises(ValueError, match="lift's family"):
+            curvature_H(other, lift, [f * (1.0 / f.norm())], pkg0)
+    assert curvature_H(fam, lift, [f * (1.0 / f.norm())], pkg0, admissibility_tol=1e-2).rank == 1
+
+
 @pytest.fixture(scope="module")
 def siegel_setup():
     fam = siegel_diagonal_family(0.2 + 0.9j)
@@ -229,7 +239,7 @@ def test_representative_properties_on_abelian_surface(siegel_setup, perturbed):
         rng = np.random.default_rng(0)
         lift = perturb_lift(lift, 0.05 * rng.standard_normal((2,) + sp.field_shape))
         assert primitivity_residual(lift, f) > 1.0
-    rep = berndtsson_representative(fam, lift, f, pkg0)
+    rep = berndtsson_representative(lift, f, pkg0)
     res_prim, res_orth = representative_residuals(rep, pkg0)
     assert res_prim <= 1e-10
     assert res_orth <= 1e-10
@@ -238,7 +248,7 @@ def test_representative_properties_on_abelian_surface(siegel_setup, perturbed):
 def test_second_fundamental_form_rejects_other_bidegrees(siegel_setup):
     # the route follows the package: (n,0) projection, (n,1) Green, nothing else
     fam, sp, pkg0, f, lift = siegel_setup
-    rep = berndtsson_representative(fam, lift, f, pkg0)
+    rep = berndtsson_representative(lift, f, pkg0)
     assert second_fundamental_form(rep, pkg0).norm() <= 1e-12
     pkg22 = build_hodge(sp.sibling((2, 2)), expected_kernel=1)
     with pytest.raises(ValueError, match="not \\(2, 2\\)"):
@@ -256,13 +266,13 @@ def test_representative_rejects_a_non_primitive_xi_dbar_u():
     _, pkg0, (f,), lift = direct_image_fibre(fam, Spectral(M=4), expected_kernel=1)
     with pytest.raises(ExtensionNotAdmissible,
                        match=r"omega ∧ iota\*\(xi ⌟ dbar u\) residual 1\.96"):
-        berndtsson_representative(fam, lift, f, pkg0)
+        berndtsson_representative(lift, f, pkg0)
 
 
 def test_representative_scales_with_section(grid_setup):
     fam, sp, pkg0, f, lift = grid_setup
-    rep1 = berndtsson_representative(fam, lift, f, pkg0, tol=1e-2)
-    rep2 = berndtsson_representative(fam, lift, f * 2.0, pkg0, tol=1e-2)
+    rep1 = berndtsson_representative(lift, f, pkg0, tol=1e-2)
+    rep2 = berndtsson_representative(lift, f * 2.0, pkg0, tol=1e-2)
     assert (rep2.xi_dbar_u - rep1.xi_dbar_u * 2.0).norm() <= 1e-8
 
 

@@ -33,7 +33,7 @@ from toruslab.forms import (
 )
 from toruslab.geometry import make_positive_bundle, make_torus
 
-from conftest import band_limited
+from conftest import band_limited, coo_dbar, coo_nabla10
 
 
 def spaces_for(torus, bundle, disc, bidegrees):
@@ -116,25 +116,31 @@ def test_operator_data_is_assembled_once_per_fibre(which, flat_torus, flat_bundl
         adj = adjoint(op)
         assert adjoint(assemble(sp)).data is adj.data
         gd, gc_ = gram(op.domain), gram(op.codomain)
-        A, adjA = op.sign * op.data, adj.sign * adj.data
         if which == "spectral":
+            A, adjA = op.sign * op.data, adj.sign * adj.data
             blocks = np.broadcast_to(A, A.shape[:2] + sp.field_shape)
             ref = np.einsum("de,ef...,fc->dc...", gd.Pinv,
                             np.conj(np.swapaxes(blocks, 0, 1)), gc_.P)
-            diff = np.abs(adjA - ref).max()
+            assert np.abs(adjA - ref).max() <= 1e-15 * abs(ref).max()
         else:
-            ref = (sparse.diags(1.0 / gd.w.ravel()) @ A.conj().T
-                   @ sparse.diags(gc_.w.ravel()))
-            diff = abs(adjA - ref).max()
-        assert diff <= 1e-15 * abs(ref).max()
+            # the adjoint applied against W_dom^{-1} A^H W_cod of the physical
+            # stencil matrix A (conftest's listed-entry reference)
+            A = op.sign * (coo_dbar if assemble is assemble_dbar else coo_nabla10)(sp00)
+            ref = sparse.diags(1.0 / gd.w.ravel()) @ A.conj().T @ sparse.diags(gc_.w.ravel())
+            v = np.random.default_rng(1).standard_normal(sp.dim) + 0j
+            got = adj.apply(op.codomain.section(v)).coeffs.ravel()
+            want = ref @ v
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     if which == "spectral":
         # the solver reads lambda off the fibre's (0,0) box, not its own
         pkg = build_hodge(sp00.sibling((1, 0)), expected_kernel=1)
         assert "laplacian" not in pkg.__dict__
     if which == "grid":
         # one matrix per operator and one per adjoint: the (0,1) nabla10 and the
-        # (1,0) dbar (with sign -1) share the data of the (0,0) ones
+        # (1,0) dbar (with sign -1) share the data of the (0,0) ones, and the
+        # dbar is the fibre's dbar_hat, which its factor needs
         assert assemble_dbar(sp00.sibling((1, 0))).sign == -1
+        assert assemble_dbar(sp00).data is sp00.calculus.dbar_hat
         assert set(sp00.calculus.operators) == {
             ("dbar", (0, 0)), ("nabla10", (0, 0)),
             ("adjoint", "dbar", (0, 0)), ("adjoint", "nabla10", (0, 0))}
@@ -142,8 +148,7 @@ def test_operator_data_is_assembled_once_per_fibre(which, flat_torus, flat_bundl
         assert "laplacian" not in pkg.__dict__
         diag = pkg.diagnostics()
         assert diag["nnz"] == pkg.__dict__["laplacian"].data.nnz
-        # besides dbar_hat, the y-Fourier form of dbar that the factor needs,
-        # the operator cache is the only holder of a derivative matrix
+        # the operator cache and dbar_hat are the only holders of a derivative matrix
         held = {k for k, v in vars(sp00.calculus).items() if sparse.issparse(v)}
         assert held == {"dbar_hat"}
 

@@ -11,6 +11,7 @@ from toruslab.forms import (
     Spectral,
     adjoint,
     assemble_dbar,
+    assemble_nabla10,
     gram,
     make_space,
     pair_l2,
@@ -25,7 +26,7 @@ from toruslab.hodge import (
 )
 from toruslab.oracle import exact_flat_spectrum
 
-from conftest import T0, band_limited
+from conftest import T0, band_limited, coo_dbar, coo_nabla10, coo_stencil
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,39 @@ def test_grid_kernel_block_grows_to_aliased_cokernel():
     assert diag["kernel_found"] == 0
 
 
+def _max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", [8, 64])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_grid_operators_match_coo_stencil(d, N):
+    # applied through their y-Fourier matrices, dbar (with the sign of (1,0)),
+    # nabla10 and both adjoints match the physical stencil; d = 0 is the
+    # periodic dbar_of_field.  At N = 8 the order-10 stencil reaches past half
+    # the period, so two offsets land on one x index with different wraps
+    torus = make_torus(1, [[T0]])
+    sp00 = make_space(torus, make_positive_bundle(torus, max(d, 1)), (0, 0),
+                      Grid(N=N, order=10))
+    rng = np.random.default_rng(10 * N + d)
+    v = rng.standard_normal(N * N) + 1j * rng.standard_normal(N * N)
+    if d == 0:
+        ref = coo_stencil(N, 10, T0, 0, *grid._dzbar(T0), 0.0) @ v
+        got = sp00.calculus.dbar_of_field(sp00, v.reshape(1, N, N))
+        assert got.shape == (1, 1, N, N) and _max_rel(got.ravel(), ref) <= 1e-14
+        return
+    dbar, nabla = coo_dbar(sp00), coo_nabla10(sp00)
+    for assemble, bidegree, A in ((assemble_dbar, (0, 0), dbar), (assemble_dbar, (1, 0), -dbar),
+                                  (assemble_nabla10, (0, 0), nabla),
+                                  (assemble_nabla10, (0, 1), nabla)):
+        op = assemble(sp00.sibling(bidegree))
+        wd, wc = (gram(s).w.ravel() for s in (op.domain, op.codomain))
+        adjA = sparse.diags(1.0 / wd) @ A.conj().T @ sparse.diags(wc)
+        for o, ref in ((op, A), (adjoint(op), adjA)):
+            got = o.apply(o.domain.section(v)).coeffs.ravel()
+            assert _max_rel(got, ref @ v) <= 1e-14, (bidegree, o is op)
+
+
 @pytest.mark.parametrize("N", [8, 32])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dbar_factor_matches_assembled_dbar(N, d):
@@ -125,7 +159,7 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
     factor = build_hodge(sp10, expected_kernel=d)._solver.factor
     sp00 = sp10.sibling((0, 0))
     w0, w1 = (np.sqrt(gram(sp00.sibling((0, q))).w.ravel()) for q in (0, 1))
-    Dt = sparse.diags(w1) @ assemble_dbar(sp00).data @ sparse.diags(1.0 / w0)
+    Dt = sparse.diags(w1) @ coo_dbar(sp00) @ sparse.diags(1.0 / w0)
     rng = np.random.default_rng(N + d)
     V = rng.standard_normal((N * N, 3)) + 1j * rng.standard_normal((N * N, 3))
     for trans, A in (("N", Dt), ("H", Dt.conj().T)):
@@ -134,46 +168,14 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
     # the weighted dbar out of (1,0) is -Dt, so the factor serves it too
     v0, v1 = (np.sqrt(gram(sp10.sibling((1, q))).w.ravel()) for q in (0, 1))
     dbar10 = assemble_dbar(sp10)
-    Dt10 = sparse.diags(v1) @ (dbar10.sign * dbar10.data) @ sparse.diags(1.0 / v0)
-    assert np.abs(Dt10 + Dt).max() <= 1e-14 * np.abs(Dt).max()
+    Dt10V = np.stack([v1 * dbar10.apply(sp10.section(col / v0)).coeffs.ravel()
+                      for col in V.T], axis=1)
+    assert np.abs(Dt10V + Dt @ V).max() <= 1e-14 * np.abs(Dt @ V).max()
     # a right-hand side off the other side's near-null block is solvable
     for trans, A, Q in (("N", Dt, factor.null[1][0]), ("H", Dt.conj().T, factor.null[0][0])):
         r = V - Q @ (Q.conj().T @ V)
         x = factor.solve(r, trans)
         assert np.linalg.norm(A @ x - r) <= 1e-11 * np.linalg.norm(r)
-
-
-def _coo_stencil(N, order, t, d, a, b, diag):
-    """The stencil matrix assembled as listed entries, converted by scipy: the
-    reference for the pattern and the values of grid._stencil_matrix."""
-    offsets, coeffs = grid._central_stencil(order)
-    row = np.arange(N * N)
-    i, j = np.divmod(row, N)
-    x, y = i / N, j / N
-    rows, cols = [row], [row]
-    vals = [np.ravel(diag) - 2j * np.pi * d * (a * y + b * (x + t * y))]
-    for off, c in zip(offsets, coeffs):
-        wrap, ii = np.divmod(i + off, N)
-        rows += [row, row]
-        cols += [ii * N + j, i * N + (j + off) % N]
-        vals += [a * c * N * np.exp(2j * np.pi * d * y * wrap), np.full(N * N, b * c * N)]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    theta = grid._gauge_exponent(x, y, t, d)
-    vals = np.exp(-theta)[rows] * np.concatenate(vals) * np.exp(theta)[cols]
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
-
-
-@pytest.mark.parametrize("d", [0, 1, 3])
-def test_stencil_matrix_matches_coo_assembly(d):
-    # the numeric phase on a cached pattern gives the listed-entry matrix to the bit
-    N, order = 64, 10
-    rng = np.random.default_rng(d)
-    diag = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    for a, b, dg in ((*grid._dzbar(T0), 0.0), (0.3 - 0.1j, 0.2 + 0.5j, diag)):
-        m = grid._stencil_matrix(N, order, T0, d, a, b, dg)
-        ref = _coo_stencil(N, order, T0, d, a, b, dg)
-        for got, want in ((m.indptr, ref.indptr), (m.indices, ref.indices), (m.data, ref.data)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _fibre_results(t, d):
@@ -188,10 +190,8 @@ def _fibre_results(t, d):
 
 def test_warm_caches_change_no_result():
     # a fibre built after fibres at other t and other d, which filled the
-    # pattern caches, matches its cold build to the bit
-    caches = (grid._stencil_pattern, grid._dbar_hat_pattern)
-    for cache in caches:
-        cache.cache_clear()
+    # pattern cache, matches its cold build to the bit
+    grid._dbar_hat_pattern.cache_clear()
     # the column order comes with the pattern, before any fibre is factored
     assert grid._dbar_hat_pattern(64, 10, 2).column_order is not None
     cold = _fibre_results(T0, 2)
@@ -200,13 +200,11 @@ def test_warm_caches_change_no_result():
     warm = _fibre_results(T0, 2)
     for got, want in zip(warm, cold):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    # the caches are bounded: more patterns than they hold evict the oldest
+    # the cache is bounded: more patterns than it holds evict the oldest
     for N in range(4, 20, 2):
-        grid._stencil_pattern(N, 2)
         grid._dbar_hat_pattern(N, 2, 1)
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize == info.maxsize
+    info = grid._dbar_hat_pattern.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
 
 
 @pytest.mark.parametrize("bidegree", [(1, 0), (1, 1)])
