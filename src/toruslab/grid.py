@@ -13,10 +13,16 @@ keeps one matrix per operator, that of its (0,0) form: ∇¹'⁰ on (0,1) equals
 ∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄ on (0,0), a sign the operator
 carries.  Products are taken sample by sample.
 
-Hodge solver: the Laplacian is Dt^H Dt or Dt Dt^H for the weighted sparse dbar
-Dt, so _DbarFactor factors Dt, not the Laplacian, once per fibre for all four
-bidegrees, and _GridSolver cuts its kernel at rank_tol.  The low spectrum is
-computed only on demand.
+Hodge solver.  A Gram weight w_q is a constant c_q per bidegree (p,q) times
+|E|^2 (_GridGram.scale).  So on the weighted samples sqrt(w_q) u the dbar out
+of (p,0) is (-1)^p Dt with Dt = sqrt(w_1) E^{-1} F_y^H A F_y E / sqrt(w_0) =
+kappa U^H A U, A = dbar_hat, U = F_y E / |E| unitary and kappa^2 = c_1 / c_0,
+the same for p = 0 and 1.  _DbarFactor and _GridSolver therefore work in A's
+own basis u^ = U sqrt(w_q) u = sqrt(c_q) F_y E u, where the L2 pairing is the
+plain one and the Laplacian is kappa^2 A^H A on (p,0) and kappa^2 A A^H on
+(p,1): one LU of A per fibre serves all four bidegrees, no solve runs an FFT,
+and samples enter and leave the basis once per apply.  _GridSolver cuts the
+kernel at rank_tol; the low spectrum is computed only on demand.
 
 Set-up runs in two phases, as in sparse direct solvers.  The symbolic phase,
 the csc structure of the y-Fourier derivatives and SuperLU's COLAMD column
@@ -109,25 +115,29 @@ class _GridCalculus:
         e^{2 pi i d y w}.  Back on F, dF/dx and dF/dy gain -(2 pi i d y) F and
         -(2 pi i d z) F, z = x + t y; with the -phi_z of ∇¹'⁰ these sum to
         c x = (pi d / s) x for ∂̄ and -(pi d / s) x for ∇¹'⁰.  So A = a
-        (x-stencil) + diag(b lambda_k + c x_i), lambda_k = sum_off c_off N
-        e^{2 pi i off k / N} the periodic y-stencil on frequency k.  The Bloch
-        factor shifts k -> k - d w, so A is periodic-banded along each of the
-        gcd(d, N) chains the shift links; its pattern is _dbar_hat_pattern's.
+        (x-stencil) + diag(b lambda_k + c x_i), lambda_k the periodic y-stencil
+        on frequency k (_periodic_symbol).  The Bloch factor shifts k -> k - d w,
+        so A is periodic-banded along each of the gcd(d, N) chains the shift
+        links; its pattern is _dbar_hat_pattern's.
         """
         N = self.N
-        offsets, coeffs = _central_stencil(self.disc.order)
-        k = np.arange(N)
-        lam = sum(cf * N * np.exp(2j * np.pi * off * k / N) for off, cf in zip(offsets, coeffs))
-        vals = [(b * lam + c * self.x).ravel()]
+        coeffs = _central_stencil(self.disc.order)[1]
+        vals = [(b * _periodic_symbol(N, self.disc.order) + c * self.x).ravel()]
         vals += [np.full(N * N, a * cf * N) for cf in coeffs]
         return _dbar_hat_pattern(N, self.disc.order, d).matrix(np.concatenate(vals))
 
-    def fourier_apply(self, A, u: np.ndarray, gauge: bool = True) -> np.ndarray:
+    def fourier_apply(self, A, u: np.ndarray) -> np.ndarray:
         """E^{-1} F_y^H A F_y E u for the samples u of a section, (1, N, N):
-        the derivative or composition whose y-Fourier matrix is A; with
-        gauge False (a periodic field, degree 0) F_y^H A F_y u."""
-        E = self.gauge.ravel()[:, None] if gauge else np.ones((1, 1))
-        return _in_fourier(u, lambda X: (A @ X.T).T, 1.0 / E, E, self.N)
+        the derivative or composition whose y-Fourier matrix is A."""
+        return self.from_fourier(A @ self.to_fourier(u))
+
+    def to_fourier(self, u: np.ndarray) -> np.ndarray:
+        """F_y E u, (N², m), row (x index, y frequency), of m sample arrays (m, N, N)."""
+        return np.fft.fft(self.gauge * u, axis=2, norm="ortho").reshape(len(u), -1).T
+
+    def from_fourier(self, v: np.ndarray) -> np.ndarray:
+        """E^{-1} F_y^H v, (m, N, N), of v (N², m) or (N²,): the inverse of to_fourier."""
+        return np.fft.ifft(v.T.reshape((-1,) + self.field_shape), axis=2, norm="ortho") / self.gauge
 
     # -- the backend methods that forms, hodge and family call --------------
 
@@ -179,9 +189,11 @@ class _GridCalculus:
 
     def dbar_of_field(self, space: FormSpace, W: np.ndarray) -> np.ndarray:
         """The plain periodic derivative d/dz̄ of a periodic sample field: the
-        y-Fourier matrix of degree 0, with no gauge."""
-        A = self.fourier_derivative(*_dzbar(self.t), 0.0, 0)
-        return self.fourier_apply(A, W[:1], gauge=False)[None]
+        2-D Fourier multiplier a lambda(k_x) + b lambda(k_y) with (a, b) =
+        _dzbar(t) and the stencil's symbol lambda (_periodic_symbol)."""
+        a, b = _dzbar(self.t)
+        lam = _periodic_symbol(self.N, self.disc.order)
+        return np.fft.ifft2((a * lam[:, None] + b * lam[None, :]) * np.fft.fft2(W[:1]))[None]
 
     def hodge_solver(self, space: FormSpace, rank_tol: float, expected_kernel: int):
         return _GridSolver(space, rank_tol, expected_kernel)
@@ -203,15 +215,12 @@ def _dzbar(t):
     return t / (t - np.conj(t)), -1.0 / (t - np.conj(t))
 
 
-def _in_fourier(v, op, left, right, N):
-    """left F_y^H op(F_y right v), left and right diagonal, for the N² samples
-    of a section or a block of columns of them.  The FFTs run on the block
-    transposed, as rows of N² samples, where each transform is contiguous; op
-    maps such rows."""
-    V = np.multiply(right.T, v.reshape(N * N, -1).T, order="C").reshape(-1, N, N)
-    V = np.fft.fft(V, axis=2, norm="ortho").reshape(-1, N * N)
-    V = np.fft.ifft(op(V).reshape(-1, N, N), axis=2, norm="ortho")
-    return np.multiply(left, V.reshape(-1, N * N).T, order="C").reshape(v.shape)
+def _periodic_symbol(N, order):
+    """lambda_k = sum_off c_off N e^{2 pi i off k / N}: the periodic stencil on
+    frequency k of numpy's FFT."""
+    offsets, coeffs = _central_stencil(order)
+    k = np.arange(N)
+    return sum(cf * N * np.exp(2j * np.pi * off * k / N) for off, cf in zip(offsets, coeffs))
 
 
 def _frozen(*arrays):
@@ -292,46 +301,30 @@ def _seeded_block(n: int, cols: int, seed: int) -> np.ndarray:
 
 
 class _DbarFactor:
-    """The weighted dbar Dt = W_cod^{1/2} D W_dom^{-1/2} out of (0,0) on a grid
-    fibre, factored in the y-Fourier basis, and the near-null vectors of Dt
-    (null[0], the kernel on (p,0)) and of Dt^H (null[1], on (p,1)) with their
-    Ritz values.
+    """The y-Fourier ∂̄ A of a grid fibre (its calculus' dbar_hat), its sparse
+    LU, and the near-null vectors of A (null[0], the kernel on (p,0)) and of
+    A^H (null[1], on (p,1)) with their Ritz values, which are eigenvalues of
+    the Laplacian: kappa2 = kappa^2 (module docstring) times the squared
+    singular values of A.
 
-    Dt = L F_y^H A F_y R with the fibre calculus' dbar_hat A, the unitary FFT
-    F_y along y and diagonal L = W_cod^{1/2} E^{-1}, R = E W_dom^{-1/2} (E the
-    gauge factor).  So a solve is a scaling, an FFT, a sparse LU solve with A
-    (banded along its Bloch chains, so the fill stays small), an inverse FFT
-    and a scaling.  The (1,0) dbar is -Dt, since the (p,1) and (p,0) weights
-    differ by the same constant for p = 0 and 1; inverse iteration and Green
-    use solves in pairs, so one factor serves all four bidegrees.  Dt is not
-    normal, so inverse iteration runs with Dt^{-1} Dt^{-H}, not Dt^{-1} alone.
-    Dt is square, so Dt and Dt^H share their singular values, and one
-    iteration gives both blocks: its iterates V span Dt's block, and its
-    half-steps Dt^{-H} V span Dt^H's.  solves counts the calls to solve.
+    A is banded along its Bloch chains, so the fill stays small.  The (1,0)
+    dbar is minus the (0,0) one, and inverse iteration and Green use solves in pairs, so one
+    factor serves all four bidegrees.  A is not normal, so inverse iteration
+    runs with A^{-1} A^{-H}, not A^{-1} alone.  A is square, so A and A^H share
+    their singular values, and one iteration gives both blocks: its iterates V
+    span A's block, and its half-steps A^{-H} V span A^H's.  solves counts the
+    calls to solve.
     """
 
     def __init__(self, space: FormSpace, rank_tol: float):
         calc = space.calculus
-        self.N = calc.N
-        E = calc.gauge.ravel()[:, None]
-        w = [np.sqrt(gram(space.sibling((0, q))).w.ravel())[:, None] for q in (0, 1)]
-        L, R = w[1] / E, E / w[0]
-        self._scales = {"N": (L, R), "H": (R.conj(), L.conj())}
-        self._inverse_scales = {trans: (1 / right, 1 / left)
-                                for trans, (left, right) in self._scales.items()}
         self.A = calc.dbar_hat
-        self._AH = self.A.conj().T
-        # power iteration for the spectral scale of Dt^H Dt.  |L| and |R| are
-        # constants l and r (the weights and the gauge factor share the decay
-        # e^{-pi d s y^2}), so Dt^H Dt = (l r)^2 U^H A^H A U with U = F_y R / r
-        # unitary, and the iteration runs on A from the start U v0.
-        l, r = float(np.abs(L).mean()), float(np.abs(R).mean())
-        N = self.N
-        v = np.fft.fft((R * _seeded_block(N * N, 1, 1)).reshape(N, N), axis=1, norm="ortho")
-        v = v.ravel()
+        self.kappa2 = gram(space.sibling((0, 1))).scale / gram(space.sibling((0, 0))).scale
+        # power iteration for the spectral scale kappa2 A^H A of the Laplacian
+        v = _seeded_start(calc, 1, 1)[:, 0]
         for _ in range(30):
-            v = self._AH @ (self.A @ (v / np.linalg.norm(v)))
-        self.cut = rank_tol * max((l * r) ** 2 * float(np.linalg.norm(v)), 1.0)
+            v = self._apply(self.A @ (v / np.linalg.norm(v)), "H")
+        self.cut = rank_tol * max(self.kappa2 * float(np.linalg.norm(v)), 1.0)
         # A[:, q] with the pattern's COLAMD order q, factored with no
         # reordering (NATURAL), has the LU and the solves of A under COLAMD
         self._q, self._q_inv = _dbar_hat_pattern(calc.N, calc.disc.order, calc.d).column_order
@@ -340,38 +333,32 @@ class _DbarFactor:
         except RuntimeError as exc:
             raise EigenFailure(str(exc)) from exc
         self.solves = 0
-        # Dt has a d-dimensional kernel on a degree-d fibre, so the block is
+        # A has a d-dimensional kernel on a degree-d fibre, so the block is
         # the fibre's, whichever package on it is built first
-        self.null = self._near_null(space.bundle.degree + 2)
+        self.null = self._near_null(calc, space.bundle.degree + 2)
 
-    def apply(self, v, trans="N"):
-        """Dt v, or Dt^H v for trans "H"."""
-        A = self.A if trans == "N" else self._AH
-        return _in_fourier(v, lambda X: (A @ X.T).T, *self._scales[trans], self.N)
+    def _apply(self, v, trans):
+        """A v, or A^H v = conj(A^T conj(v)) through A's free transpose view for trans "H"."""
+        return self.A @ v if trans == "N" else (self.A.T @ v.conj()).conj()
 
     def solve(self, r, trans="N"):
-        """Dt^{-1} r, or Dt^{-H} r for trans "H", through the factor of A[:, q]
-        (op maps rows, so A^{-1} acts on the transpose)."""
+        """A^{-1} r, or A^{-H} r for trans "H", through the factor of A[:, q]."""
         self.solves += 1
         if trans == "N":
-            def op(X):
-                return self.lu.solve(X.T).T[:, self._q_inv]
-        else:
-            def op(X):
-                return self.lu.solve(X[:, self._q].T, trans="H").T
-        return _in_fourier(r, op, *self._inverse_scales[trans], self.N)
+            return self.lu.solve(r)[self._q_inv]
+        return self.lu.solve(r[self._q], trans="H")
 
-    def _near_null(self, block: int):
-        """Near-null vectors of Dt (null[0]) and of Dt^H (null[1]) and their
+    def _near_null(self, calc, block: int):
+        """Near-null vectors of A (null[0]) and of A^H (null[1]) and their
         Ritz values, below the cut, from one block inverse iteration with
-        (Dt^H Dt)^{-1} = Dt^{-1} Dt^{-H}: its last half-step Y = Dt^{-H} V spans
-        Dt^H's block, since Dt^{-H} maps right singular vectors of Dt to left
+        (A^H A)^{-1} = A^{-1} A^{-H}: its last half-step Y = A^{-H} V spans
+        A^H's block, since A^{-H} maps right singular vectors of A to left
         ones with the same singular value (Y has had three half-steps, V four).
         Rayleigh-Ritz on each side; the block doubles until a Ritz value of
         each side lies above the cut."""
         n = self.A.shape[0]
         while True:
-            V = _seeded_block(n, block, 2)
+            V = _seeded_start(calc, block, 2)
             for _ in range(2):
                 V, _ = np.linalg.qr(V)
                 Y = self.solve(V, "H")
@@ -387,18 +374,28 @@ class _DbarFactor:
 
     def _ritz(self, V, trans):
         """An orthonormal basis Q of span V, the right singular vectors Wh of
-        Dt Q (or Dt^H Q for trans "H"), and the Ritz values, ascending."""
+        A Q (or A^H Q for trans "H"), and the Ritz values kappa2 s^2 of the
+        Laplacian, ascending."""
         Q, _ = np.linalg.qr(V)
-        _, s, Wh = np.linalg.svd(self.apply(Q, trans), full_matrices=False)
-        return Q, Wh, s[::-1] ** 2
+        _, s, Wh = np.linalg.svd(self._apply(Q, trans), full_matrices=False)
+        return Q, Wh, self.kappa2 * s[::-1] ** 2
+
+
+def _seeded_start(calc: _GridCalculus, cols: int, seed: int) -> np.ndarray:
+    """U V = F_y E (V / |E|) for the seeded block V of N² weighted samples: a
+    start in A's basis."""
+    V = _seeded_block(calc.N ** 2, cols, seed).T.reshape((cols,) + calc.field_shape)
+    return calc.to_fourier(V / np.abs(calc.gauge))
 
 
 class _GridSolver:
-    """Kernel, Green operator and, on demand, low spectrum of a grid Laplacian.
+    """Kernel, Green operator and, on demand, low spectrum of a grid Laplacian,
+    in A's basis u^ = sqrt(c) F_y E u (see the module docstring).
 
-    With K and C the near-null blocks of Dt (on (p,0)) and of Dt^H (on (p,1))
-    of the fibre's _DbarFactor and P_Q = I - Q Q^H, G is P_K Dt^{-1} P_C Dt^{-H} P_K
-    on (p,0) and P_C Dt^{-H} P_K Dt^{-1} P_C on (p,1), the Laplacian's pseudo-inverse.
+    With K and C the near-null blocks of A (on (p,0)) and of A^H (on (p,1))
+    of the fibre's _DbarFactor and P_Q = I - Q Q^H, G is kappa^{-2} P_K A^{-1}
+    P_C A^{-H} P_K on (p,0) and kappa^{-2} P_C A^{-H} P_K A^{-1} P_C on (p,1),
+    the Laplacian's pseudo-inverse.  G and the projector commute with sqrt(c).
     Aliased modes (spurious adjoint-side zero modes, near-Nyquist resonances:
     mostly top-shell energy in the Gaussian gauge) stay in the deflation space
     of G but not in the harmonic basis or the spectral gap.
@@ -407,8 +404,7 @@ class _GridSolver:
     def __init__(self, space: FormSpace, rank_tol: float, expected_kernel: int):
         q = space.bidegree[1]
         self.space = space
-        self.wsqrt = np.sqrt(gram(space).w.ravel())
-        calc = space.calculus
+        calc = self.calc = space.calculus
         k1 = np.abs(np.fft.fftfreq(calc.N, 1.0 / calc.N))
         self._hishell = np.maximum.outer(k1, k1) >= calc.N / 3.0
         factors = calc.dbar_factors
@@ -420,59 +416,55 @@ class _GridSolver:
         self._trans = ("H", "N") if q == 0 else ("N", "H")   # as in null[q]
         self._kernel_aliased = self._aliased(self.kernel)
         self.kernel_physical, _ = np.linalg.qr(self.kernel[:, ~self._kernel_aliased])
-        self.k = min(max(expected_kernel + 20, 24), self.wsqrt.size - 2)
+        self.k = min(max(expected_kernel + 20, 24), calc.N ** 2 - 2)
         self.eigsh_solves = 0
 
-    def _from_tilde(self, vec) -> FormSection:
-        arr = (vec / self.wsqrt).reshape((self.space.ncomp,) + self.space.field_shape)
-        return FormSection(self.space, arr)
-
-    def _green_tilde(self, r: np.ndarray) -> np.ndarray:
+    def _green_hat(self, r: np.ndarray) -> np.ndarray:
         (first, second), K, C = self._trans, self.kernel, self._cokernel
         y = self.factor.solve(r - K @ (K.conj().T @ r), first)
         x = self.factor.solve(y - C @ (C.conj().T @ y), second)
-        return x - K @ (K.conj().T @ x)
+        return (x - K @ (K.conj().T @ x)) / self.factor.kappa2
 
     def green(self, u: FormSection) -> FormSection:
-        return self._from_tilde(self._green_tilde(self.wsqrt * u.coeffs.ravel()))
+        calc = self.calc
+        return FormSection(self.space, calc.from_fourier(self._green_hat(calc.to_fourier(u.coeffs))))
 
     def dbar_pinv(self, alpha: FormSection, below: FormSpace) -> FormSection:
-        """dbar* G alpha on (p,1) in one solve: (-1)^p W_0^{-1/2} P_K Dt^{-1} P_C
-        W_1^{1/2} alpha, W_q the Gram weights of (p,q).  The weighted dbar out of
-        (p,0) is (-1)^p Dt, so dbar* G = (-1)^p Dt^H P_C Dt^{-H} P_K Dt^{-1} P_C,
-        and Dt^H P_C Dt^{-H} = P_K on exact singular blocks: for Dt = U S V^H and
-        C, K the U, V columns of the near-null values (mask E), V S (I - E) S^{-1} V^H."""
-        K, C = self._cokernel, self.kernel
-        r = self.wsqrt * alpha.coeffs.ravel()
+        """dbar* G alpha on (p,1) in one solve: (-1)^p kappa^{-1} P_K A^{-1} P_C in
+        A's basis, as dbar* G = (-1)^p kappa^{-1} A^H P_C A^{-H} P_K A^{-1} P_C and
+        A^H P_C A^{-H} = P_K on exact singular blocks: for A = U S V^H and C, K
+        the U, V columns of the near-null values (mask E), V S (I - E) S^{-1} V^H.
+        kappa cancels sqrt(c_1 / c_0): on samples, E^{-1} F_y^H (.) F_y E."""
+        K, C, calc = self._cokernel, self.kernel, self.calc
+        r = calc.to_fourier(alpha.coeffs)
         x = self.factor.solve(r - C @ (C.conj().T @ r), "N")
-        x = (x - K @ (K.conj().T @ x)) / np.sqrt(gram(below).w.ravel())
-        return FormSection(below, (-1) ** below.bidegree[0] * x.reshape(alpha.coeffs.shape))
+        x = calc.from_fourier(x - K @ (K.conj().T @ x))
+        return FormSection(below, (-1) ** below.bidegree[0] * x)
 
     def project(self, u: FormSection) -> FormSection:
-        K = self.kernel
-        return self._from_tilde(K @ (K.conj().T @ (self.wsqrt * u.coeffs.ravel())))
+        K, calc = self.kernel, self.calc
+        return FormSection(self.space, calc.from_fourier(K @ (K.conj().T @ calc.to_fourier(u.coeffs))))
 
     def _aliased(self, V: np.ndarray) -> np.ndarray:
-        """Whether each column of V has over half its energy in the top shell."""
-        gauge = self.space.calculus.gauge
-        fields = (V / self.wsqrt[:, None]).T.reshape((-1,) + gauge.shape)
-        E = np.abs(np.fft.fft2(gauge * fields)) ** 2
+        """Whether each column of V has over half its energy in the top shell:
+        its 2-D spectrum is the FFT of its y-Fourier coefficients along x."""
+        E = np.abs(np.fft.fft(V.T.reshape((-1,) + self.calc.field_shape), axis=1)) ** 2
         return E[:, self._hishell].sum(axis=1) > 0.5 * E.sum(axis=(1, 2))
 
     @cached_property
     def _spectrum(self):
         """The k lowest eigenvalues, sorted, and their aliasing flags: the
         kernel's Ritz values and 1/mu for the largest eigenvalues mu of G."""
-        n = self.wsqrt.size
+        n = self.calc.N ** 2
 
         def apply(r):
             self.eigsh_solves += 1
-            return self._green_tilde(r)
+            return self._green_hat(r)
 
         try:
             mu, U = spla.eigsh(spla.LinearOperator((n, n), matvec=apply, dtype=complex),
                                k=self.k - self.kernel.shape[1], which="LM",
-                               v0=_seeded_block(n, 1, 1)[:, 0])
+                               v0=_seeded_start(self.calc, 1, 1)[:, 0])
         except spla.ArpackError as exc:
             raise EigenFailure(str(exc)) from exc
         lam = np.concatenate([self._kernel_ritz, 1.0 / mu])
@@ -481,7 +473,9 @@ class _GridSolver:
         return lam[order], aliased[order]
 
     def harmonic_sections(self) -> List[FormSection]:
-        return [self._from_tilde(v) for v in self.kernel_physical.T]
+        """The kernel's columns as sections, u = E^{-1} F_y^H u^ / sqrt(c)."""
+        fields = self.calc.from_fourier(self.kernel_physical) / np.sqrt(gram(self.space).scale)
+        return [FormSection(self.space, h[None]) for h in fields]
 
     def eigenvalues(self) -> np.ndarray:
         lam, aliased = self._spectrum
@@ -489,7 +483,7 @@ class _GridSolver:
 
     def diagnostics(self, pkg) -> dict:
         return {
-            "dim": int(self.wsqrt.size),
+            "dim": self.calc.N ** 2,
             "lu_fill": int(self.factor.lu.nnz),
             "lambda1": _lambda1_or_none(self),   # runs the eigensolve counted next
             "eigsh_solves": self.eigsh_solves,

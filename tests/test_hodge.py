@@ -148,23 +148,34 @@ def test_grid_operators_match_coo_stencil(d, N):
             assert _max_rel(got, ref @ v) <= 1e-14, (bidegree, o is op)
 
 
+def _unitary(calc, V):
+    """U V = F_y (E / |E|) V for columns V of N² samples: the map of the
+    weighted samples sqrt(w) u into the y-Fourier basis of the dbar factor."""
+    N = calc.N
+    phase = (calc.gauge / np.abs(calc.gauge)).ravel()[:, None]
+    return np.fft.fft((phase * V).reshape(N, N, -1), axis=1, norm="ortho").reshape(N * N, -1)
+
+
 @pytest.mark.parametrize("N", [8, 32])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dbar_factor_matches_assembled_dbar(N, d):
-    # at N = 8 the order-10 stencil reaches past half the period, so two
-    # offsets land on one x index with different Bloch wraps; d = 2 links the
-    # y frequencies into two chains
+    # the factor's A is the weighted physical dbar Dt = kappa U^H A U in the
+    # unitary basis U.  At N = 8 the order-10 stencil reaches past half the
+    # period, so two offsets land on one x index with different Bloch wraps;
+    # d = 2 links the y frequencies into two chains
     torus = make_torus(1, [[T0]])
     sp10 = make_space(torus, make_positive_bundle(torus, d), (1, 0), Grid(N=N, order=10))
     factor = build_hodge(sp10, expected_kernel=d)._solver.factor
     sp00 = sp10.sibling((0, 0))
+    calc = sp00.calculus
     w0, w1 = (np.sqrt(gram(sp00.sibling((0, q))).w.ravel()) for q in (0, 1))
     Dt = sparse.diags(w1) @ coo_dbar(sp00) @ sparse.diags(1.0 / w0)
     rng = np.random.default_rng(N + d)
     V = rng.standard_normal((N * N, 3)) + 1j * rng.standard_normal((N * N, 3))
     for trans, A in (("N", Dt), ("H", Dt.conj().T)):
-        ref = A @ V
-        assert np.abs(factor.apply(V, trans) - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = _unitary(calc, A @ V)
+        got = np.sqrt(factor.kappa2) * factor._apply(_unitary(calc, V), trans)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     # the weighted dbar out of (1,0) is -Dt, so the factor serves it too
     v0, v1 = (np.sqrt(gram(sp10.sibling((1, q))).w.ravel()) for q in (0, 1))
     dbar10 = assemble_dbar(sp10)
@@ -172,10 +183,11 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
                       for col in V.T], axis=1)
     assert np.abs(Dt10V + Dt @ V).max() <= 1e-14 * np.abs(Dt @ V).max()
     # a right-hand side off the other side's near-null block is solvable
-    for trans, A, Q in (("N", Dt, factor.null[1][0]), ("H", Dt.conj().T, factor.null[0][0])):
+    A = factor.A
+    for trans, M, Q in (("N", A, factor.null[1][0]), ("H", A.conj().T, factor.null[0][0])):
         r = V - Q @ (Q.conj().T @ V)
         x = factor.solve(r, trans)
-        assert np.linalg.norm(A @ x - r) <= 1e-11 * np.linalg.norm(r)
+        assert np.linalg.norm(M @ x - r) <= 1e-11 * np.linalg.norm(r)
 
 
 def _fibre_results(t, d):
@@ -210,8 +222,8 @@ def test_warm_caches_change_no_result():
 @pytest.mark.parametrize("bidegree", [(1, 0), (1, 1)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_one_inverse_iteration_gives_both_near_null_blocks(monkeypatch, d, bidegree):
-    # Dt is square and Dt^{-H} maps its right near-null vectors onto its left
-    # ones, so the iteration with Dt^{-1} Dt^{-H} yields the block of Dt^H too
+    # A is square and A^{-H} maps its right near-null vectors onto its left
+    # ones, so the iteration with A^{-1} A^{-H} yields the block of A^H too
     solve = grid._DbarFactor.solve
     solves = []
 
@@ -226,7 +238,8 @@ def test_one_inverse_iteration_gives_both_near_null_blocks(monkeypatch, d, bideg
     assert len(solves) == 4   # two iterations at the block d + 2, which does not double
     (_, kernel_ritz), (C, cokernel_ritz) = factor.null
     assert len(kernel_ritz) == len(cokernel_ritz) == d
-    # an independent inverse iteration with (Dt Dt^H)^{-1} from another start
+    # an independent inverse iteration with (A A^H)^{-1} from another start;
+    # the Laplacian's Ritz values are kappa2 times A's squared singular values
     n = factor.A.shape[0]
     rng = np.random.default_rng(d)
     V = rng.standard_normal((n, d + 2)) + 1j * rng.standard_normal((n, d + 2))
@@ -234,8 +247,8 @@ def test_one_inverse_iteration_gives_both_near_null_blocks(monkeypatch, d, bideg
         V, _ = np.linalg.qr(V)
         V = solve(factor, solve(factor, V, "N"), "H")
     V, _ = np.linalg.qr(V)
-    _, s, Wh = np.linalg.svd(factor.apply(V, "H"), full_matrices=False)
-    assert int(np.sum(s ** 2 < factor.cut)) == d
+    _, s, Wh = np.linalg.svd(factor.A.conj().T @ V, full_matrices=False)
+    assert int(np.sum(factor.kappa2 * s ** 2 < factor.cut)) == d
     ref = V @ Wh[::-1][:d].conj().T
     assert np.abs(C @ C.conj().T - ref @ ref.conj().T).max() <= 1e-10
 
@@ -362,12 +375,32 @@ def _rel(u, ref):
 @pytest.mark.parametrize("N, order, d", GRID_CASES)
 def test_grid_dbar_pinv_matches_dbar_star_green(grid_fibre, N, order, d, p):
     # alpha has as much weight on a near-null vector of dbar* as off the block,
-    # which Dt^{-1} would blow up without the projection before the solve
+    # which A^{-1} would blow up without the projection before the solve
     pkg = build_hodge(grid_fibre(N, order, d).sibling((p, 1)), expected_kernel=0)
     alpha = band_limited(pkg.space, np.random.default_rng(N + d + p))
-    null = pkg._solver._from_tilde(pkg._solver.kernel[:, 0])
+    null = pkg.space.section(pkg.space.calculus.from_fourier(pkg._solver.kernel[:, 0]))
     alpha = alpha + null * (alpha.norm() / null.norm())
     assert _rel(pkg.dbar_pinv(alpha), _dbar_star_green(pkg, alpha)) <= 1e-11
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N, order", [(32, 6), (64, 10)])
+def test_grid_harmonic_basis_is_orthonormal_and_dbar_closed(grid_fibre, N, order, d):
+    # the harmonic sections leave the dbar factor's basis through sqrt(c) of
+    # their own bidegree, so the basis is orthonormal on (0,0) and (1,0) alike;
+    # on each unit section ||dbar h||^2 is the Laplacian's Ritz value, kappa^2
+    # times A's squared singular value, below the cut (rtol: the stencil
+    # apply and the factor round differently; atol: Ritz values at rounding)
+    for bidegree in ((0, 0), (1, 0)):
+        pkg = build_hodge(grid_fibre(N, order, d).sibling(bidegree), expected_kernel=d)
+        H, ritz = pkg.harmonic_basis, pkg._solver._kernel_ritz
+        assert len(H) == len(ritz) == d
+        gram_matrix = np.array([[pair_l2(a, b) for a in H] for b in H])
+        assert np.abs(gram_matrix - np.eye(d)).max() <= 1e-12
+        dbar = assemble_dbar(pkg.space)
+        norms = np.array([dbar.apply(h).norm() ** 2 for h in H])
+        assert np.allclose(norms, ritz, rtol=1e-3, atol=1e-25)
+        assert ritz.max() < pkg._solver.factor.cut
 
 
 def test_spectral_dbar_pinv_matches_dbar_star_green(flat11, rng):
