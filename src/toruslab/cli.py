@@ -49,6 +49,7 @@ from .forms import (
     lefschetz_Lambda,
     make_space,
     pair_l2,
+    pair_matrix,
 )
 from .geometry import elliptic_family, jumping_family, siegel_diagonal_family
 from .hodge import build_hodge, laplacian, minimal_solution
@@ -421,8 +422,9 @@ def cmd_primitive_lift(cfg, out):
     # np.max, unlike max, keeps a NaN, so the check below fails on it
     prim_res = float(np.max([0.0] + [primitivity_residual(lifted, f) for f in basis]))
     # |wedge_pair(kf, kf) + ||kf||^2| relative to ||kf||^2, free of the scale of f
-    pairs = [(wedge_pair(k, k), pair_l2(k, k)) for k in (kappa(lifted, f) for f in basis)]
-    hr_res = float(np.max([0.0] + [abs(w + p) / max(p.real, 1e-300) for w, p in pairs]))
+    kf = [kappa(lifted, f) for f in basis]
+    wedge, sq = np.diag(wedge_pair(kf, kf)), np.diag(pair_matrix(kf, kf))
+    hr_res = float(np.max(np.append(0.0, np.abs(wedge + sq) / np.maximum(sq.real, 1e-300))))
 
     failures = _failed([_kernel_check(pkg0),
                         ("primitivity", prim_res, cfg.tol("primitivity")),

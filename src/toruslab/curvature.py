@@ -51,6 +51,7 @@ from .forms import (
     make_space,
     multiply,
     pair_l2,
+    pair_matrix,
     zero_operator,
     _lambda_block,
     _wedge11_block,
@@ -64,45 +65,50 @@ from .hodge import HodgePackage, build_hodge
 # wedge pairings
 
 
-def wedge_pair(u: FormSection, v: FormSection, r: Optional[int] = None) -> complex:
-    """sqrt(-1)^{n^2} int < u ∧ conj(v) ∧ omega^r / r!, h >.
+def wedge_pair(us: Sequence[FormSection], vs: Sequence[FormSection],
+               r: Optional[int] = None) -> np.ndarray:
+    """M[i, j] = sqrt(-1)^{n^2} int < us[j] ∧ conj(vs[i]) ∧ omega^r / r!, h >,
+    with the index convention of forms.pair_matrix; the sections of us share
+    one space, and so do those of vs.
 
-    r defaults to the filling power n - p(u) - q(v); the pairing is zero unless
-    the bidegrees complement each other to (n,n).
+    r defaults to the filling power n - p(u) - q(v); the matrix is zero unless
+    the bidegrees complement each other to (n,n).  The coupling of the two
+    spaces' components is built once, and the L2 pairings of all component
+    slices are one pair_matrix.
     """
-    space = u.space
+    M = np.zeros((len(vs), len(us)), dtype=complex)
+    if not us or not vs:
+        return M
+    space, vspace = us[0].space, vs[0].space
     n = space.n
     p, q = space.bidegree
-    pp, qq = v.space.bidegree
+    pp, qq = vspace.bidegree
     if r is None:
         r = n - p - qq
     if r < 0 or p + qq + r != n or q + pp + r != n:
-        return 0.0
+        return M
     gmat = space.torus.kaehler
     detg = complex(np.linalg.det(gmat))
     I_n = ((-1) ** (n * (n - 1) // 2)) * (2.0 / 1j) ** n / detg
     pref = (1j ** (n * n)) * I_n * (0.5j) ** r * ((-1) ** (r * (r - 1) // 2))
-    total = 0.0 + 0.0j
-    # int a conj(b) e^{-phi} dV of two components: the L2 pairing of (0,0)-sections
-    scalar = space.sibling((0, 0))
+    # conjugating v, swapping the antiholomorphic parts and moving omega^r
+    sgn = (-1) ** (pp * qq) * (-1) ** (q * qq) * (-1) ** (r * (q + pp))
+    coupling = np.zeros((space.ncomp, vspace.ncomp), dtype=complex)
     for di, (J, K) in enumerate(space.comps):
-        for dj, (Jp, Kp) in enumerate(v.space.comps):
-            sgn_conj = (-1) ** (pp * qq)
-            sgn_swap = (-1) ** (q * qq)
+        for dj, (Jp, Kp) in enumerate(vspace.comps):
             for A in combinations(range(n), r):
                 for B in combinations(range(n), r):
                     s_hol, _ = _wedge_sign(J, Kp, A)
-                    if s_hol == 0:
-                        continue
                     s_anti, _ = _wedge_sign(K, Jp, B)
-                    if s_anti == 0:
-                        continue
-                    minor = complex(np.linalg.det(gmat[np.ix_(A, B)])) if r else 1.0
-                    sgn_r = (-1) ** (r * (q + pp))
-                    coeff = sgn_conj * sgn_swap * sgn_r * s_hol * s_anti * minor
-                    total += coeff * pair_l2(scalar.section(u.coeffs[di]),
-                                             scalar.section(v.coeffs[dj]))
-    return complex(pref * total)
+                    if s_hol and s_anti:
+                        minor = complex(np.linalg.det(gmat[np.ix_(A, B)])) if r else 1.0
+                        coupling[di, dj] += s_hol * s_anti * minor
+    # int a conj(b) e^{-phi} dV of two components: the L2 pairing of (0,0)-sections
+    scalar = space.sibling((0, 0))
+    S = pair_matrix([scalar.section(c) for u in us for c in u.coeffs],
+                    [scalar.section(c) for v in vs for c in v.coeffs])
+    S = S.reshape(len(vs), vspace.ncomp, len(us), space.ncomp)
+    return (pref * sgn) * np.einsum("iajb,ba->ij", S, coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +242,17 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
             term_sff=e, theta_H=e, theta_H_bly=e,
             nakano_min_eig=float("nan"), residual_routes=0.0, hermiticity_defect=0.0,
         )
-    space = basis[0].space
     reps = [berndtsson_representative(lift, f, pkg_n0, tol=admissibility_tol)
             for f in basis]
 
-    G = np.array([[pair_l2(basis[j], basis[i]) for j in range(r)] for i in range(r)])
-
+    G = pair_matrix(basis, basis)
     fld = theta_xi_xibar_field(lift)
-    T_theta = np.zeros((r, r), dtype=complex)
-    if fld is not None:
-        prods = [multiply(fld, f) for f in basis]
-        for i in range(r):
-            for j in range(r):
-                T_theta[i, j] = pair_l2(prods[j], basis[i])
-
-    T_kappa = np.array(
-        [[wedge_pair(reps[j].kf, reps[i].kf) for j in range(r)] for i in range(r)]
-    )
-
+    T_theta = (np.zeros((r, r), dtype=complex) if fld is None
+               else pair_matrix([multiply(fld, f) for f in basis], basis))
+    kf = [rep.kf for rep in reps]
+    T_kappa = wedge_pair(kf, kf)
     sff = [second_fundamental_form(rep, pkg_n0) for rep in reps]
-    T_sff = np.array(
-        [[wedge_pair(sff[j], sff[i]) for j in range(r)] for i in range(r)]
-    )
+    T_sff = wedge_pair(sff, sff)
 
     theta_raw = T_theta - T_kappa - T_sff
 
@@ -265,20 +260,14 @@ def curvature_H(family: FamilySpec, lift: HorizontalLift,
     # contracted with the lift, plus the xi ⌟ dbar u pairing.
     xi_u = [rep.xi_u for rep in reps]
     xi_db = [rep.xi_dbar_u for rep in reps]
-    n = space.n
-    sgn = (-1) ** (n + 1)
+    sgn = (-1) ** (lift.n + 1)
     bw = [xibar_curvature_wedge(lift, w) for w in xi_u]           # (x̄i⌟Theta) ∧ w
     theta_w = [curvature_action(w.space).apply(w) for w in xi_u]  # Theta ∧ w
-    bly = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            bly[i, j] = (
-                T_theta[i, j]
-                + sgn * wedge_pair(reps[j].theta_f, xi_u[i])  # (xi⌟Theta) ∧ f
-                + wedge_pair(bw[j], basis[i])
-                + sgn * wedge_pair(theta_w[j], xi_u[i])
-                + pair_l2(xi_db[j], xi_db[i])
-            )
+    bly = (T_theta
+           + sgn * wedge_pair([rep.theta_f for rep in reps], xi_u)  # (xi⌟Theta) ∧ f
+           + wedge_pair(bw, basis)
+           + sgn * wedge_pair(theta_w, xi_u)
+           + pair_matrix(xi_db, xi_db))
     defect = max(float(np.linalg.norm(M - M.conj().T))
                  for M in (G, T_theta, T_kappa, T_sff, theta_raw, bly))
     theta_H, bly = _hermitize(theta_raw), _hermitize(bly)
@@ -318,7 +307,7 @@ def hodge_riemann_check(alpha: FormSection) -> Tuple[complex, complex, float]:
     if contracted > 1e-8 * na:
         raise NotPrimitive(f"Lambda alpha residual {contracted / na:.3e} exceeds 1.0e-08")
     # wedge_pair already carries i^{n^2} I_n; rescale to the i^{k^2} convention
-    raw = wedge_pair(alpha, alpha, r=n - k) / (1j ** (n * n)) * (1j ** (k * k))
+    raw = wedge_pair([alpha], [alpha], r=n - k)[0, 0] / (1j ** (n * n)) * (1j ** (k * k))
     eps = (1j ** (k * k + q - p)) * ((-1) ** (k * (k - 1) // 2))
     eps = complex(eps)
     rhs = eps * na**2
@@ -415,10 +404,5 @@ def xu_wang_bound(lift: HorizontalLift, basis: Sequence[FormSection],
     lam = pair_l2(comm.apply(probe), probe) / pair_l2(probe, probe)
     if lam.real < 1e-10:
         raise CurvatureNotInvertible(f"[iTheta, Lambda] eigenvalue {lam.real:.3e}")
-    r = len(basis)
-    T = np.zeros((r, r), dtype=complex)
     bvecs = [curvature_contraction_form(lift, f) for f in basis]
-    for i in range(r):
-        for j in range(r):
-            T[i, j] = pair_l2((1.0 / lam) * bvecs[j], bvecs[i])
-    return _hermitize(report.term_theta_h - T)
+    return _hermitize(report.term_theta_h - (1.0 / lam) * pair_matrix(bvecs, bvecs))

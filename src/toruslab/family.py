@@ -61,10 +61,14 @@ class HorizontalLift:
     """
 
     family: FamilySpec
-    tau: complex
     space: FormSpace               # reference (n,0)-space fixing the discretization
     W: Optional[np.ndarray]        # (n, *field_shape) untwisted samples/modes or None
     K: np.ndarray                  # (n, n, 1, ...) or (n, n, *field_shape)
+
+    @property
+    def tau(self) -> complex:
+        """The base tangent, the family's own."""
+        return self.family.tau
 
     @property
     def n(self) -> int:
@@ -91,7 +95,7 @@ def trivialization_lift(family: FamilySpec, space: FormSpace) -> HorizontalLift:
     Omega(t) = t (n=1): xi = tau (d/dt + y d/dz)."""
     n = space.n
     K = _k_triv(family).reshape((n, n) + (1,) * len(space.field_shape))
-    return HorizontalLift(family=family, tau=family.tau, space=space, W=None, K=K)
+    return HorizontalLift(family=family, space=space, W=None, K=K)
 
 
 def perturb_lift(lift: HorizontalLift, W: np.ndarray) -> HorizontalLift:
@@ -100,8 +104,7 @@ def perturb_lift(lift: HorizontalLift, W: np.ndarray) -> HorizontalLift:
     W_total = W if lift.W is None else lift.W + W
     calc = lift.space.calculus
     K = calc.constant_field(_k_triv(lift.family)) + calc.dbar_of_field(lift.space, W_total)
-    return HorizontalLift(family=lift.family, tau=lift.tau, space=lift.space,
-                          W=W_total, K=K)
+    return HorizontalLift(family=lift.family, space=lift.space, W=W_total, K=K)
 
 
 def kappa(lift: HorizontalLift, f: FormSection) -> FormSection:

@@ -286,8 +286,9 @@ class _GridGram:
         self.w = metric * np.exp(-calc.phi) / calc.disc.N**2
         self.scale = metric / calc.disc.N**2   # w / |E|^2, as |E|^2 = e^{-phi}
 
-    def inner(self, u: FormSection, v: FormSection) -> complex:
-        return complex(np.sum(v.coeffs.conj() * self.w * u.coeffs))
+    def pair(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """M[i, j] = (us[j], vs[i]) of sample stacks (m, 1, N, N)."""
+        return (vs.conj() * self.w).reshape(len(vs), -1) @ us.reshape(len(us), -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,7 @@ class _DbarFactor:
     def __init__(self, space: FormSpace, rank_tol: float):
         calc = space.calculus
         self.A = calc.dbar_hat
+        self.AT = self.A.T   # a csr view of A's own arrays, for A^H
         self.kappa2 = gram(space.sibling((0, 1))).scale / gram(space.sibling((0, 0))).scale
         # power iteration for the spectral scale kappa2 A^H A of the Laplacian
         v = _seeded_start(calc, 1, 1)[:, 0]
@@ -338,8 +340,8 @@ class _DbarFactor:
         self.null = self._near_null(calc, space.bundle.degree + 2)
 
     def _apply(self, v, trans):
-        """A v, or A^H v = conj(A^T conj(v)) through A's free transpose view for trans "H"."""
-        return self.A @ v if trans == "N" else (self.A.T @ v.conj()).conj()
+        """A v, or A^H v = conj(A^T conj(v)) through A's kept transpose view for trans "H"."""
+        return self.A @ v if trans == "N" else (self.AT @ v.conj()).conj()
 
     def solve(self, r, trans="N"):
         """A^{-1} r, or A^{-H} r for trans "H", through the factor of A[:, q]."""

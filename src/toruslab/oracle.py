@@ -16,7 +16,7 @@ import numpy as np
 
 from .bls import gram_curvature
 from .errors import StencilQuadratureFailure
-from .forms import FormSection, FormSpace, Grid, make_space, pair_l2
+from .forms import FormSection, FormSpace, Grid, make_space, pair_matrix
 from .geometry import (
     FamilySpec,
     LatticeTorus,
@@ -43,11 +43,7 @@ class ThetaFrame:
     sections: List[FormSection]
 
     def gram(self) -> np.ndarray:
-        d = self.d
-        G = np.zeros((d, d), dtype=complex)
-        for a in range(d):
-            for b in range(d):
-                G[a, b] = pair_l2(self.sections[b], self.sections[a])
+        G = pair_matrix(self.sections, self.sections)
         return (G + G.conj().T) / 2.0
 
 
@@ -120,10 +116,7 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
     if harmonic_basis is None:
         return M
     # transition to the (orthonormal) harmonic basis u_i = sum_a C[a,i] theta_a
-    B = np.zeros((d, len(harmonic_basis)), dtype=complex)
-    for a in range(d):
-        for i, u in enumerate(harmonic_basis):
-            B[a, i] = pair_l2(u, frame.sections[a])
+    B = pair_matrix(harmonic_basis, frame.sections)
     C = np.linalg.solve(G0, B)
     T = C.conj().T @ M @ C
     return (T + T.conj().T) / 2.0

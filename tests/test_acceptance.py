@@ -196,7 +196,7 @@ def test_primitive_lift_on_abelian_surface():
 
     assert primitivity_residual(lifted, f) <= 1e-8
     kf = kappa(lifted, f)
-    assert abs(wedge_pair(kf, kf) + pair_l2(kf, kf)) <= 1e-7
+    assert abs(wedge_pair([kf], [kf])[0, 0] + pair_l2(kf, kf)) <= 1e-7
 
 
 def test_primitive_lift_is_identity_on_elliptic_fibers():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,17 @@ from toruslab.family import (
     perturb_lift,
     primitive_lift,
 )
-from toruslab.forms import Grid, Spectral, lefschetz_L, make_space, pair_l2
+from toruslab.forms import (
+    Grid,
+    GramMatrix,
+    Spectral,
+    _wedge_sign,
+    gram,
+    lefschetz_L,
+    make_space,
+    pair_l2,
+    pair_matrix,
+)
 from toruslab.geometry import elliptic_family, jumping_family, siegel_diagonal_family
 from toruslab.hodge import build_hodge
 from toruslab.oracle import fd_chern_curvature_H
@@ -44,10 +56,81 @@ def test_wedge_pair_sign_pins(flat_torus, positive_bundle, grid_disc, rng):
     sp10 = make_space(flat_torus, positive_bundle, (1, 0), grid_disc)
     sp01 = make_space(flat_torus, positive_bundle, (0, 1), grid_disc)
     u, v = band_limited(sp10, rng), band_limited(sp10, rng)
-    assert abs(wedge_pair(u, v) - pair_l2(u, v)) <= 1e-10
+    assert abs(wedge_pair([u], [v])[0, 0] - pair_l2(u, v)) <= 1e-10
     a = sp01.section(u.coeffs.copy())
     b = sp01.section(v.coeffs.copy())
-    assert abs(wedge_pair(a, b) + pair_l2(a, b)) <= 1e-10
+    assert abs(wedge_pair([a], [b])[0, 0] + pair_l2(a, b)) <= 1e-10
+
+
+def _l2_entry(u, v):
+    """(u, v) as one sum over the samples or modes: the per-entry reference."""
+    g = gram(u.space)
+    if isinstance(g, GramMatrix):
+        nc = len(g.P)
+        return np.einsum("ck,cd,dk->", v.coeffs.reshape(nc, -1).conj(), g.P,
+                         u.coeffs.reshape(nc, -1))
+    return np.sum(v.coeffs.conj() * g.w * u.coeffs)
+
+
+def _wedge_entry(u, v, r):
+    """wedge_pair of one pair, one component pair and one Kaehler minor at a
+    time: the per-entry reference."""
+    n = u.space.n
+    (p, q), (pp, qq) = u.space.bidegree, v.space.bidegree
+    g = u.space.torus.kaehler
+    pref = ((1j ** (n * n)) * ((-1) ** (n * (n - 1) // 2)) * (2.0 / 1j) ** n / np.linalg.det(g)
+            * (0.5j) ** r * ((-1) ** (r * (r - 1) // 2)))
+    scalar = u.space.sibling((0, 0))
+    total = 0.0
+    for di, (J, K) in enumerate(u.space.comps):
+        for dj, (Jp, Kp) in enumerate(v.space.comps):
+            for A in combinations(range(n), r):
+                for B in combinations(range(n), r):
+                    s_hol, s_anti = _wedge_sign(J, Kp, A)[0], _wedge_sign(K, Jp, B)[0]
+                    minor = np.linalg.det(g[np.ix_(A, B)]) if r else 1.0
+                    sgn = (-1) ** (pp * qq + q * qq + r * (q + pp))
+                    total += sgn * s_hol * s_anti * minor * _l2_entry(
+                        scalar.section(u.coeffs[di]), scalar.section(v.coeffs[dj]))
+    return pref * total
+
+
+PAIRING_CASES = {
+    # fibre, and the bidegrees of us and vs and r of each wedge pairing; the
+    # last pairs the (n,1) and (n-1,0) forms of the pushforward route
+    "grid": (lambda: elliptic_family(T0, d=2), Grid(N=32, order=6),
+             [((1, 0), (1, 0), 0), ((0, 1), (0, 1), 0), ((0, 0), (0, 0), 1),
+              ((1, 1), (0, 0), 0)]),
+    "siegel-diagonal": (lambda: siegel_diagonal_family(0.2 + 0.9j), Spectral(M=4),
+                        [((1, 1), (1, 1), 0), ((1, 0), (1, 0), 1), ((2, 1), (1, 0), 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRING_CASES))
+def test_stacked_pairings_match_the_per_entry_values(case, rng):
+    # M[i, j] = (us[j], vs[i]) on stacks of 3 and 2 sections, to rounding of
+    # the per-entry sums; a (u, u) stack gives a Hermitian matrix, for the
+    # wedge pairing of k-forms after the factor i^{k^2 - n^2} that turns its
+    # sqrt(-1)^{n^2} into the Hodge-Riemann sqrt(-1)^{k^2}
+    family, disc, wedges = PAIRING_CASES[case]
+    fam = family()
+    fibre = make_space(fam.torus_at(), fam.bundle_at(), (0, 0), disc)
+
+    def close(M, ref):
+        return M.shape == (2, 3) and np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def hermitian(M):
+        return np.abs(M - M.conj().T).max() <= 1e-14 * np.abs(M).max()
+
+    for bu, bv, r in wedges:
+        us = [band_limited(fibre.sibling(bu), rng) for _ in range(3)]
+        vs = [band_limited(fibre.sibling(bv), rng) for _ in range(2)]
+        ref = np.array([[_wedge_entry(u, v, r) for u in us] for v in vs])
+        assert close(wedge_pair(us, vs, r), ref)
+        if bu == bv:
+            ref = np.array([[_l2_entry(u, v) for u in us] for v in vs])
+            assert close(pair_matrix(us, vs), ref)
+            assert hermitian(pair_matrix(us, us))
+            assert hermitian(1j ** (sum(bu) ** 2 - fibre.n ** 2) * wedge_pair(us, us, r))
 
 
 def test_hodge_riemann_signs(flat_torus, positive_bundle, grid_disc, rng):
@@ -147,7 +230,7 @@ def test_abelian_surface_pairing_identity():
     fam = siegel_diagonal_family(0.2 + 0.9j)
     _, _, (f,), lift = direct_image_fibre(fam, Spectral(M=4), expected_kernel=1)
     kf = kappa(lift, f)
-    assert abs(wedge_pair(kf, kf) + pair_l2(kf, kf)) <= 1e-10
+    assert abs(wedge_pair([kf], [kf])[0, 0] + pair_l2(kf, kf)) <= 1e-10
     # primitivity of kappa f, expressed through the Lefschetz operator
     assert lefschetz_L(kf.space).apply(kf).norm() <= 1e-10
 

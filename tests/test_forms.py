@@ -218,9 +218,13 @@ def test_dz_wedge_blocks_satisfy_the_exterior_algebra(torus2, flat_bundle2, spec
         p, q = space.bidegree
         return p + bars.count(False) <= n and q + bars.count(True) <= n
 
+    def eps(space, a, bar):   # (target space, block) of ε_a, or of ε̄_a with bar
+        p, q = space.bidegree
+        return space.sibling((p, q + 1) if bar else (p + 1, q)), _dz_wedge(n, p, q, a, bar)
+
     def prod(space, first, second):   # ε_second ε_first on space, (index, bar) each
-        mid, block = _dz_wedge(space, *first)
-        return _dz_wedge(mid, *second)[1] @ block
+        mid, block = eps(space, *first)
+        return eps(mid, *second)[1] @ block
 
     for p in range(n + 1):
         for q in range(n + 1):
@@ -234,10 +238,10 @@ def test_dz_wedge_blocks_satisfy_the_exterior_algebra(torus2, flat_bundle2, spec
                     for bar in (False, True):
                         total = np.zeros((sp.ncomp, sp.ncomp))
                         if fits(sp, bar):
-                            total += _dz_wedge(sp, a, bar)[1].T @ _dz_wedge(sp, b, bar)[1]
+                            total += eps(sp, a, bar)[1].T @ eps(sp, b, bar)[1]
                         if sp.bidegree[1 if bar else 0] >= 1:
                             below = sp.sibling((p, q - 1) if bar else (p - 1, q))
-                            total += _dz_wedge(below, b, bar)[1] @ _dz_wedge(below, a, bar)[1].T
+                            total += eps(below, b, bar)[1] @ eps(below, a, bar)[1].T
                         assert np.array_equal(total, float(a == b) * np.eye(sp.ncomp))
 
 

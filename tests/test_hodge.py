@@ -15,6 +15,7 @@ from toruslab.forms import (
     gram,
     make_space,
     pair_l2,
+    pair_matrix,
 )
 from toruslab.curvature import curvature_H, direct_image_fibre
 from toruslab.geometry import elliptic_family, make_flat_bundle, make_positive_bundle, make_torus
@@ -395,7 +396,7 @@ def test_grid_harmonic_basis_is_orthonormal_and_dbar_closed(grid_fibre, N, order
         pkg = build_hodge(grid_fibre(N, order, d).sibling(bidegree), expected_kernel=d)
         H, ritz = pkg.harmonic_basis, pkg._solver._kernel_ritz
         assert len(H) == len(ritz) == d
-        gram_matrix = np.array([[pair_l2(a, b) for a in H] for b in H])
+        gram_matrix = pair_matrix(H, H)
         assert np.abs(gram_matrix - np.eye(d)).max() <= 1e-12
         dbar = assemble_dbar(pkg.space)
         norms = np.array([dbar.apply(h).norm() ** 2 for h in H])
