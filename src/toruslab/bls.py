@@ -374,10 +374,7 @@ def _als_min(S: np.ndarray, m1: int, r: int, k: int, restarts: int,
         return float(w[0]), V[:, 0].reshape(m1, r)
     Sk = S.reshape(m1, r, m1, r)
     # X = U W^T with X[i,a] = sum_s U[i,s] W[a,s]; rank(X) <= kk
-    starts = [(rng.standard_normal((m1, kk)) + 1j * rng.standard_normal((m1, kk)),
-               rng.standard_normal((r, kk)) + 1j * rng.standard_normal((r, kk)))
-              for _ in range(restarts)]
-    U, W = (np.stack(f) for f in zip(*starts))
+    U, W = _als_starts(m1, r, kk, restarts, rng)
     for _ in range(iters):
         U, W = _als_step(Sk, U, W)
     q, X = _als_values(S, U, W)
@@ -391,6 +388,15 @@ def _als_min(S: np.ndarray, m1: int, r: int, k: int, restarts: int,
             break  # exact alternation never raises the value: rounding floor
         best, best_X = float(q[0]), X[0]
     return best, best_X
+
+
+def _als_starts(m1: int, r: int, kk: int, restarts: int, rng) -> Tuple[np.ndarray, np.ndarray]:
+    """The ALS starts U (restarts, m1, kk) and W (restarts, r, kk) in one draw:
+    the stream of drawing Re U, Im U, Re W and Im W restart by restart."""
+    z = rng.standard_normal((restarts, 2 * (m1 + r) * kk))
+    zu = z[:, :2 * m1 * kk].reshape(restarts, 2, m1, kk)
+    zw = z[:, 2 * m1 * kk:].reshape(restarts, 2, r, kk)
+    return zu[:, 0] + 1j * zu[:, 1], zw[:, 0] + 1j * zw[:, 1]
 
 
 # theta rows of the CP^1 sweep evaluated together: bounds the sweep's memory

@@ -105,8 +105,8 @@ def wedge_pair(us: Sequence[FormSection], vs: Sequence[FormSection],
                         coupling[di, dj] += s_hol * s_anti * minor
     # int a conj(b) e^{-phi} dV of two components: the L2 pairing of (0,0)-sections
     scalar = space.sibling((0, 0))
-    S = pair_matrix([scalar.section(c) for u in us for c in u.coeffs],
-                    [scalar.section(c) for v in vs for c in v.coeffs])
+    S = pair_matrix([FormSection(scalar, c[None]) for u in us for c in u.coeffs],
+                    [FormSection(scalar, c[None]) for v in vs for c in v.coeffs])
     S = S.reshape(len(vs), vspace.ncomp, len(us), space.ncomp)
     return (pref * sgn) * np.einsum("iajb,ba->ij", S, coupling)
 
@@ -141,7 +141,7 @@ def xibar_curvature_wedge(lift: HorizontalLift, w: FormSection) -> FormSection:
     target = space.sibling((n, 0))
     if space.bundle.is_flat:
         return target.zeros()
-    return target.section(-np.conj(_theta_xi_zbar(lift)) * w.coeffs)
+    return multiply(-np.conj(_theta_xi_zbar(lift)), FormSection(target, w.coeffs))
 
 
 def curvature_commutator(space: FormSpace):
@@ -318,8 +318,8 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
     """alpha = sum_j omega^j ∧ alpha_j with alpha_j primitive; returns [(j, alpha_j)].
 
     The decomposition is pointwise-algebraic (omega has constant coefficients),
-    solved in the least-squares sense on the component vectors of every sample
-    at once, by the pseudo-inverse of the one constant component matrix.
+    solved in the least-squares sense on the component vectors of every
+    coefficient at once, by the pseudo-inverse of the one constant component matrix.
     """
     space = alpha.space
     n = space.n
@@ -354,7 +354,7 @@ def lefschetz_decompose(alpha: FormSection) -> List[Tuple[int, FormSection]]:
     for (j, src, prim_basis) in pieces:
         w = prim_basis.shape[1]
         comp = prim_basis @ sol[ofs:ofs + w]
-        out.append((j, src.section(comp.reshape((src.ncomp,) + space.field_shape))))
+        out.append((j, FormSection(src, comp.reshape((src.ncomp,) + space.field_shape))))
         ofs += w
     return out
 

@@ -40,6 +40,7 @@ from .forms import (
     contract_ks,
     lefschetz_L,
     make_space,
+    multiply,
 )
 from .geometry import FamilySpec, make_flat_bundle
 from .hodge import HodgePackage, build_hodge
@@ -141,12 +142,10 @@ def curvature_contraction_form(lift: HorizontalLift, f: FormSection) -> FormSect
     space = f.space
     n = space.n
     target = space.sibling((n, 1))
-    out = target.zeros()
     if space.bundle.is_flat:
-        return out
+        return target.zeros()
     # dz̄ ∧ dz_J = (-1)^n dz_J ∧ dz̄
-    out.coeffs[0] = ((-1) ** n) * _theta_xi_zbar(lift) * f.coeffs[0]
-    return out
+    return multiply(((-1) ** n) * _theta_xi_zbar(lift), FormSection(target, f.coeffs))
 
 
 def primitive_lift(theta0: HorizontalLift) -> HorizontalLift:
@@ -235,15 +234,15 @@ def _extension(family: FamilySpec, f: FormSection,
     calc = space.calculus
     d = space.bundle.degree
     s = t.imag
-    F = f.coeffs[0]
-    # the cached d/dz - phi_z of the fibre, applied to F as a scalar section
+    # the cached d/dz - phi_z of the fibre, applied to f as a scalar section
     scalars = space.sibling((0, 0))
     nabla = assemble_nabla10(scalars)
     pz = calc.phi_z
-    nablaF = nabla.apply(scalars.section(F)).coeffs[0]
-    nabla2F = nabla.apply(scalars.section(nablaF)).coeffs[0]
+    df = nabla.apply(FormSection(scalars, f.coeffs)).coeffs
+    d2f = nabla.apply(FormSection(scalars, df)).coeffs
+    F, nablaF, nabla2F = calc.samples(np.concatenate([f.coeffs, df, d2f]))
     # plain d^2/dz^2 via (nabla + phi_z)^2; the grid operators only ever touch
-    # genuine sections, the polynomial-in-y factors act pointwise afterwards
+    # genuine sections, the polynomial-in-y factors act on samples afterwards
     dz2F = nabla2F + 2.0 * pz * nablaF + (pz**2 - np.pi * d / s) * F
     heat = dz2F / (4j * np.pi * d)
     y = calc.y

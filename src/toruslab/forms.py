@@ -5,13 +5,16 @@ calculus is the backend.  make_space is the one place that reads the
 discretization: it builds a _SpectralCalculus for a Spectral disc and, importing
 toruslab.grid (the only module that needs scipy) only then, a
 grid._GridCalculus for a Grid.  Every step that differs between backends (field
-shape, random sections, Gram data, ∂̄, ∇¹'⁰, adjoint data, pointwise products,
-∂̄ of a vertical field and the Hodge solver) is a method of the calculus; the
-functions here do the bidegree bookkeeping around it.
+shape, sections from samples, random sections, ∂̄, ∇¹'⁰, adjoint data,
+pointwise products, ∂̄ of a vertical field and the Hodge solver) is a method of
+the calculus; the functions here do the bidegree bookkeeping around it.
 
-Operator data is a numpy array of component blocks per mode or sample, or the
-sparse y-Fourier matrix of a grid derivative (see OperatorMatrix); ω∧, Θ(h)∧,
-Λ and the zero map are one block.
+A section holds coefficients in the basis where the calculus' ∂̄ acts: Fourier
+modes (spectral) or y-Fourier coefficients of the gauged samples (grid).  Both
+backends pair them with one GramMatrix, the constant component metric times
+the calculus' quadrature weight.  Operator data is a numpy array of component
+blocks per mode, or the sparse matrix of a grid derivative (see
+OperatorMatrix); ω∧, Θ(h)∧, Λ and the zero map are one block.
 Every constant-coefficient map and contraction (the spectral ∂̄ and ∇¹'⁰, the
 (1,1)-wedges, ι_{∂/∂z_a} and the Kodaira-Spencer contraction) is composed from
 one dz_a∧ or dz̄_a∧ component block, _dz_wedge, built once per (n, p, q, a).
@@ -34,7 +37,7 @@ and bidegree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -157,6 +160,7 @@ class _SpectralCalculus:
     def __init__(self, torus: LatticeTorus, bundle: BundleData, disc: Spectral):
         n, M = torus.n, disc.M
         self.disc = disc
+        self.quadrature_weight = 1.0   # modes are orthonormal
         self.grams = {}  # bidegree -> GramMatrix, filled by gram()
         self.operators = {}  # operator key -> mode array, filled by _operator_data()
         self.box_lambda = None  # lambda(kappa) of the box, filled by hodge._SpectralSolver
@@ -178,13 +182,14 @@ class _SpectralCalculus:
 
     # -- the backend methods that forms, hodge and family call --------------
 
+    def coefficients(self, modes: np.ndarray) -> np.ndarray:
+        """What FormSpace.section takes is already the modes."""
+        return modes
+
     def random_coeffs(self, space: "FormSpace", rng) -> np.ndarray:
         """Random coefficients on every mode."""
         shape = (space.ncomp,) + self.field_shape
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    def gram_matrix(self, space: "FormSpace") -> "GramMatrix":
-        return GramMatrix(space)
 
     def first_order(self, space: "FormSpace", target: "FormSpace", name: str) -> "OperatorMatrix":
         """The mode operator of dbar = sum_a mu_zbar[a] dz̄_a ∧ or of
@@ -203,20 +208,22 @@ class _SpectralCalculus:
         return np.einsum("de,ef...,fc->dc...", gd.Pinv, AH, gc.P)
 
     def pointwise(self, field):
-        """(to, back): maps of coefficient arrays to samples on which a product
-        with field is pointwise, and back; each maps only the trailing field axes.
+        """(samples, to, back): the field's samples and the maps of section
+        coefficients to samples on which a product with it is pointwise, and
+        back; each maps only the trailing field axes.
 
         A constant field (trailing axes all 1) multiplies the modes as they
-        are, so both maps are the identity.  Otherwise the field and a section
-        have modes |k| <= M, and their product modes |k| <= 2M.  to() samples
-        modes on L = 3M + 1 points per direction and back() takes the modes
-        |k| <= M of samples.  A product mode k lands on a kept mode only if
-        k = j (mod L) with |j| <= M, and |k - j| <= 3M < L, so k = j: back() of
-        the sampled product is the full convolution cropped to |k| <= M.
+        are: it is its own samples and both maps are the identity.  Otherwise
+        the field and a section have modes |k| <= M, and their product modes
+        |k| <= 2M.  to() samples modes on L = 3M + 1 points per direction and
+        back() takes the modes |k| <= M of samples.  A product mode k lands on
+        a kept mode only if k = j (mod L) with |j| <= M, and |k - j| <= 3M < L,
+        so k = j: back() of the sampled product is the full convolution cropped
+        to |k| <= M.
         """
         dims = len(self.field_shape)
         if all(s == 1 for s in np.shape(field)[-dims:]):
-            return (lambda a: a), (lambda a: a)
+            return field, (lambda a: a), (lambda a: a)
         M = self.disc.M
         L = 3 * M + 1
         axes = tuple(range(-dims, 0))
@@ -230,7 +237,7 @@ class _SpectralCalculus:
         def back(samples):
             return np.fft.fftn(samples, axes=axes, norm="forward")[keep]
 
-        return to, back
+        return to(field), to, back
 
     def constant_field(self, c) -> np.ndarray:
         """The field that is the constant c (of any shape) everywhere: its zero mode."""
@@ -297,15 +304,18 @@ class FormSpace:
     def zeros(self) -> "FormSection":
         return FormSection(self, np.zeros((self.ncomp,) + self.field_shape, dtype=complex))
 
-    def section(self, coeffs) -> "FormSection":
-        arr = np.asarray(coeffs, dtype=complex)
+    def section(self, values) -> "FormSection":
+        """The section of these modes (spectral) or samples (grid), turned into
+        coefficients; FormSection(space, coeffs) takes coefficients as they are."""
+        arr = np.asarray(values, dtype=complex)
         if arr.shape != (self.ncomp,) + self.field_shape:
             arr = arr.reshape((self.ncomp,) + self.field_shape)
-        return FormSection(self, arr)
+        return FormSection(self, self.calculus.coefficients(arr))
 
     def sibling(self, bidegree) -> "FormSpace":
         """The space of another bidegree on the same fibre, sharing this calculus."""
-        return replace(self, bidegree=_checked_bidegree(self.n, bidegree))
+        bidegree = _checked_bidegree(self.n, bidegree)
+        return FormSpace(self.torus, self.bundle, bidegree, self.disc, self.calculus)
 
     # pointwise metric on components (constant; a scalar on the n = 1 grid)
     def comp_metric(self) -> np.ndarray:
@@ -351,8 +361,8 @@ def make_space(torus, bundle, bidegree, disc) -> FormSpace:
 
 
 def band_limited(space: FormSpace, rng) -> "FormSection":
-    """A smooth random unit section, on coefficients from the calculus'
-    random_coeffs: every mode (spectral), or six low modes (grid)."""
+    """A smooth random unit section from the calculus' random_coeffs: every
+    mode (spectral), or the samples of six low modes (grid)."""
     u = space.section(space.calculus.random_coeffs(space, rng))
     nu = u.norm()
     return u * (1.0 / nu) if nu > 0 else u
@@ -391,13 +401,12 @@ class OperatorMatrix:
     """Linear map between two FormSpaces: sign times data.
 
     data is a numpy array of shape (ncomp_cod, ncomp_dom, *shape), a component
-    block per mode or sample that acts pointwise; a trailing dim of size 1
-    broadcasts over the field shape, so a constant-coefficient operator is one
-    block on either backend.  Or data is the sparse y-Fourier matrix A of a
-    grid derivative or of what is composed from or adjoint to it (n = 1, one
-    component): the map is E^{-1} F_y^H A F_y E with the fibre's gauge factor E
-    and the unitary FFT F_y along y, which grid._GridCalculus.fourier_apply
-    applies, so composition is the product of the matrices.
+    block per coefficient that acts on the component axis; a trailing dim of
+    size 1 broadcasts over the field shape, so a constant-coefficient operator
+    is one block on either backend.  Or data is the sparse y-Fourier matrix A
+    of a grid derivative or of what is composed from or adjoint to it (n = 1,
+    one component): grid coefficients live in A's basis, so the map is A @ v
+    and composition is the product of the matrices.
 
     An operator from assemble_dbar or assemble_nabla10 carries the key of its
     data in the fibre calculus' operator cache, so that adjoint() caches too.
@@ -419,7 +428,7 @@ class OperatorMatrix:
         if isinstance(self.data, np.ndarray):
             out = np.einsum("cd...,d...->c...", _bc(self.data, self.domain), u.coeffs)
         else:
-            out = self.domain.calculus.fourier_apply(self.data, u.coeffs)
+            out = (self.data @ u.coeffs.ravel()).reshape(u.coeffs.shape)
         return FormSection(self.codomain, out if self.sign == 1 else -out)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -454,7 +463,7 @@ def _bc(data, space):
 
 
 def _pointwise_block(domain: FormSpace, codomain: FormSpace, block) -> OperatorMatrix:
-    """The operator with the constant component block at every mode or sample."""
+    """The operator with the constant component block at every coefficient."""
     data = np.reshape(block, np.shape(block) + (1,) * len(domain.field_shape))
     return OperatorMatrix(domain, codomain, data.astype(complex))
 
@@ -469,13 +478,14 @@ def zero_operator(domain: FormSpace, codomain: FormSpace) -> OperatorMatrix:
 
 
 class GramMatrix:
-    """Inner-product data of a spectral FormSpace: the constant component
-    matrix P (modes are orthonormal).  A grid space has a grid._GridGram."""
+    """Inner-product data of a FormSpace: the constant component matrix P,
+    the component metric times the calculus' quadrature weight (1 on the
+    orthonormal modes, 1/N^2 on grid coefficients)."""
 
     def __init__(self, space: FormSpace):
         # no reference back to the space: the calculus keeps this object, and
         # without a cycle a fibre is freed as soon as its last space goes
-        self.P = space.comp_metric()
+        self.P = space.comp_metric() * space.calculus.quadrature_weight
         self.Pinv = np.linalg.inv(self.P)
 
     def pair(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -489,7 +499,7 @@ def gram(space: FormSpace):
     """The Gram data of space, kept by its calculus for every sibling."""
     grams = space.calculus.grams
     if space.bidegree not in grams:
-        grams[space.bidegree] = space.calculus.gram_matrix(space)
+        grams[space.bidegree] = GramMatrix(space)
     return grams[space.bidegree]
 
 
@@ -596,7 +606,7 @@ def lefschetz_L(space: FormSpace) -> OperatorMatrix:
 
 def _lambda_block(space: FormSpace) -> np.ndarray:
     """Constant block of Lambda: (p,q) -> (p-1,q-1), p, q >= 1: P_below^{-1} L^H P_space
-    for the omega-wedge block L.  On a grid the Gram weights' factor e^{-phi} / N^2
+    for the omega-wedge block L.  The quadrature weight of the Gram data
     cancels, so both backends share it."""
     p, q = space.bidegree
     below = space.sibling((p - 1, q - 1))
@@ -625,8 +635,8 @@ def curvature_action(space: FormSpace) -> OperatorMatrix:
 
 def multiply(field: np.ndarray, u: FormSection) -> FormSection:
     """Multiply a section by a scalar field (untwisted modes or grid samples)."""
-    to, back = u.space.calculus.pointwise(field)
-    return FormSection(u.space, back(to(field) * to(u.coeffs)))
+    samples, to, back = u.space.calculus.pointwise(field)
+    return FormSection(u.space, back(samples * to(u.coeffs)))
 
 
 def contract(W: np.ndarray, u: FormSection) -> FormSection:
@@ -640,8 +650,8 @@ def contract(W: np.ndarray, u: FormSection) -> FormSection:
     if p < 1:
         raise BidegreeUnderflow("contraction needs p >= 1")
     target = u.space.sibling((p - 1, q))
-    to, back = u.space.calculus.pointwise(W)
-    terms = [(w, _dz_wedge(u.space.n, p - 1, q, a).T) for a, w in enumerate(to(W))]
+    samples, to, back = u.space.calculus.pointwise(W)
+    terms = [(w, _dz_wedge(u.space.n, p - 1, q, a).T) for a, w in enumerate(samples)]
     return FormSection(target, back(_block_sum(terms, to(u.coeffs))))
 
 
@@ -658,8 +668,7 @@ def contract_ks(K_field: np.ndarray, u: FormSection) -> FormSection:
         raise BidegreeUnderflow("contraction needs p >= 1")
     if q + 1 > n:
         raise BidegreeOverflow("K-contraction overflows antiholomorphic degree")
-    to, back = u.space.calculus.pointwise(K_field)
-    Ks = to(K_field)
+    Ks, to, back = u.space.calculus.pointwise(K_field)
     terms = [(Ks[a, c], _dz_wedge(n, p - 1, q, c, True) @ _dz_wedge(n, p - 1, q, a).T)
              for a in range(n) for c in range(n)]
     return FormSection(u.space.sibling((p - 1, q + 1)), back(_block_sum(terms, to(u.coeffs))))

@@ -1,28 +1,28 @@
 """The grid backend (positive bundles, n = 1): y-Fourier calculus and Hodge solver.
 
-Sections are sample arrays F[i,j] on the unit (x,y)-torus, periodic in x and
-quasi-periodic in y with the level-d factor of automorphy.  Derivatives are
-central differences of an even order with the automorphy wrap, taken on
-H = E F in the Gaussian gauge E = e^theta.  There the gauge terms of ∂̄ and
-∇¹'⁰ are ±(pi d / s) x, so every grid derivative is E^{-1} F_y^H A F_y E, F_y
-the unitary FFT along y and A sparse with order + 1 entries a row
-(_GridCalculus.fourier_derivative).  An operator's data is its A: ∂̄ is the
-fibre's dbar_hat, which _DbarFactor factors; an adjoint's is a constant times
-A^H; a composition's, such as the Laplacian box, is the product.  A fibre
-keeps one matrix per operator, that of its (0,0) form: ∇¹'⁰ on (0,1) equals
-∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄ on (0,0), a sign the operator
-carries.  Products are taken sample by sample.
+A section u is quasi-periodic on the unit (x,y)-torus with the level-d factor
+of automorphy, and is sampled on an N x N grid.  Derivatives are central
+differences of an even order with the automorphy wrap, taken on H = E u in the
+Gaussian gauge E = e^theta.  There the gauge terms of ∂̄ and ∇¹'⁰ are
+±(pi d / s) x, so every grid derivative is E^{-1} F_y^H A F_y E, F_y the
+unitary FFT along y and A sparse with order + 1 entries a row
+(_GridCalculus.fourier_derivative).  A section therefore holds the
+coefficients v = F_y E u (row x index, column y frequency), on which each
+derivative is A @ v: ∂̄'s A is the fibre's dbar_hat, which _DbarFactor
+factors; an adjoint's is a constant times A^H; a composition's, such as the
+Laplacian box, is the product.  A fibre keeps one matrix per operator, that of
+its (0,0) form: ∇¹'⁰ on (0,1) equals ∇¹'⁰ on (0,0), and ∂̄ on (1,0) is minus ∂̄
+on (0,0), a sign the operator carries.  Samples enter once, in
+FormSpace.section, and come back only for a product with a non-constant field
+(pointwise).  The L2 weight metric e^{-phi} / N^2 is |E|^2 c_q with c_q =
+metric / N^2 constant per bidegree (p,q), and F_y is unitary, so the Gram
+data of v is c_q: forms.GramMatrix with the quadrature weight 1/N^2.
 
-Hodge solver.  A Gram weight w_q is a constant c_q per bidegree (p,q) times
-|E|^2 (_GridGram.scale).  So on the weighted samples sqrt(w_q) u the dbar out
-of (p,0) is (-1)^p Dt with Dt = sqrt(w_1) E^{-1} F_y^H A F_y E / sqrt(w_0) =
-kappa U^H A U, A = dbar_hat, U = F_y E / |E| unitary and kappa^2 = c_1 / c_0,
-the same for p = 0 and 1.  _DbarFactor and _GridSolver therefore work in A's
-own basis u^ = U sqrt(w_q) u = sqrt(c_q) F_y E u, where the L2 pairing is the
-plain one and the Laplacian is kappa^2 A^H A on (p,0) and kappa^2 A A^H on
-(p,1): one LU of A per fibre serves all four bidegrees, no solve runs an FFT,
-and samples enter and leave the basis once per apply.  _GridSolver cuts the
-kernel at rank_tol; the low spectrum is computed only on demand.
+Hodge solver.  On A's basis u^ = sqrt(c_q) v, where the pairing is the plain
+one, the dbar out of (p,0) is (-1)^p kappa A with kappa^2 = c_1 / c_0, and the
+Laplacian is kappa^2 A^H A on (p,0) and kappa^2 A A^H on (p,1): one LU of A per
+fibre serves all four bidegrees, and no apply runs an FFT.  _GridSolver cuts
+the kernel at rank_tol; the low spectrum is computed only on demand.
 
 Set-up runs in two phases, as in sparse direct solvers.  The symbolic phase,
 the csc structure of the y-Fourier derivatives and SuperLU's COLAMD column
@@ -62,7 +62,8 @@ def _central_stencil(order):
 
 
 class _GridCalculus:
-    """n=1 grid backend: sample points, gauge factor and weight data for degree d.
+    """n=1 grid backend: sample points, gauge factor and weight data for degree d,
+    and the maps between samples and coefficients (module docstring).
 
     Every derivative matrix it holds is a y-Fourier one (fourier_derivative):
     the operator cache's and dbar_hat, the ∂̄ that _DbarFactor factors and
@@ -73,7 +74,8 @@ class _GridCalculus:
         if torus.n != 1:
             raise DiscMismatch("grid backend supports n=1 only")
         self.disc = disc
-        self.grams = {}  # bidegree -> _GridGram, filled by forms.gram()
+        self.quadrature_weight = 1.0 / disc.N**2
+        self.grams = {}  # bidegree -> GramMatrix, filled by forms.gram()
         self.operators = {}  # operator key -> sparse matrix, filled by forms._operator_data()
         self.dbar_factors = {}  # rank_tol -> _DbarFactor, filled by _GridSolver
         self.t = t = complex(torus.period[0, 0])
@@ -107,8 +109,8 @@ class _GridCalculus:
 
     def fourier_derivative(self, a, b, c, d):
         """The y-Fourier matrix A (csc) of a d/dx + b d/dy on degree-d sections
-        whose gauge terms sum to c x: the derivative is E^{-1} F_y^H A F_y E
-        (fourier_apply), row and column (i, k) = (x index, y frequency).
+        whose gauge terms sum to c x: the derivative is E^{-1} F_y^H A F_y E,
+        A on coefficients, row and column (i, k) = (x index, y frequency).
 
         The stencils act on H = E F (see _gauge_exponent): along y the periodic
         one, along x the Bloch one, whose entry that wraps w times carries
@@ -126,24 +128,20 @@ class _GridCalculus:
         vals += [np.full(N * N, a * cf * N) for cf in coeffs]
         return _dbar_hat_pattern(N, self.disc.order, d).matrix(np.concatenate(vals))
 
-    def fourier_apply(self, A, u: np.ndarray) -> np.ndarray:
-        """E^{-1} F_y^H A F_y E u for the samples u of a section, (1, N, N):
-        the derivative or composition whose y-Fourier matrix is A."""
-        return self.from_fourier(A @ self.to_fourier(u))
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        """The coefficients F_y E u of sample arrays u, (..., N, N)."""
+        return np.fft.fft(self.gauge * u, axis=-1, norm="ortho")
 
-    def to_fourier(self, u: np.ndarray) -> np.ndarray:
-        """F_y E u, (N², m), row (x index, y frequency), of m sample arrays (m, N, N)."""
-        return np.fft.fft(self.gauge * u, axis=2, norm="ortho").reshape(len(u), -1).T
-
-    def from_fourier(self, v: np.ndarray) -> np.ndarray:
-        """E^{-1} F_y^H v, (m, N, N), of v (N², m) or (N²,): the inverse of to_fourier."""
-        return np.fft.ifft(v.T.reshape((-1,) + self.field_shape), axis=2, norm="ortho") / self.gauge
+    def samples(self, v: np.ndarray) -> np.ndarray:
+        """The samples E^{-1} F_y^H v of coefficient arrays v, (..., N, N):
+        the inverse of coefficients."""
+        return np.fft.ifft(v, axis=-1, norm="ortho") / self.gauge
 
     # -- the backend methods that forms, hodge and family call --------------
 
     def random_coeffs(self, space: FormSpace, rng) -> np.ndarray:
-        """Six modes with |k_x|, |k_y| <= 2 per component: stencil operators
-        satisfy composite identities only on resolved fields like these."""
+        """Samples of six modes with |k_x|, |k_y| <= 2 per component: stencil
+        operators satisfy composite identities only on resolved fields like these."""
         coeffs = np.zeros((space.ncomp,) + self.field_shape, dtype=complex)
         for ci in range(space.ncomp):
             for _ in range(6):
@@ -151,9 +149,6 @@ class _GridCalculus:
                 c = rng.standard_normal() + 1j * rng.standard_normal()
                 coeffs[ci] += c * np.exp(2j * np.pi * (kx * self.x + ky * self.y))
         return coeffs
-
-    def gram_matrix(self, space: FormSpace) -> "_GridGram":
-        return _GridGram(space)
 
     def first_order(self, space: FormSpace, target: FormSpace, name: str) -> OperatorMatrix:
         """The y-Fourier matrix of dbar ((p,0) -> (p,1), with the sign (-1)^p of
@@ -170,16 +165,17 @@ class _GridCalculus:
         sign = (-1) ** space.bidegree[0] if name == "dbar" else 1
         return _cached(space, target, (name, (0, 0)), build, sign=sign)
 
-    def adjoint_data(self, op: OperatorMatrix, gd: "_GridGram", gc: "_GridGram"):
-        """W_dom^{-1} D^H W_cod for D = E^{-1} F_y^H A F_y E.  A Gram weight is
-        a constant c per bidegree times |E|^2 (_GridGram.scale), so this is
-        E^{-1} F_y^H (c_cod / c_dom) A^H F_y E, of y-Fourier matrix
-        (c_cod / c_dom) A^H."""
-        return (gc.scale / gd.scale) * op.data.conj().T
+    def adjoint_data(self, op: OperatorMatrix, gd, gc):
+        """P_dom^{-1} A^H P_cod of the Gram data's constants: (c_cod / c_dom) A^H."""
+        return (gc.P[0, 0].real / gd.P[0, 0].real) * op.data.conj().T
 
     def pointwise(self, field):
-        """Samples multiply as they are."""
-        return (lambda a: a), (lambda a: a)
+        """(field, to, back): a grid field is its samples, and sections go
+        to samples and back; a constant field multiplies coefficients as they
+        are, with both maps the identity."""
+        if np.shape(field)[-2:] == (1, 1):
+            return field, (lambda a: a), (lambda a: a)
+        return field, self.samples, self.coefficients
 
     def constant_field(self, c) -> np.ndarray:
         """The field that is the constant c (of any shape) everywhere, broadcast
@@ -276,21 +272,6 @@ def _dbar_hat_pattern(N, order, d):
     return pattern
 
 
-class _GridGram:
-    """Inner-product data of a grid FormSpace: a positive weight per sample, the
-    scalar component metric x e^{-phi} x quadrature weight 1/N^2 (n = 1)."""
-
-    def __init__(self, space: FormSpace):
-        calc = space.calculus   # no reference back to the space, as in forms.GramMatrix
-        metric = space.comp_metric()[0, 0].real
-        self.w = metric * np.exp(-calc.phi) / calc.disc.N**2
-        self.scale = metric / calc.disc.N**2   # w / |E|^2, as |E|^2 = e^{-phi}
-
-    def pair(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """M[i, j] = (us[j], vs[i]) of sample stacks (m, 1, N, N)."""
-        return (vs.conj() * self.w).reshape(len(vs), -1) @ us.reshape(len(us), -1).T
-
-
 # ---------------------------------------------------------------------------
 # the Hodge solver
 
@@ -321,7 +302,8 @@ class _DbarFactor:
         calc = space.calculus
         self.A = calc.dbar_hat
         self.AT = self.A.T   # a csr view of A's own arrays, for A^H
-        self.kappa2 = gram(space.sibling((0, 1))).scale / gram(space.sibling((0, 0))).scale
+        c0, c1 = (gram(space.sibling((0, q))).P[0, 0].real for q in (0, 1))
+        self.kappa2 = c1 / c0
         # power iteration for the spectral scale kappa2 A^H A of the Laplacian
         v = _seeded_start(calc, 1, 1)[:, 0]
         for _ in range(30):
@@ -385,19 +367,20 @@ class _DbarFactor:
 
 def _seeded_start(calc: _GridCalculus, cols: int, seed: int) -> np.ndarray:
     """U V = F_y E (V / |E|) for the seeded block V of N² weighted samples: a
-    start in A's basis."""
+    start in A's basis, (N², cols)."""
     V = _seeded_block(calc.N ** 2, cols, seed).T.reshape((cols,) + calc.field_shape)
-    return calc.to_fourier(V / np.abs(calc.gauge))
+    return calc.coefficients(V / np.abs(calc.gauge)).reshape(cols, -1).T
 
 
 class _GridSolver:
     """Kernel, Green operator and, on demand, low spectrum of a grid Laplacian,
-    in A's basis u^ = sqrt(c) F_y E u (see the module docstring).
+    in A's basis u^ = sqrt(c) v (see the module docstring).
 
     With K and C the near-null blocks of A (on (p,0)) and of A^H (on (p,1))
     of the fibre's _DbarFactor and P_Q = I - Q Q^H, G is kappa^{-2} P_K A^{-1}
     P_C A^{-H} P_K on (p,0) and kappa^{-2} P_C A^{-H} P_K A^{-1} P_C on (p,1),
-    the Laplacian's pseudo-inverse.  G and the projector commute with sqrt(c).
+    the Laplacian's pseudo-inverse.  G and the projector commute with sqrt(c),
+    so they act on a section's coefficients v as they are.
     Aliased modes (spurious adjoint-side zero modes, near-Nyquist resonances:
     mostly top-shell energy in the Gaussian gauge) stay in the deflation space
     of G but not in the harmonic basis or the spectral gap.
@@ -428,24 +411,23 @@ class _GridSolver:
         return (x - K @ (K.conj().T @ x)) / self.factor.kappa2
 
     def green(self, u: FormSection) -> FormSection:
-        calc = self.calc
-        return FormSection(self.space, calc.from_fourier(self._green_hat(calc.to_fourier(u.coeffs))))
+        return FormSection(self.space, self._green_hat(u.coeffs.ravel()).reshape(u.coeffs.shape))
 
     def dbar_pinv(self, alpha: FormSection, below: FormSpace) -> FormSection:
         """dbar* G alpha on (p,1) in one solve: (-1)^p kappa^{-1} P_K A^{-1} P_C in
         A's basis, as dbar* G = (-1)^p kappa^{-1} A^H P_C A^{-H} P_K A^{-1} P_C and
         A^H P_C A^{-H} = P_K on exact singular blocks: for A = U S V^H and C, K
         the U, V columns of the near-null values (mask E), V S (I - E) S^{-1} V^H.
-        kappa cancels sqrt(c_1 / c_0): on samples, E^{-1} F_y^H (.) F_y E."""
-        K, C, calc = self._cokernel, self.kernel, self.calc
-        r = calc.to_fourier(alpha.coeffs)
+        kappa cancels sqrt(c_1 / c_0), so on coefficients it is (-1)^p P_K A^{-1} P_C."""
+        K, C = self._cokernel, self.kernel
+        r = alpha.coeffs.ravel()
         x = self.factor.solve(r - C @ (C.conj().T @ r), "N")
-        x = calc.from_fourier(x - K @ (K.conj().T @ x))
-        return FormSection(below, (-1) ** below.bidegree[0] * x)
+        x = x - K @ (K.conj().T @ x)
+        return FormSection(below, ((-1) ** below.bidegree[0] * x).reshape(alpha.coeffs.shape))
 
     def project(self, u: FormSection) -> FormSection:
-        K, calc = self.kernel, self.calc
-        return FormSection(self.space, calc.from_fourier(K @ (K.conj().T @ calc.to_fourier(u.coeffs))))
+        K, r = self.kernel, u.coeffs.ravel()
+        return FormSection(self.space, (K @ (K.conj().T @ r)).reshape(u.coeffs.shape))
 
     def _aliased(self, V: np.ndarray) -> np.ndarray:
         """Whether each column of V has over half its energy in the top shell:
@@ -475,9 +457,9 @@ class _GridSolver:
         return lam[order], aliased[order]
 
     def harmonic_sections(self) -> List[FormSection]:
-        """The kernel's columns as sections, u = E^{-1} F_y^H u^ / sqrt(c)."""
-        fields = self.calc.from_fourier(self.kernel_physical) / np.sqrt(gram(self.space).scale)
-        return [FormSection(self.space, h[None]) for h in fields]
+        """The kernel's columns as sections, v = u^ / sqrt(c)."""
+        cols = self.kernel_physical / np.sqrt(gram(self.space).P[0, 0].real)
+        return [FormSection(self.space, h.reshape((1,) + self.calc.field_shape)) for h in cols.T]
 
     def eigenvalues(self) -> np.ndarray:
         lam, aliased = self._spectrum

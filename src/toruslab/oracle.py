@@ -33,8 +33,8 @@ from .geometry import (
 class ThetaFrame:
     """A frame of d holomorphic canonical sections on one positive-bundle fiber.
 
-    Sections are represented as (1,0)-forms theta_a(z) dz in the grid gauge,
-    a = 0..d-1 (theta series truncated as in `theta_samples`).
+    Sections are the (1,0)-forms theta_a(z) dz, a = 0..d-1, built from their
+    samples (theta series truncated as in `theta_samples`).
     """
 
     t: complex

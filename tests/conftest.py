@@ -43,6 +43,14 @@ def coo_stencil(N, order, t, d, a, b, diag):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
 
 
+def sample_weights(sp):
+    """The L2 weight of each sample of a grid space, flattened: the component
+    metric times e^{-phi} / N^2.  The reference for the Gram data, which acts
+    on coefficients."""
+    calc = sp.calculus
+    return sp.comp_metric()[0, 0].real * np.exp(-calc.phi).ravel() / calc.N**2
+
+
 def coo_dbar(sp):
     """The physical stencil matrix of dbar out of (0,0) on the grid fibre of sp."""
     calc = sp.calculus

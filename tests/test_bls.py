@@ -8,6 +8,7 @@ from toruslab.bls import (
     HermitianFormOnTensor,
     _SWEEP_ROWS,
     _als_min,
+    _als_starts,
     _als_step,
     _cp1_sweep,
     _herm,
@@ -340,6 +341,21 @@ def test_als_step_matches_reference_at_rank_one(r):
     U_ref, W_ref = reference_als_step(Sk, U0, W0)
     assert _up_to_phase(U, U_ref) <= 1e-12
     assert _up_to_phase(W, W_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("m1, r, k", [(2, 2, 1), (2, 3, 1), (3, 3, 2)])
+def test_als_starts_are_the_per_restart_draws(m1, r, k):
+    # one draw for all restarts is the stream of the per-restart draws of
+    # Re U, Im U, Re W and Im W, to the bit, and leaves the generator where
+    # they leave it
+    rng, ref_rng = np.random.default_rng(80 + k), np.random.default_rng(80 + k)
+    U, W = _als_starts(m1, r, k, 50, rng)
+    ref = [(ref_rng.standard_normal((m1, k)) + 1j * ref_rng.standard_normal((m1, k)),
+            ref_rng.standard_normal((r, k)) + 1j * ref_rng.standard_normal((r, k)))
+           for _ in range(50)]
+    assert U.tobytes() == np.stack([u for u, _ in ref]).tobytes()
+    assert W.tobytes() == np.stack([w for _, w in ref]).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_pairwise_contractions_match_einsum_at_rank_two():

@@ -23,8 +23,8 @@ from toruslab.family import (
     primitive_lift,
 )
 from toruslab.forms import (
+    FormSection,
     Grid,
-    GramMatrix,
     Spectral,
     _wedge_sign,
     gram,
@@ -57,19 +57,16 @@ def test_wedge_pair_sign_pins(flat_torus, positive_bundle, grid_disc, rng):
     sp01 = make_space(flat_torus, positive_bundle, (0, 1), grid_disc)
     u, v = band_limited(sp10, rng), band_limited(sp10, rng)
     assert abs(wedge_pair([u], [v])[0, 0] - pair_l2(u, v)) <= 1e-10
-    a = sp01.section(u.coeffs.copy())
-    b = sp01.section(v.coeffs.copy())
+    a = FormSection(sp01, u.coeffs.copy())
+    b = FormSection(sp01, v.coeffs.copy())
     assert abs(wedge_pair([a], [b])[0, 0] + pair_l2(a, b)) <= 1e-10
 
 
 def _l2_entry(u, v):
-    """(u, v) as one sum over the samples or modes: the per-entry reference."""
-    g = gram(u.space)
-    if isinstance(g, GramMatrix):
-        nc = len(g.P)
-        return np.einsum("ck,cd,dk->", v.coeffs.reshape(nc, -1).conj(), g.P,
-                         u.coeffs.reshape(nc, -1))
-    return np.sum(v.coeffs.conj() * g.w * u.coeffs)
+    """(u, v) as one sum over the coefficients: the per-entry reference."""
+    P = gram(u.space).P
+    nc = len(P)
+    return np.einsum("ck,cd,dk->", v.coeffs.reshape(nc, -1).conj(), P, u.coeffs.reshape(nc, -1))
 
 
 def _wedge_entry(u, v, r):
@@ -90,7 +87,8 @@ def _wedge_entry(u, v, r):
                     minor = np.linalg.det(g[np.ix_(A, B)]) if r else 1.0
                     sgn = (-1) ** (pp * qq + q * qq + r * (q + pp))
                     total += sgn * s_hol * s_anti * minor * _l2_entry(
-                        scalar.section(u.coeffs[di]), scalar.section(v.coeffs[dj]))
+                        FormSection(scalar, u.coeffs[di][None]),
+                        FormSection(scalar, v.coeffs[dj][None]))
     return pref * total
 
 

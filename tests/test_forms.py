@@ -33,7 +33,7 @@ from toruslab.forms import (
 )
 from toruslab.geometry import make_positive_bundle, make_torus
 
-from conftest import band_limited, coo_dbar, coo_nabla10
+from conftest import band_limited, coo_dbar, coo_nabla10, sample_weights
 
 
 def spaces_for(torus, bundle, disc, bidegrees):
@@ -123,12 +123,13 @@ def test_operator_data_is_assembled_once_per_fibre(which, flat_torus, flat_bundl
                             np.conj(np.swapaxes(blocks, 0, 1)), gc_.P)
             assert np.abs(adjA - ref).max() <= 1e-15 * abs(ref).max()
         else:
-            # the adjoint applied against W_dom^{-1} A^H W_cod of the physical
-            # stencil matrix A (conftest's listed-entry reference)
+            # the adjoint applied to samples, against W_dom^{-1} A^H W_cod of
+            # the physical stencil matrix A (conftest's listed-entry reference)
             A = op.sign * (coo_dbar if assemble is assemble_dbar else coo_nabla10)(sp00)
-            ref = sparse.diags(1.0 / gd.w.ravel()) @ A.conj().T @ sparse.diags(gc_.w.ravel())
+            ref = (sparse.diags(1.0 / sample_weights(op.domain)) @ A.conj().T
+                   @ sparse.diags(sample_weights(op.codomain)))
             v = np.random.default_rng(1).standard_normal(sp.dim) + 0j
-            got = adj.apply(op.codomain.section(v)).coeffs.ravel()
+            got = sp.calculus.samples(adj.apply(op.codomain.section(v)).coeffs).ravel()
             want = ref @ v
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     if which == "spectral":
@@ -164,9 +165,36 @@ def test_section_arithmetic(flat_torus, flat_bundle, spec_disc, rng):
 
 
 def test_gram_weights_positive(flat_torus, positive_bundle, grid_disc):
-    sp = make_space(flat_torus, positive_bundle, (0, 0), grid_disc)
-    g = gram(sp)
-    assert np.all(g.w > 0)
+    # grid coefficients pair with the component metric times 1/N^2, positive
+    for bidegree in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        sp = make_space(flat_torus, positive_bundle, bidegree, grid_disc)
+        P = gram(sp).P
+        assert np.allclose(P, sp.comp_metric() / grid_disc.N**2, rtol=1e-15, atol=0)
+        assert np.all(np.linalg.eigvalsh(P) > 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_sections_are_built_from_samples(d, flat_torus):
+    # section(samples) turns samples into coefficients once, and the sample
+    # export of the calculus turns them back, to rounding in the L2 norm (a
+    # sample-wise measure would see that rounding amplified by 1/|E|, up to
+    # e^{pi d Im t}); the Gram data on coefficients is the L2 weight
+    # metric e^{-phi} / N^2 on samples
+    from toruslab.oracle import theta_samples
+
+    sp00 = make_space(flat_torus, make_positive_bundle(flat_torus, d), (0, 0), Grid(N=32, order=6))
+    calc = sp00.calculus
+    rng = np.random.default_rng(d)
+    theta = theta_samples(complex(calc.t), d, 0, calc.x[:, 0], calc.y[0])[None]
+    for bidegree in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        sp = sp00.sibling(bidegree)
+        w = sample_weights(sp)
+        su, sv = rng.standard_normal((2, 1, 32, 32)) + 1j * rng.standard_normal((2, 1, 32, 32))
+        for s in (su, sv, theta):
+            err = calc.samples(sp.section(s).coeffs) - s
+            assert np.sum(w * np.abs(err.ravel()) ** 2) <= 1e-26 * np.sum(w * np.abs(s.ravel()) ** 2)
+        want = np.sum(np.conj(sv).ravel() * w * su.ravel())
+        assert abs(pair_l2(sp.section(su), sp.section(sv)) - want) <= 1e-13 * abs(want)
 
 
 def test_dbar_squared_spectral_surface(torus2, flat_bundle2, spec_disc, rng):
@@ -275,7 +303,7 @@ def test_curvature_action_positive_is_proportional_to_omega(flat_torus,
     N = grid_disc.N
     u = sp.section(np.ones((1, N, N), dtype=complex))
     out = curvature_action(sp).apply(u)
-    field = out.coeffs[0]
+    field = sp.calculus.samples(out.coeffs)[0]
     assert np.allclose(field, field.flat[0])
 
 

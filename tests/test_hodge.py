@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from toruslab import grid
 from toruslab.errors import BidegreeOverflow, NotCoexact
 from toruslab.forms import (
+    FormSection,
     Grid,
     Spectral,
     adjoint,
     assemble_dbar,
     assemble_nabla10,
-    gram,
     make_space,
     pair_l2,
     pair_matrix,
@@ -27,7 +27,7 @@ from toruslab.hodge import (
 )
 from toruslab.oracle import exact_flat_spectrum
 
-from conftest import T0, band_limited, coo_dbar, coo_nabla10, coo_stencil
+from conftest import T0, band_limited, coo_dbar, coo_nabla10, coo_stencil, sample_weights
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +142,10 @@ def test_grid_operators_match_coo_stencil(d, N):
                                   (assemble_nabla10, (0, 0), nabla),
                                   (assemble_nabla10, (0, 1), nabla)):
         op = assemble(sp00.sibling(bidegree))
-        wd, wc = (gram(s).w.ravel() for s in (op.domain, op.codomain))
+        wd, wc = (sample_weights(s) for s in (op.domain, op.codomain))
         adjA = sparse.diags(1.0 / wd) @ A.conj().T @ sparse.diags(wc)
         for o, ref in ((op, A), (adjoint(op), adjA)):
-            got = o.apply(o.domain.section(v)).coeffs.ravel()
+            got = sp00.calculus.samples(o.apply(o.domain.section(v)).coeffs).ravel()
             assert _max_rel(got, ref @ v) <= 1e-14, (bidegree, o is op)
 
 
@@ -169,7 +169,7 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
     factor = build_hodge(sp10, expected_kernel=d)._solver.factor
     sp00 = sp10.sibling((0, 0))
     calc = sp00.calculus
-    w0, w1 = (np.sqrt(gram(sp00.sibling((0, q))).w.ravel()) for q in (0, 1))
+    w0, w1 = (np.sqrt(sample_weights(sp00.sibling((0, q)))) for q in (0, 1))
     Dt = sparse.diags(w1) @ coo_dbar(sp00) @ sparse.diags(1.0 / w0)
     rng = np.random.default_rng(N + d)
     V = rng.standard_normal((N * N, 3)) + 1j * rng.standard_normal((N * N, 3))
@@ -178,9 +178,9 @@ def test_dbar_factor_matches_assembled_dbar(N, d):
         got = np.sqrt(factor.kappa2) * factor._apply(_unitary(calc, V), trans)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     # the weighted dbar out of (1,0) is -Dt, so the factor serves it too
-    v0, v1 = (np.sqrt(gram(sp10.sibling((1, q))).w.ravel()) for q in (0, 1))
+    v0, v1 = (np.sqrt(sample_weights(sp10.sibling((1, q)))) for q in (0, 1))
     dbar10 = assemble_dbar(sp10)
-    Dt10V = np.stack([v1 * dbar10.apply(sp10.section(col / v0)).coeffs.ravel()
+    Dt10V = np.stack([v1 * calc.samples(dbar10.apply(sp10.section(col / v0)).coeffs).ravel()
                       for col in V.T], axis=1)
     assert np.abs(Dt10V + Dt @ V).max() <= 1e-14 * np.abs(Dt @ V).max()
     # a right-hand side off the other side's near-null block is solvable
@@ -379,7 +379,7 @@ def test_grid_dbar_pinv_matches_dbar_star_green(grid_fibre, N, order, d, p):
     # which A^{-1} would blow up without the projection before the solve
     pkg = build_hodge(grid_fibre(N, order, d).sibling((p, 1)), expected_kernel=0)
     alpha = band_limited(pkg.space, np.random.default_rng(N + d + p))
-    null = pkg.space.section(pkg.space.calculus.from_fourier(pkg._solver.kernel[:, 0]))
+    null = FormSection(pkg.space, pkg._solver.kernel[:, 0].reshape((1, N, N)))
     alpha = alpha + null * (alpha.norm() / null.norm())
     assert _rel(pkg.dbar_pinv(alpha), _dbar_star_green(pkg, alpha)) <= 1e-11
 
@@ -435,6 +435,34 @@ def test_grid_solve_budget(grid_fibre):
         before = factor.solves
         run()
         assert factor.solves - before == solves
+
+
+def test_grid_hodge_calls_run_no_fft(monkeypatch):
+    # sections hold coefficients in the basis where dbar is the factored A, so
+    # once the inputs are built no Hodge call or derivative apply transforms
+    torus = make_torus(1, [[T0]])
+    sp10 = make_space(torus, make_positive_bundle(torus, 1), (1, 0), Grid(N=32, order=6))
+    pkg10 = build_hodge(sp10, expected_kernel=1)
+    pkg11 = build_hodge(sp10.sibling((1, 1)), expected_kernel=0)
+    rng = np.random.default_rng(4)
+    u, f = band_limited(sp10, rng), band_limited(sp10, rng)
+    alpha = assemble_dbar(sp10).apply(band_limited(sp10, rng))
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(grid.np.fft, name, counted)
+    pkg10.green(u)
+    pkg10.harmonic_project(u)
+    pkg11.dbar_pinv(alpha)
+    minimal_solution(pkg11, alpha)
+    bergman_project(pkg11, f)
+    assemble_dbar(sp10).apply(f)
+    assert calls == []
+    # the counter sees the transforms of a construction from samples
+    sp10.section(np.ones((1, 32, 32)))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("backend", ["spectral", "grid"])
