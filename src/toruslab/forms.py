@@ -491,7 +491,8 @@ class GramMatrix:
     def pair(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """M[i, j] = (us[j], vs[i]) of coefficient stacks (m, ncomp, *field)."""
         nc = len(self.P)
-        Pu = self.P @ us.reshape(len(us), nc, -1)
+        # one component: a scalar product, bitwise the broadcast matmul's
+        Pu = self.P[0, 0] * us if nc == 1 else self.P @ us.reshape(len(us), nc, -1)
         return vs.reshape(len(vs), -1).conj() @ Pu.reshape(len(us), -1).T
 
 

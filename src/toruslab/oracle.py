@@ -2,49 +2,25 @@
 
 Everything here is computed from closed forms or direct quadrature, deliberately
 bypassing the operator-assembly machinery, so it can serve as an oracle for the
-discrete pipeline.  The FD curvature reads its theta-frame Gram stencil with the
-one Gram-curvature formula, bls.gram_curvature.
+discrete pipeline: theta frames are samples, paired by one quadrature with the
+closed-form (1,0) weight (no form space, gauge or FFT), and the FD curvature
+reads their Gram stencil with the one Gram-curvature formula, bls.gram_curvature.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bls import gram_curvature
 from .errors import StencilQuadratureFailure
-from .forms import FormSection, FormSpace, Grid, make_space, pair_matrix
-from .geometry import (
-    FamilySpec,
-    LatticeTorus,
-    make_positive_bundle,
-    make_torus,
-)
+from .geometry import FamilySpec, LatticeTorus
 
 
 # ---------------------------------------------------------------------------
 # theta frames
-
-
-@dataclass
-class ThetaFrame:
-    """A frame of d holomorphic canonical sections on one positive-bundle fiber.
-
-    Sections are the (1,0)-forms theta_a(z) dz, a = 0..d-1, built from their
-    samples (theta series truncated as in `theta_samples`).
-    """
-
-    t: complex
-    d: int
-    space: FormSpace
-    sections: List[FormSection]
-
-    def gram(self) -> np.ndarray:
-        G = pair_matrix(self.sections, self.sections)
-        return (G + G.conj().T) / 2.0
 
 
 def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -68,25 +44,31 @@ def theta_samples(t: complex, d: int, a: int, x: np.ndarray, y: np.ndarray) -> n
     return along_x @ along_y
 
 
-def theta_frame(t: complex, d: int, disc: Grid) -> ThetaFrame:
-    """Holomorphic frame of the degree-d canonical sections on the fiber at t."""
-    torus = make_torus(1, [[t]])
-    space = make_space(torus, make_positive_bundle(torus, d), (1, 0), disc)
-    calc = space.calculus
-    sections = []
-    for a in range(d):
-        samples = theta_samples(t, d, a, calc.x[:, 0], calc.y[0])
-        sections.append(space.section(samples[None, :, :]))
-    return ThetaFrame(t=t, d=d, space=space, sections=sections)
+def theta_frame(t: complex, d: int, disc) -> np.ndarray:
+    """Holomorphic frame of the degree-d canonical sections on the fiber at t:
+    the (d, N, N) samples of theta_a, a = 0..d-1, at x, y = 0, 1/N, .., (N-1)/N
+    (the points of the grid disc); the sections are the (1,0)-forms theta_a dz."""
+    xs = np.arange(disc.N) / disc.N
+    return np.stack([theta_samples(t, d, a, xs, xs) for a in range(d)])
+
+
+def _quadrature(t: complex, d: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """M[i, j] = (us[j], vs[i]), the L2 pairing of (1,0)-forms on the degree-d
+    fiber at t given by sample stacks (m, N, N): the pointwise metric 2 Im t of
+    dz times the weight e^{-phi} / N^2, phi = 2 pi d Im t y^2."""
+    s, N = t.imag, us.shape[-1]
+    y = np.arange(N) / N
+    w = 2.0 * s * np.exp(-2.0 * np.pi * d * y**2 * s) / N**2
+    return vs.reshape(len(vs), N * N).conj() @ (us * w).reshape(len(us), N * N).T
 
 
 # ---------------------------------------------------------------------------
 # finite-difference Chern curvature of the L2 metric
 
 
-def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
+def fd_chern_curvature_H(family: FamilySpec, d: int, disc,
                          step: float = 1e-3,
-                         harmonic_basis: Optional[Sequence[FormSection]] = None,
+                         harmonic_basis: Optional[Sequence] = None,
                          ) -> np.ndarray:
     """Curvature of the L2 metric on the holomorphic frame, by a 5-point Gram
     stencil: the base point t and t +- step, t +- i step, read by
@@ -95,14 +77,20 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
 
     Returns the Hermitian matrix of the curvature form in the direction tau,
     expressed in the orthonormal harmonic frame at the base point when
-    `harmonic_basis` is given (otherwise in the theta frame itself).
+    `harmonic_basis` (grid sections of the (1,0)-forms at t) is given,
+    otherwise in the theta frame itself.
     """
+    def gram(tt, frame):
+        G = _quadrature(tt, d, frame, frame)
+        return (G + G.conj().T) / 2.0
+
     t = family.t
     # the base frame serves G0 and the basis change; the other four only a Gram
     frame = theta_frame(t, d, disc)
-    G = {(0, 0): frame.gram()}
+    G = {(0, 0): gram(t, frame)}
     for px, py in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        G[(px, py)] = theta_frame(t + step * (px + 1j * py), d, disc).gram()
+        tt = t + step * (px + 1j * py)
+        G[(px, py)] = gram(tt, theta_frame(tt, d, disc))
     G0 = G[(0, 0)]
     cond = np.linalg.cond(G0)
     if not np.isfinite(cond) or cond > 1e12:
@@ -116,7 +104,9 @@ def fd_chern_curvature_H(family: FamilySpec, d: int, disc: Grid,
     if harmonic_basis is None:
         return M
     # transition to the (orthonormal) harmonic basis u_i = sum_a C[a,i] theta_a
-    B = pair_matrix(harmonic_basis, frame.sections)
+    H = np.reshape([h.space.calculus.samples(h.coeffs) for h in harmonic_basis],
+                   (-1,) + frame.shape[1:])
+    B = _quadrature(t, d, H, frame)
     C = np.linalg.solve(G0, B)
     T = C.conj().T @ M @ C
     return (T + T.conj().T) / 2.0

@@ -10,6 +10,9 @@ A second scan holds every default of a public, undecorated, module-level
 function to a caller: some call in src/, perfbench/, scripts/ or tests/ must
 pass that parameter, positionally, by keyword or through a * / ** splat.  A
 default that no call overrides is a constant.
+
+A third scan keeps the oracle off the machinery it checks: toruslab/oracle.py
+imports from the package only geometry, errors and bls.
 """
 
 import ast
@@ -100,3 +103,34 @@ def test_every_default_is_overridden_by_some_call():
             constant += [f"{path.stem}.{fn.name}({name})" for position, name in _defaults(fn)
                          if not any(_overrides(c, position, name) for c in calls.get(fn.name, []))]
     assert constant == []
+
+
+def _package_imports(tree) -> set:
+    """Short names of the toruslab modules that tree imports (the package
+    itself as "toruslab" when a module imports it bare)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "toruslab" + (f".{node.module}" if node.module else "") if node.level \
+                else node.module
+            names = [f"{base}.{a.name}" for a in node.names] if base == "toruslab" else [base]
+        else:
+            continue
+        out |= {name.split(".")[1] if "." in name else name for name in names
+                if name.split(".")[0] == "toruslab"}
+    return out
+
+
+def test_the_oracle_imports_none_of_the_machinery_it_checks():
+    tree = ast.parse((ROOT / "src" / "toruslab" / "oracle.py").read_text())
+    assert _package_imports(tree) <= {"geometry", "errors", "bls"}
+    # the scan sees every spelling of a package import
+    for source, want in (("from .forms import Grid", {"forms"}),
+                         ("from . import grid", {"grid"}),
+                         ("from toruslab.hodge import build_hodge", {"hodge"}),
+                         ("from toruslab import forms", {"forms"}),
+                         ("import toruslab.forms as f", {"forms"}),
+                         ("import toruslab", {"toruslab"})):
+        assert _package_imports(ast.parse(source)) == want

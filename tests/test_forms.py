@@ -173,6 +173,23 @@ def test_gram_weights_positive(flat_torus, positive_bundle, grid_disc):
         assert np.all(np.linalg.eigvalsh(P) > 0)
 
 
+@pytest.mark.parametrize("which", ["spectral", "grid"])
+def test_one_component_pairing_is_the_broadcast_product(which, flat_torus, flat_bundle,
+                                                        positive_bundle):
+    # a one-component space pairs through the scalar P[0, 0], bitwise the
+    # broadcast matmul of the 1 x 1 P that every other space takes
+    if which == "spectral":
+        sp = make_space(flat_torus, flat_bundle, (1, 0), Spectral(M=8))
+    else:
+        sp = make_space(flat_torus, positive_bundle, (1, 0), Grid(N=64, order=10))
+    g = gram(sp)
+    rng = np.random.default_rng(7)
+    for m in (1, 3):
+        us, vs = (np.stack([band_limited(sp, rng).coeffs for _ in range(m)]) for _ in range(2))
+        Pu = g.P @ us.reshape(m, 1, -1)
+        assert np.array_equal(g.pair(us, vs), vs.reshape(m, -1).conj() @ Pu.reshape(m, -1).T)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_sections_are_built_from_samples(d, flat_torus):
     # section(samples) turns samples into coefficients once, and the sample
@@ -305,19 +322,6 @@ def test_curvature_action_positive_is_proportional_to_omega(flat_torus,
     out = curvature_action(sp).apply(u)
     field = sp.calculus.samples(out.coeffs)[0]
     assert np.allclose(field, field.flat[0])
-
-
-def test_grid_dbar_annihilates_theta_section(flat_torus):
-    # a holomorphic canonical section (truncated theta series) is killed by the
-    # discrete (0,1)-differential to stencil accuracy
-    from toruslab.geometry import make_positive_bundle
-    from toruslab.oracle import theta_frame
-
-    disc = Grid(N=32, order=6)
-    frame = theta_frame(0.3 + 1.1j, 1, disc)
-    sec = frame.sections[0]
-    res = assemble_dbar(sec.space).apply(sec).norm() / sec.norm()
-    assert res <= 1e-4
 
 
 @pytest.mark.parametrize("d, N, order", [(1, 64, 10), (3, 64, 10), (2, 16, 4), (2, 8, 10)])

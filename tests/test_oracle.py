@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import toruslab.oracle as oracle
 from toruslab.errors import StencilQuadratureFailure
 from toruslab.forms import Grid, Spectral, assemble_dbar, make_space
 from toruslab.geometry import (
     elliptic_family,
     jumping_family,
     make_flat_bundle,
+    make_positive_bundle,
     make_torus,
 )
 from toruslab.hodge import build_hodge
@@ -22,23 +24,44 @@ from toruslab.oracle import (
 from conftest import T0
 
 
-def test_theta_frame_is_discretely_holomorphic():
+@pytest.mark.parametrize("d", [1, 2])
+def test_theta_frame_is_discretely_holomorphic(d):
+    # a holomorphic canonical section (truncated theta series) is killed by the
+    # discrete (0,1)-differential to stencil accuracy
     disc = Grid(N=32, order=6)
-    for d in (1, 2):
-        frame = theta_frame(T0, d, disc)
-        assert len(frame.sections) == d
-        for sec in frame.sections:
-            res = assemble_dbar(sec.space).apply(sec).norm() / sec.norm()
-            # stencil truncation error grows with the level-d frequency content
-            assert res <= 1e-4 * d**3
+    torus = make_torus(1, [[T0]])
+    space = make_space(torus, make_positive_bundle(torus, d), (1, 0), disc)
+    frame = theta_frame(T0, d, disc)
+    assert frame.shape == (d, 32, 32)
+    for a in range(d):
+        sec = space.section(frame[a][None])
+        res = assemble_dbar(space).apply(sec).norm() / sec.norm()
+        # stencil truncation error grows with the level-d frequency content
+        assert res <= 1e-4 * d**3
 
 
-def test_theta_gram_is_positive_and_well_conditioned():
-    disc = Grid(N=32, order=6)
-    G = theta_frame(T0, 3, disc).gram()
-    eigs = np.linalg.eigvalsh(G)
-    assert eigs.min() > 0
-    assert eigs.max() / eigs.min() < 1e6
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_theta_frame_gram_and_curvature_are_closed_form(d):
+    """With s = Im t, int_0^1 int_0^1 |theta_a(x + t y)|^2 e^{-2 pi d s y^2} dx dy
+    = (2 d s)^{-1/2}: the x-integral keeps the diagonal terms |e^{pi i d t c^2
+    + 2 pi i d c t y}|^2 = e^{-2 pi d s (c^2 + 2 c y)}, c = m + a/d, and with the
+    weight they sum to the Gaussian e^{-2 pi d s (c + y)^2}, whose shifts by
+    m tile the line.  Times the (1,0) metric 2s the Gram matrix is sqrt(2s/d) I;
+    cross terms vanish by orthogonality in x (frequencies d m + a differ).  So
+    the L2 metric is f(s) I with f = sqrt(2s/d), whose curvature along tau = 1
+    is -(f/4) (log f)'' = f / (8 s^2) on the theta frame."""
+    disc = Grid(N=64, order=10)
+    for t in (T0, -0.2 + 0.8j):
+        s = t.imag
+        frame = theta_frame(t, d, disc)
+        G = oracle._quadrature(t, d, frame, frame)
+        want = np.sqrt(2 * s / d) * np.eye(d)
+        assert np.abs(G - want).max() <= 1e-14 * want[0, 0]
+        # the stencil's truncation error is O((step / s)^2): 2.3e-7 at s = 1.1,
+        # 4.4e-7 at s = 0.8
+        M = fd_chern_curvature_H(elliptic_family(t, d=d), d, disc, step=1e-3)
+        curv = want / (8 * s**2)
+        assert np.abs(M - curv).max() <= 1e-6 * curv[0, 0]
 
 
 def test_fd_curvature_flat_character_closed_form():
@@ -61,8 +84,6 @@ def test_fd_curvature_flat_character_closed_form():
 
 
 def test_fd_curvature_in_harmonic_basis_is_hermitian(monkeypatch):
-    import toruslab.oracle as oracle
-
     disc = Grid(N=32, order=6)
     fam = elliptic_family(T0, d=2)
     torus, bundle = fam.torus_at(), fam.bundle_at()
@@ -130,12 +151,10 @@ def test_rank_scan_flags_only_the_jump_locus(tmp_path):
 
 
 def test_fd_curvature_rejects_degenerate_gram(monkeypatch):
-    import toruslab.oracle as oracle
-
     disc = Grid(N=16, order=4)
     fam = elliptic_family(T0, d=1)
     # every Gram the stencil reads is degenerate
-    monkeypatch.setattr(oracle.ThetaFrame, "gram",
-                        lambda self: np.zeros((1, 1), dtype=complex))
+    monkeypatch.setattr(oracle, "_quadrature",
+                        lambda t, d, us, vs: np.zeros((len(vs), len(us)), dtype=complex))
     with pytest.raises(StencilQuadratureFailure):
         fd_chern_curvature_H(fam, 1, disc, step=1e-3)
